@@ -17,7 +17,6 @@ from .engine import (
     calculate_m,
     classic_signature,
     exact_tsignature,
-    parallel_exact_tsignature,
 )
 from .errors import (
     ContractError,
@@ -67,7 +66,6 @@ __all__ = [
     "calculate_m",
     "classic_signature",
     "exact_tsignature",
-    "parallel_exact_tsignature",
     "ContractError",
     "EnumerationCapError",
     "GraphParseError",

@@ -6,8 +6,9 @@ signature), reliability (mixture survival curve).  Signature artifacts are
 JSON (or CSV) with an embedded run manifest; counts are string-encoded
 because they exceed 64-bit JSON-safe integers.
 
-Exit codes: 0 success, 2 usage, 3 input validation, 4 enumeration-cap
-refusal.
+Exit codes: 0 success, 2 usage, 3 input validation (an unreadable path, a
+malformed graph or artifact, or an m-mode the network does not support),
+4 enumeration-cap refusal.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .engine import (
     classic_signature,
     exact_tsignature,
 )
-from .errors import EnumerationCapError, GraphParseError, NetworkValidationError
+from .errors import EnumerationCapError, UnsupportedModeError
 from .graph import parse_network
 from .reliability import binomial_model, poisson_model, survival_mixture
 from .sampling import SamplingPlan, approx_tsignature
@@ -75,9 +76,29 @@ def _emit(payload: dict, args: argparse.Namespace, csv_rows=None, csv_header=Non
         print(text)
 
 
-def _signature_payload(sig: TSignature, manifest: dict) -> dict:
+def cmd_nstar(args) -> int:
+    for n in range(2, args.n + 1):
+        print(f"{n:>3} | {math.factorial(n):,} | {n_star(n):,}")
+    return EXIT_OK
+
+
+def cmd_signature(args) -> int:
+    """exact, approx and signature: one network in, one signature artifact
+    out."""
+    started = time.time()
+    net, digest = _read_graph(args.graph)
+    m_mode = "paper-greedy" if args.m_mode == "greedy" else "exact-subset"
+    if args.command == "exact":
+        sig = exact_tsignature(net, m_mode=m_mode, max_links=args.max_n, workers=args.workers)
+    elif args.command == "approx":
+        plan = SamplingPlan(
+            sample_count=args.samples, seed=args.seed, workers=args.workers, m_mode=m_mode
+        )
+        sig = approx_tsignature(net, plan)
+    else:
+        sig = classic_signature(net, m_mode=m_mode, max_links=args.max_n, workers=args.workers)
     payload = {
-        "manifest": manifest,
+        "manifest": _manifest(args.command, digest, args, started),
         "n": sig.n,
         "mode": sig.mode,
         "m_mode": sig.m_mode,
@@ -85,55 +106,14 @@ def _signature_payload(sig: TSignature, manifest: dict) -> dict:
         "total": str(sig.total),
         "values": list(sig.values),
     }
-    if isinstance(sig, SampledTSignature):
-        payload["std_error"] = list(sig.std_error)
-    return payload
-
-
-def _emit_signature(sig: TSignature, command: str, digest: str, args, started) -> None:
-    payload = _signature_payload(sig, _manifest(command, digest, args, started))
     header = ["i", "count", "value"]
     rows = [[i + 1, sig.counts[i], sig.values[i]] for i in range(sig.n)]
     if isinstance(sig, SampledTSignature):
+        payload["std_error"] = list(sig.std_error)
         header.append("std_error")
-        for i, row in enumerate(rows):
-            row.append(sig.std_error[i])
+        for row, se in zip(rows, sig.std_error):
+            row.append(se)
     _emit(payload, args, csv_rows=rows, csv_header=header)
-
-
-def cmd_nstar(args) -> int:
-    for n in range(2, args.n + 1):
-        print(f"{n:>3} | {math.factorial(n):,} | {n_star(n):,}")
-    return EXIT_OK
-
-
-def cmd_exact(args) -> int:
-    started = time.time()
-    net, digest = _read_graph(args.graph)
-    m_mode = "paper-greedy" if args.m_mode == "greedy" else "exact-subset"
-    sig = exact_tsignature(net, m_mode=m_mode, max_links=args.max_n, workers=args.workers)
-    _emit_signature(sig, "exact", digest, args, started)
-    return EXIT_OK
-
-
-def cmd_approx(args) -> int:
-    started = time.time()
-    net, digest = _read_graph(args.graph)
-    m_mode = "paper-greedy" if args.m_mode == "greedy" else "exact-subset"
-    plan = SamplingPlan(
-        sample_count=args.samples, seed=args.seed, workers=args.workers, m_mode=m_mode
-    )
-    sig = approx_tsignature(net, plan)
-    _emit_signature(sig, "approx", digest, args, started)
-    return EXIT_OK
-
-
-def cmd_signature(args) -> int:
-    started = time.time()
-    net, digest = _read_graph(args.graph)
-    m_mode = "paper-greedy" if args.m_mode == "greedy" else "exact-subset"
-    sig = classic_signature(net, m_mode=m_mode, max_links=args.max_n, workers=args.workers)
-    _emit_signature(sig, "signature", digest, args, started)
     return EXIT_OK
 
 
@@ -145,13 +125,18 @@ def _load_signature_input(path: str, args):
     stripped = text.lstrip()
     if stripped.startswith("{"):
         data = json.loads(text)
-        sig = TSignature(
-            n=data["n"],
-            counts=tuple(int(c) for c in data["counts"]),
-            total=int(data["total"]),
-            mode=data["mode"],
-            m_mode=data["m_mode"],
-        )
+        try:
+            sig = TSignature(
+                n=data["n"],
+                counts=tuple(int(c) for c in data["counts"]),
+                total=int(data["total"]),
+                mode=data["mode"],
+                m_mode=data["m_mode"],
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f"{path}: not a signature artifact ({type(exc).__name__}: {exc})"
+            ) from None
         return sig, digest
     net = parse_network(text, name=Path(path).stem)
     return exact_tsignature(net, workers=args.workers, max_links=args.max_n), digest
@@ -204,14 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--max-n", type=int, default=DEFAULT_EXACT_CAP,
                    help="refuse enumeration above this link count")
-    p.set_defaults(func=cmd_exact)
+    p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("approx", help="Monte Carlo batch-failure signature")
     p.add_argument("graph")
     common(p)
     p.add_argument("--samples", type=lambda s: int(float(s)), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_approx)
+    p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("signature", help="classic single-failure signature")
     p.add_argument("graph")
@@ -238,9 +223,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "nstar" and args.n < 2:
         parser.error("N must be >= 2")
+    if args.command == "reliability" and args.steps < 1:
+        parser.error("--steps must be >= 1")
     try:
         return args.func(args)
-    except (GraphParseError, NetworkValidationError, FileNotFoundError, ValueError) as exc:
+    # ValueError covers GraphParseError and NetworkValidationError.
+    except (ValueError, UnsupportedModeError, FileNotFoundError, IsADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EnumerationCapError as exc:

@@ -3,7 +3,9 @@
 Scores failure orders by M, the minimum number of link failures at which the
 network goes down when the order's blocks fail left to right, and aggregates
 a histogram of M over the full order space (exact mode) or over the n!
-single-link permutations (classic mode).
+single-link permutations (classic mode).  M depends on an order only through
+its surviving set R and first fatal block B, so both histograms are sums over
+(R, B) pairs, each weighted by the number of orders that share it.
 
 Only the histogram is ever stored: counts are exact integers, merged by
 addition, so parallel runs are bit-identical to single-worker runs.
@@ -14,9 +16,9 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 
-from ._bitgraph import BitGraph
+from ._bitgraph import TABLE_MAX_LINKS, BitGraph
 from .combinatorics import (
     FailureOrder,
     check_failure_order,
@@ -26,10 +28,12 @@ from .combinatorics import (
 from .errors import EnumerationCapError, UnsupportedModeError
 from .graph import Network
 
-# Exhaustive enumeration guards: the order count is ~2.8e10 at 12 links and
-# 10! = 3.6e6 permutations is the comfortable classic-mode ceiling.
+# Enumeration guards.  The exact sum visits up to 3^n (surviving set, fatal
+# block) pairs, 531,441 at 12 links (under a second); each added link triples
+# that.  The classic sum visits the 2^n surviving sets, and above
+# TABLE_MAX_LINKS every connectivity query becomes a breadth-first search.
 DEFAULT_EXACT_CAP = 12
-DEFAULT_CLASSIC_CAP = 10
+DEFAULT_CLASSIC_CAP = TABLE_MAX_LINKS
 
 M_MODES = ("exact-subset", "paper-greedy")
 
@@ -109,77 +113,92 @@ def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset")
     return MResult(order=order, M=_order_m(bg, order, m_mode, {}))
 
 
-def _count_partition(bg, blocks, counts, factorials, m_mode, cache) -> None:
-    """Add every permutation of `blocks` to the M histogram.
+def _bits(mask: int):
+    """The single-bit masks of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
-    Depth-first over block-sequence prefixes: once a prefix's next block is
-    fatal, M is fixed for every completion, so (#remaining-1)! orders are
-    counted at once instead of being walked individually.
+
+def _subsets(mask: int):
+    """The nonempty subsets of `mask` in ascending order, so that every
+    B - e comes before B."""
+    block = 0
+    while block != mask:
+        block = (block - mask) & mask
+        yield block
+
+
+def _count_pairs(bg, n, m_mode, classic, worker_id, workers, counts) -> None:
+    """Add every order to the M histogram through its (R, B) pair: R the
+    links of the surviving prefix blocks, B the first fatal block.
+
+    All w(|R|) * w(n - |R| - |B|) orders with that pair have M = |R| + f(R, B);
+    w(k) counts the ways to arrange k links into a sequence of blocks: Fubini
+    numbers, or factorials in classic mode, where every block is one link.
     """
-    masks = []
-    for block in blocks:
-        mask = 0
-        for link in block:
-            mask |= 1 << (link - 1)
-        masks.append(mask)
-    sizes = [len(block) for block in blocks]
-    indices = list(range(len(blocks)))
-
-    def descend(removed, failed, remaining):
-        completions = factorials[len(remaining) - 1]
-        for pos, i in enumerate(remaining):
-            merged = removed | masks[i]
-            if bg.connected(merged):
-                descend(merged, failed + sizes[i], remaining[:pos] + remaining[pos + 1 :])
+    arrangements = math.factorial if classic else n_star
+    weight = [1] + [arrangements(k) for k in range(1, n + 1)]
+    full = (1 << n) - 1
+    not_fatal = n + 1
+    fatal = [not_fatal] * (1 << n)  # f(R, B) by B, for the current R
+    for surviving in range(worker_id, full + 1, workers):
+        if not bg.connected(surviving):
+            continue
+        r = surviving.bit_count()
+        free = full ^ surviving
+        for block in _bits(free) if classic else _subsets(free):
+            if bg.connected(surviving | block):
+                fatal[block] = not_fatal
+                continue
+            size = block.bit_count()
+            if m_mode == "paper-greedy":
+                f = bg.greedy_count(surviving, block)
             else:
-                if m_mode == "paper-greedy":
-                    m = failed + bg.greedy_count(removed, masks[i])
-                else:
-                    m = failed + bg.min_subset_size(removed, blocks[i], cache)
-                counts[m - 1] += completions
-
-    descend(0, 0, indices)
+                # f(B) = min(|B|, min_e f(B - e)), B - e already scored
+                f = fatal[block] = min(size, *(fatal[block ^ low] for low in _bits(block)))
+            counts[r + f - 1] += weight[r] * weight[n - r - size]
 
 
-def _stream_partition(bg, blocks, counts, m_mode, cache, limit) -> int:
-    """Walk permutations of `blocks` literally, in lexicographic index
-    order, scoring at most `limit` of them.  Returns the number scored."""
-    done = 0
-    for order in permutations(blocks):
-        if done >= limit:
+def _stream_orders(bg, n, m_mode, worker_id, workers, order_limit, counts) -> None:
+    """Score the first `order_limit` orders of the canonical stream one by
+    one; worker w takes the base partitions with index % workers == w."""
+    cache: dict = {}
+    offset = 0  # global stream position, tracked identically in every worker
+    for index, blocks in enumerate(iter_base_partitions(n)):
+        if offset >= order_limit:
             break
-        counts[_order_m(bg, order, m_mode, cache) - 1] += 1
-        done += 1
-    return done
+        if index % workers == worker_id:
+            for order in islice(permutations(blocks), order_limit - offset):
+                counts[_order_m(bg, order, m_mode, cache) - 1] += 1
+        offset += math.factorial(len(blocks))
 
 
 def _histogram_worker(args):
     net, m_mode, classic, worker_id, workers, order_limit = args
     bg = BitGraph(net, build_table=True)
     counts = [0] * net.n
-    cache: dict = {}
-    factorials = [math.factorial(i) for i in range(net.n + 1)]
-    if classic:
-        singletons = tuple((i,) for i in range(1, net.n + 1))
-        partitions = iter((singletons,))
+    if order_limit is None:
+        _count_pairs(bg, net.n, m_mode, classic, worker_id, workers, counts)
     else:
-        partitions = iter_base_partitions(net.n)
-    offset = 0  # global stream position, tracked identically in every worker
-    for index, blocks in enumerate(partitions):
-        k = len(blocks)
-        span = factorials[k]
-        if order_limit is not None and offset >= order_limit:
-            break
-        if index % workers == worker_id:
-            if order_limit is None:
-                _count_partition(bg, blocks, counts, factorials, m_mode, cache)
-            else:
-                _stream_partition(bg, blocks, counts, m_mode, cache, order_limit - offset)
-        offset += span
+        _stream_orders(bg, net.n, m_mode, worker_id, workers, order_limit, counts)
     return counts
 
 
-def _run_histogram(net, m_mode, classic, workers, order_limit):
+def _run_histogram(net, m_mode, classic, max_links, workers, order_limit=None):
+    """Validate a run, split it over `workers` processes and merge the
+    per-worker histograms by integer addition."""
+    _check_m_mode(net, m_mode)
+    if net.n > max_links:
+        raise EnumerationCapError(
+            f"{net.n} links means {2 ** net.n:,} surviving sets; raise max_links to opt in"
+            if classic else
+            f"{net.n} links means up to {3 ** net.n:,} (surviving set, fatal block) "
+            f"pairs; raise max_links to opt in, or use sampling"
+        )
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     jobs = [
         (net, m_mode, classic, worker_id, workers, order_limit)
         for worker_id in range(workers)
@@ -206,32 +225,14 @@ def exact_tsignature(
     """Exact batch-failure signature over all n* failure orders.
 
     Deterministic and independent of `workers` (per-worker histograms merge
-    by exact integer addition).  `order_limit` restricts the scan to the
-    first orders of the canonical enumeration stream (partial histogram,
-    used for consistency checks); the full run prunes shared prefixes and is
-    much faster than scoring orders one by one.
+    by exact integer addition).  The full run sums over (surviving set,
+    fatal block) pairs instead of visiting orders; `order_limit` instead
+    scores the first orders of the canonical enumeration stream one by one
+    (partial histogram, used for consistency checks).
     """
-    _check_m_mode(net, m_mode)
-    if net.n > max_links:
-        raise EnumerationCapError(
-            f"{net.n} links means {n_star(net.n):,} orders; raise max_links to "
-            f"opt in, or use sampling"
-        )
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    counts = _run_histogram(net, m_mode, False, workers, order_limit)
+    counts = _run_histogram(net, m_mode, False, max_links, workers, order_limit)
     total = n_star(net.n) if order_limit is None else min(order_limit, n_star(net.n))
     return TSignature(n=net.n, counts=counts, total=total, mode="exact", m_mode=m_mode)
-
-
-def parallel_exact_tsignature(
-    net: Network,
-    m_mode: str = "exact-subset",
-    workers: int = 1,
-    max_links: int = DEFAULT_EXACT_CAP,
-) -> TSignature:
-    """Multi-process exact signature; bit-identical to the single-worker run."""
-    return exact_tsignature(net, m_mode=m_mode, max_links=max_links, workers=workers)
 
 
 def classic_signature(
@@ -240,18 +241,9 @@ def classic_signature(
     max_links: int = DEFAULT_CLASSIC_CAP,
     workers: int = 1,
 ) -> TSignature:
-    """Classic signature: the same pipeline restricted to the n! single-link
-    permutations; counts[i-1] is the number of permutations whose i-th
-    failure downs the network."""
-    _check_m_mode(net, m_mode)
-    if net.n > max_links:
-        raise EnumerationCapError(
-            f"{net.n} links means {math.factorial(net.n):,} permutations; "
-            f"raise max_links to opt in"
-        )
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    counts = _run_histogram(net, m_mode, True, workers, None)
+    """Classic signature over the n! single-link permutations: counts[i-1]
+    is the number of permutations whose i-th failure downs the network."""
+    counts = _run_histogram(net, m_mode, True, max_links, workers)
     return TSignature(
         n=net.n,
         counts=counts,

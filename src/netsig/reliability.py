@@ -111,10 +111,13 @@ def survival_mixture(
         raise ValueError(
             f"binomial model n={model.n} does not match signature length {sig.n}"
         )
-    values = sig.values
+    # Integer counts are weighted first and divided once, so that the curve
+    # is exactly 1 where every count_cdf is 1 (summing counts[i]/total can
+    # miss 1 by an ulp).
+    terms = [(i, float(c)) for i, c in enumerate(sig.counts) if c]
     times = tuple(float(t) for t in grid)
     survival = tuple(
-        sum(values[i] * count_cdf(model, i, t) for i in range(sig.n) if values[i])
+        sum(c * count_cdf(model, i, t) for i, c in terms) / sig.total
         for t in times
     )
     return ReliabilityCurve(times=times, survival=survival)

@@ -70,6 +70,19 @@ class TestExact:
         code, _, _ = run_cli(capsys, "exact", "/nonexistent.graph")
         assert code == 3
 
+    def test_directory_exit_code(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "exact", str(tmp_path))
+        assert code == 3
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_unsupported_mode_exit_code(self, capsys):
+        # figure1 has three terminals; the greedy count is two-terminal only
+        code, _, err = run_cli(
+            capsys, "exact", str(fixture_path("figure1")), "--m-mode", "greedy"
+        )
+        assert code == 3
+        assert "two-terminal" in err and len(err.splitlines()) == 1
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "exact", str(fixture_path("series2")), "--output", "csv"
@@ -166,6 +179,18 @@ class TestReliability:
         )
         assert code == 0
         assert load_artifact(out2)["survival"][0] == 1.0
+
+    def test_zero_steps_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["reliability", str(fixture_path("bridge")), "--steps", "0"])
+        assert err.value.code == 2
+
+    def test_malformed_artifact_exit_code(self, tmp_path, capsys):
+        artifact_file = tmp_path / "sig.json"
+        artifact_file.write_text('{"n": 2}')
+        code, _, err = run_cli(capsys, "reliability", str(artifact_file))
+        assert code == 3
+        assert "not a signature artifact" in err and len(err.splitlines()) == 1
 
 
 class TestArtifactFiles:

@@ -1,21 +1,35 @@
-import math
+import itertools
+import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from netsig.combinatorics import enumerate_orders, n_star, random_order, build_stratum_table
 from netsig.engine import (
+    M_MODES,
     TSignature,
     calculate_m,
     classic_signature,
     exact_tsignature,
-    parallel_exact_tsignature,
 )
 from netsig.errors import EnumerationCapError, UnsupportedModeError
 from netsig.fixtures import load_fixture
 
 from conftest import OracleNet, oracle_histogram, random_connected_network
 
-import random
+
+def _m_histogram(net, orders, m_mode):
+    """Per-order scoring: the histogram of calculate_m over `orders`."""
+    counts = [0] * net.n
+    for order in orders:
+        counts[calculate_m(net, order, m_mode).M - 1] += 1
+    return tuple(counts)
+
+
+# Random two-terminal networks with 3 to 6 links.
+small_networks = st.builds(
+    random_connected_network, st.randoms(use_true_random=False), st.integers(3, 6)
+)
 
 
 class TestTSignatureType:
@@ -125,6 +139,16 @@ class TestExactTSignature:
         assert sig.counts == tuple(expected)
         assert sig.total == limit
 
+    @pytest.mark.parametrize("m_mode", M_MODES)
+    @settings(max_examples=20, deadline=None)
+    @given(net=small_networks)
+    # greedy and exact histograms differ on zigzag, on none of the random
+    # networks with up to 6 links
+    @example(net=load_fixture("zigzag"))
+    def test_matches_per_order_scoring(self, m_mode, net):
+        expected = _m_histogram(net, enumerate_orders(net.n), m_mode)
+        assert exact_tsignature(net, m_mode=m_mode).counts == expected
+
 
 class TestClassicSignature:
     def test_series(self):
@@ -140,8 +164,6 @@ class TestClassicSignature:
         assert sig.values == (0.0, 0.2, 0.6, 0.2, 0.0)
 
     def test_permutation_oracle(self, rng):
-        import itertools
-
         for _ in range(5):
             net = random_connected_network(rng, 4)
             oracle = OracleNet(net)
@@ -151,9 +173,17 @@ class TestClassicSignature:
                 counts[oracle.order_m(order) - 1] += 1
             assert classic_signature(net).counts == tuple(counts)
 
+    @pytest.mark.parametrize("m_mode", M_MODES)
+    @settings(max_examples=20, deadline=None)
+    @given(net=small_networks)
+    def test_matches_per_order_scoring(self, m_mode, net):
+        perms = itertools.permutations(range(1, net.n + 1))
+        expected = _m_histogram(net, (tuple((x,) for x in p) for p in perms), m_mode)
+        assert classic_signature(net, m_mode=m_mode).counts == expected
+
     def test_cap_refusal(self):
         with pytest.raises(EnumerationCapError):
-            classic_signature(load_fixture("figure2"))
+            classic_signature(load_fixture("eon_par_cop"))
 
 
 class TestParallelDeterminism:
@@ -168,4 +198,4 @@ class TestParallelDeterminism:
         net = load_fixture("bridge")
         base = exact_tsignature(net)
         for workers in (2, 3):
-            assert parallel_exact_tsignature(net, workers=workers).counts == base.counts
+            assert exact_tsignature(net, workers=workers).counts == base.counts

@@ -78,6 +78,10 @@ class TestSurvivalMixture:
             sig = exact_tsignature(load_fixture(name))
             curve = survival_mixture(sig, poisson_model(1.0), GRID)
             assert curve.survival[0] == 1.0
+        # ten counts of 1: the float sum of ten values 0.1 is 1 - 2**-53
+        sig = self._sig((1,) * 10, 10)
+        for model in (poisson_model(1.0), binomial_model(10, 1.0)):
+            assert survival_mixture(sig, model, GRID).survival[0] == 1.0
 
     def test_non_increasing_both_models(self):
         sig = exact_tsignature(load_fixture("bridge"))

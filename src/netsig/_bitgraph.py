@@ -66,14 +66,15 @@ class BitGraph:
                 queue.append(w)
         return seen & goal == goal
 
-    def shortest_path(self, removed_mask: int) -> tuple[int, ...] | None:
-        """Shortest two-terminal path by link count, deterministic: among
-        equal-length paths the lexicographically smallest link-id sequence.
+    def shortest_path(
+        self, removed_mask: int, src: int, dst: int
+    ) -> tuple[int, ...] | None:
+        """Shortest path by link count from node index `src` to node index
+        `dst`, deterministic: among equal-length paths the lexicographically
+        smallest link-id sequence.
 
         Returns the path as a tuple of link ids, or None if disconnected.
-        Only meaningful for two-terminal networks.
         """
-        src, dst = self.terminal_indices[0], self.terminal_indices[-1]
         dist = self._bfs_distances(dst, removed_mask)
         if dist[src] < 0:
             return None
@@ -106,6 +107,17 @@ class BitGraph:
             frontier = nxt
         return dist
 
+    def _check_fatal_block(self, removed_mask: int, block_mask: int) -> None:
+        """Preconditions of min_subset_size and greedy_count: the block is
+        disjoint from the removed links, the terminals are connected under
+        `removed_mask` and disconnected once the whole block is removed."""
+        if removed_mask & block_mask:
+            raise ContractError("block overlaps already-removed links")
+        if not self.connected(removed_mask):
+            raise ContractError("terminals already disconnected before the block")
+        if self.connected(removed_mask | block_mask):
+            raise ContractError("removing the whole block does not disconnect")
+
     def min_subset_size(
         self,
         removed_mask: int,
@@ -116,8 +128,7 @@ class BitGraph:
         `removed_mask`, disconnects the terminals.
 
         Subsets are scanned by ascending cardinality, lexicographic link-id
-        order.  Preconditions: terminals connected under `removed_mask`,
-        disconnected once the whole block is also removed.
+        order.  Preconditions as _check_fatal_block.
         """
         block_mask = 0
         for link in block:
@@ -127,12 +138,7 @@ class BitGraph:
             hit = cache.get(key)
             if hit is not None:
                 return hit
-        if removed_mask & block_mask:
-            raise ContractError("block overlaps already-removed links")
-        if not self.connected(removed_mask):
-            raise ContractError("terminals already disconnected before the block")
-        if self.connected(removed_mask | block_mask):
-            raise ContractError("removing the whole block does not disconnect")
+        self._check_fatal_block(removed_mask, block_mask)
         bits = [1 << (link - 1) for link in sorted(block)]
         result = len(bits)
         for size in range(1, len(bits)):
@@ -156,20 +162,16 @@ class BitGraph:
         repeatedly take the deterministic shortest path, delete its block
         links, and count iterations until the terminals disconnect.
 
-        Preconditions as min_subset_size.  The result never exceeds the true
+        Preconditions as _check_fatal_block.  The result never exceeds the true
         minimum subset size but can undercount it when one path carries
         several links of a minimum disconnecting subset.
         """
-        if removed_mask & block_mask:
-            raise ContractError("block overlaps already-removed links")
-        if not self.connected(removed_mask):
-            raise ContractError("terminals already disconnected before the block")
-        if self.connected(removed_mask | block_mask):
-            raise ContractError("removing the whole block does not disconnect")
+        self._check_fatal_block(removed_mask, block_mask)
+        src, dst = self.terminal_indices[0], self.terminal_indices[-1]
         count = 0
         mask = removed_mask
         while self.connected(mask):
-            path = self.shortest_path(mask)
+            path = self.shortest_path(mask, src, dst)
             for link in path:
                 bit = 1 << (link - 1)
                 if bit & block_mask:

@@ -6,9 +6,10 @@ signature), reliability (mixture survival curve).  Signature artifacts are
 JSON (or CSV) with an embedded run manifest; counts are string-encoded
 because they exceed 64-bit JSON-safe integers.
 
-Exit codes: 0 success, 2 usage, 3 input validation (an unreadable path, a
-malformed graph or artifact, or an m-mode the network does not support),
-4 enumeration-cap refusal.
+Exit codes: 0 success, 1 output pipe closed by the reader (nothing is
+written to stderr), 2 usage, 3 input validation (an unreadable path, a
+malformed graph or artifact, a non-finite rate or time, or an m-mode the
+network does not support), 4 enumeration-cap refusal.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -37,6 +39,7 @@ from .reliability import binomial_model, poisson_model, survival_mixture
 from .sampling import SamplingPlan, approx_tsignature
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_CAP = 4
@@ -226,7 +229,15 @@ def main(argv=None) -> int:
     if args.command == "reliability" and args.steps < 1:
         parser.error("--steps must be >= 1")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull so that the flush at
+        # interpreter exit does not raise again (recipe from the `signal`
+        # module docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     # ValueError covers GraphParseError and NetworkValidationError.
     except (ValueError, UnsupportedModeError, FileNotFoundError, IsADirectoryError,
             PermissionError) as exc:

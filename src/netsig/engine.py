@@ -36,6 +36,7 @@ DEFAULT_EXACT_CAP = 12
 DEFAULT_CLASSIC_CAP = TABLE_MAX_LINKS
 
 M_MODES = ("exact-subset", "paper-greedy")
+SIGNATURE_MODES = ("exact", "classic", "sampled")
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,12 @@ class TSignature:
             raise ValueError("counts length must equal the link count")
         if sum(self.counts) != self.total:
             raise ValueError("counts must sum to total")
+        if self.mode not in SIGNATURE_MODES:
+            raise ValueError(
+                f"unknown mode {self.mode!r}; expected one of {SIGNATURE_MODES}"
+            )
+        if self.m_mode not in M_MODES:
+            raise ValueError(f"unknown m_mode {self.m_mode!r}; expected one of {M_MODES}")
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -86,7 +93,7 @@ def _check_m_mode(net: Network, m_mode: str) -> None:
         )
 
 
-def _order_m(bg: BitGraph, order, m_mode: str, cache: dict) -> int:
+def _order_m(bg: BitGraph, order, m_mode: str, cache: dict | None) -> int:
     """M for one failure order: full sizes of the surviving prefix blocks
     plus the minimum (or greedy) count inside the first fatal block."""
     removed = 0
@@ -110,7 +117,7 @@ def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset")
     check_failure_order(order, net.n)
     _check_m_mode(net, m_mode)
     bg = BitGraph(net, build_table=False)
-    return MResult(order=order, M=_order_m(bg, order, m_mode, {}))
+    return MResult(order=order, M=_order_m(bg, order, m_mode, None))
 
 
 def _bits(mask: int):
@@ -130,7 +137,7 @@ def _subsets(mask: int):
         yield block
 
 
-def _count_pairs(bg, n, m_mode, classic, worker_id, workers, counts) -> None:
+def _count_pairs(bg, n, worker_id, workers, counts, m_mode, classic) -> None:
     """Add every order to the M histogram through its (R, B) pair: R the
     links of the surviving prefix blocks, B the first fatal block.
 
@@ -161,7 +168,7 @@ def _count_pairs(bg, n, m_mode, classic, worker_id, workers, counts) -> None:
             counts[r + f - 1] += weight[r] * weight[n - r - size]
 
 
-def _stream_orders(bg, n, m_mode, worker_id, workers, order_limit, counts) -> None:
+def _stream_orders(bg, n, worker_id, workers, counts, m_mode, order_limit) -> None:
     """Score the first `order_limit` orders of the canonical stream one by
     one; worker w takes the base partitions with index % workers == w."""
     cache: dict = {}
@@ -176,43 +183,26 @@ def _stream_orders(bg, n, m_mode, worker_id, workers, order_limit, counts) -> No
 
 
 def _histogram_worker(args):
-    net, m_mode, classic, worker_id, workers, order_limit = args
+    net, fill, worker_id, workers, extra = args
     bg = BitGraph(net, build_table=True)
     counts = [0] * net.n
-    if order_limit is None:
-        _count_pairs(bg, net.n, m_mode, classic, worker_id, workers, counts)
-    else:
-        _stream_orders(bg, net.n, m_mode, worker_id, workers, order_limit, counts)
+    fill(bg, net.n, worker_id, workers, counts, *extra)
     return counts
 
 
-def _run_histogram(net, m_mode, classic, max_links, workers, order_limit=None):
-    """Validate a run, split it over `workers` processes and merge the
-    per-worker histograms by integer addition."""
-    _check_m_mode(net, m_mode)
-    if net.n > max_links:
-        raise EnumerationCapError(
-            f"{net.n} links means {2 ** net.n:,} surviving sets; raise max_links to opt in"
-            if classic else
-            f"{net.n} links means up to {3 ** net.n:,} (surviving set, fatal block) "
-            f"pairs; raise max_links to opt in, or use sampling"
-        )
+def _run_histogram(net, workers, fill, *extra) -> tuple[int, ...]:
+    """Run `fill(bg, n, worker_id, workers, counts, *extra)` once per worker,
+    in this process for one worker and in a process pool otherwise, and
+    merge the per-worker histograms by integer addition."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    jobs = [
-        (net, m_mode, classic, worker_id, workers, order_limit)
-        for worker_id in range(workers)
-    ]
+    jobs = [(net, fill, worker_id, workers, extra) for worker_id in range(workers)]
     if workers == 1:
         results = [_histogram_worker(jobs[0])]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_histogram_worker, jobs))
-    counts = [0] * net.n
-    for partial in results:
-        for i, c in enumerate(partial):
-            counts[i] += c
-    return tuple(counts)
+    return tuple(map(sum, zip(*results)))
 
 
 def exact_tsignature(
@@ -230,8 +220,18 @@ def exact_tsignature(
     scores the first orders of the canonical enumeration stream one by one
     (partial histogram, used for consistency checks).
     """
-    counts = _run_histogram(net, m_mode, False, max_links, workers, order_limit)
-    total = n_star(net.n) if order_limit is None else min(order_limit, n_star(net.n))
+    _check_m_mode(net, m_mode)
+    if net.n > max_links:
+        raise EnumerationCapError(
+            f"{net.n} links means up to {3 ** net.n:,} (surviving set, fatal block) "
+            f"pairs; raise max_links to opt in, or use sampling"
+        )
+    if order_limit is None:
+        counts = _run_histogram(net, workers, _count_pairs, m_mode, False)
+        total = n_star(net.n)
+    else:
+        counts = _run_histogram(net, workers, _stream_orders, m_mode, order_limit)
+        total = min(order_limit, n_star(net.n))
     return TSignature(n=net.n, counts=counts, total=total, mode="exact", m_mode=m_mode)
 
 
@@ -243,7 +243,12 @@ def classic_signature(
 ) -> TSignature:
     """Classic signature over the n! single-link permutations: counts[i-1]
     is the number of permutations whose i-th failure downs the network."""
-    counts = _run_histogram(net, m_mode, True, max_links, workers)
+    _check_m_mode(net, m_mode)
+    if net.n > max_links:
+        raise EnumerationCapError(
+            f"{net.n} links means {2 ** net.n:,} surviving sets; raise max_links to opt in"
+        )
+    counts = _run_histogram(net, workers, _count_pairs, m_mode, True)
     return TSignature(
         n=net.n,
         counts=counts,

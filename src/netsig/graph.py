@@ -160,10 +160,8 @@ def find_path(
     for label in endpoints:
         if label not in net.nodes:
             raise NetworkValidationError(f"unknown node {label!r}")
-    # Reuse the two-terminal path search by viewing the endpoints as the
-    # terminal pair of an otherwise identical network.
-    probe = _with_terminals(net, endpoints)
-    return BitGraph(probe).shortest_path(_mask(net, removed))
+    src, dst = sorted(net.nodes.index(label) for label in endpoints)
+    return BitGraph(net).shortest_path(_mask(net, removed), src, dst)
 
 
 def min_failed_subset_size(net: Network, removed: LinkSet, block: LinkSet) -> int:
@@ -206,16 +204,3 @@ def _mask(net: Network, links) -> int:
     for link in net.link_set(links):
         mask |= 1 << (link - 1)
     return mask
-
-
-def _with_terminals(net: Network, endpoints: tuple[str, str]) -> Network:
-    if frozenset(endpoints) == net.terminals:
-        return net
-    # Bypass __post_init__ revalidation: endpoints may be disconnected, which
-    # find_path reports as None rather than an invalid network.
-    probe = object.__new__(Network)
-    object.__setattr__(probe, "nodes", net.nodes)
-    object.__setattr__(probe, "links", net.links)
-    object.__setattr__(probe, "terminals", frozenset(endpoints))
-    object.__setattr__(probe, "name", net.name)
-    return probe

@@ -33,8 +33,8 @@ class CountingModel:
     def __post_init__(self):
         if self.variant not in ("poisson", "binomial"):
             raise ValueError(f"unknown counting model {self.variant!r}")
-        if not self.rate > 0:
-            raise ValueError("rate must be strictly positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be finite and strictly positive")
         if self.variant == "binomial" and (self.n is None or self.n < 1):
             raise ValueError("binomial model requires the link count n")
 
@@ -92,6 +92,8 @@ class ReliabilityCurve:
     def __post_init__(self):
         if len(self.times) != len(self.survival):
             raise ValueError("times and survival must have equal length")
+        if not all(map(math.isfinite, self.times)):
+            raise ValueError("time grid must be finite")
         if any(b < a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("time grid must be ascending")
         if any(t < 0 for t in self.times):

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from ._bitgraph import BitGraph
 from .combinatorics import build_stratum_table, random_order
-from .engine import SampledTSignature, _check_m_mode, _order_m
+from .engine import SampledTSignature, _check_m_mode, _order_m, _run_histogram
 from .graph import Network
 
 _SEED_MASK = (1 << 64) - 1
@@ -43,46 +41,28 @@ def _sample_rng(seed: int, index: int) -> random.Random:
     return random.Random(((seed & _SEED_MASK) << 64) | index)
 
 
-def _sample_worker(args):
-    net, m_mode, seed, lo, hi = args
-    bg = BitGraph(net, build_table=True)
-    table = build_stratum_table(net.n)
-    cache: dict = {}
-    counts = [0] * net.n
-    for j in range(lo, hi):
+def _draw_orders(bg, n, worker_id, workers, counts, m_mode, seed, sample_count) -> None:
+    """Draw and score the samples with index % workers == worker_id."""
+    table = build_stratum_table(n)
+    for j in range(worker_id, sample_count, workers):
         order = random_order(table, _sample_rng(seed, j))
-        counts[_order_m(bg, order, m_mode, cache) - 1] += 1
-    return counts
+        counts[_order_m(bg, order, m_mode, None) - 1] += 1
 
 
 def approx_tsignature(net: Network, plan: SamplingPlan) -> SampledTSignature:
     """Sampled signature with per-component binomial standard errors."""
     _check_m_mode(net, plan.m_mode)
     n_samples = plan.sample_count
-    bounds = [
-        n_samples * w // plan.workers for w in range(plan.workers + 1)
-    ]
-    jobs = [
-        (net, plan.m_mode, plan.seed, bounds[w], bounds[w + 1])
-        for w in range(plan.workers)
-        if bounds[w] < bounds[w + 1]
-    ]
-    if len(jobs) == 1:
-        results = [_sample_worker(jobs[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            results = list(pool.map(_sample_worker, jobs))
-    counts = [0] * net.n
-    for partial in results:
-        for i, c in enumerate(partial):
-            counts[i] += c
+    counts = _run_histogram(
+        net, plan.workers, _draw_orders, plan.m_mode, plan.seed, n_samples
+    )
     values = [c / n_samples for c in counts]
     std_error = tuple(
         math.sqrt(v * (1.0 - v) / n_samples) for v in values
     )
     return SampledTSignature(
         n=net.n,
-        counts=tuple(counts),
+        counts=counts,
         total=n_samples,
         mode="sampled",
         m_mode=plan.m_mode,

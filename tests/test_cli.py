@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import netsig
 from netsig.cli import main
 from netsig.fixtures import fixture_path
 
@@ -191,6 +196,42 @@ class TestReliability:
         code, _, err = run_cli(capsys, "reliability", str(artifact_file))
         assert code == 3
         assert "not a signature artifact" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("field, value", [("mode", "nonsense"), ("m_mode", "x")])
+    def test_unknown_artifact_mode_exit_code(self, tmp_path, capsys, field, value):
+        _, out, _ = run_cli(capsys, "exact", str(fixture_path("parallel2")))
+        artifact = load_artifact(out)
+        artifact[field] = value
+        artifact_file = tmp_path / "sig.json"
+        artifact_file.write_text(json.dumps(artifact))
+        code, out2, err = run_cli(capsys, "reliability", str(artifact_file))
+        assert code == 3 and out2 == ""
+        assert err.startswith(f"error: unknown {field}") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rate", "inf"), ("--tmax", "inf"), ("--tmax", "nan"),
+    ])
+    def test_non_finite_argument_exit_code(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "reliability", str(fixture_path("bridge")), flag, value, "--steps", "2"
+        )
+        assert code == 3 and out == ""
+        assert "finite" in err and len(err.splitlines()) == 1
+
+    def test_closed_stdout_exits_quietly(self):
+        src = str(Path(netsig.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "netsig.cli", "reliability",
+             str(fixture_path("bridge")), "--steps", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 class TestArtifactFiles:

@@ -45,6 +45,11 @@ class TestTSignatureType:
         with pytest.raises(ValueError):
             TSignature(n=3, counts=(1, 2), total=3, mode="exact", m_mode="exact-subset")
 
+    @pytest.mark.parametrize("mode, m_mode", [("nonsense", "exact-subset"), ("exact", "x")])
+    def test_unknown_mode_rejected(self, mode, m_mode):
+        with pytest.raises(ValueError, match="unknown m?_?mode"):
+            TSignature(n=2, counts=(1, 2), total=3, mode=mode, m_mode=m_mode)
+
 
 class TestCalculateM:
     def test_series_first_failure_kills(self):

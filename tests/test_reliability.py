@@ -54,6 +54,13 @@ class TestCountCdf:
         with pytest.raises(ValueError):
             binomial_model(0, 1.0)
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            poisson_model(rate)
+        with pytest.raises(ValueError, match="finite"):
+            binomial_model(3, rate)
+
 
 class TestSurvivalMixture:
     def _sig(self, counts, total):
@@ -141,3 +148,8 @@ class TestReliabilityCurve:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             ReliabilityCurve(times=(0.0, 0.5), survival=(1.0,))
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_times(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            ReliabilityCurve(times=(0.0, t), survival=(1.0, 1.0))

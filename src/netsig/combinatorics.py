@@ -163,24 +163,33 @@ def random_partition_with_k_blocks(
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    blocks = _random_blocks(n, k, rng)
-    blocks.sort(key=lambda block: block[0])
-    return tuple(tuple(block) for block in blocks)
+    return tuple(tuple(block) for block in _random_blocks(n, k, rng))
 
 
 def _random_blocks(n: int, k: int, rng: random.Random) -> list[list[int]]:
-    if k == n:
-        return [[i] for i in range(1, n + 1)]
-    if k == 1:
-        return [list(range(1, n + 1))]
-    # S(n,k) = S(n-1,k-1) + k*S(n-1,k): element n is a singleton in the first
-    # summand's share of partitions, otherwise it joins one of k blocks.
-    if rng.randrange(stirling2(n, k)) < stirling2(n - 1, k - 1):
-        blocks = _random_blocks(n - 1, k - 1, rng)
-        blocks.append([n])
-    else:
-        blocks = _random_blocks(n - 1, k, rng)
-        blocks[rng.randrange(k)].append(n)
+    """The blocks of a uniform k-block partition of {1..n}, ordered by
+    minimum element.  S(m,k) = S(m-1,k-1) + k*S(m-1,k): element m is a
+    singleton in the first summand's share of partitions, otherwise it joins
+    one of k blocks.  These choices are drawn from m = n down to a base case
+    (k = m or k = 1), then the joining elements pick a block bottom-up."""
+    stirling2(n, k)  # extends the rows up to n
+    rows = _stirling_rows
+    joins = []  # per element above the base case: 0, or its k if it joins
+    m = n
+    while 1 < k < m:
+        if rng.randrange(rows[m - 1][k - 1]) < rows[m - 2][k - 2]:
+            joins.append(0)
+            k -= 1
+        else:
+            joins.append(k)
+        m -= 1
+    blocks = [[i] for i in range(1, m + 1)] if k == m else [list(range(1, m + 1))]
+    # A new block's element exceeds all earlier ones: the order is kept.
+    for m, join in enumerate(reversed(joins), start=m + 1):
+        if join:
+            blocks[rng.randrange(join)].append(m)
+        else:
+            blocks.append([m])
     return blocks
 
 
@@ -199,7 +208,7 @@ def random_order(table: StratumTable, rng: random.Random) -> FailureOrder:
         if u < acc:
             k = idx
             break
-    blocks = list(random_partition_with_k_blocks(table.n, k, rng))
+    blocks = [tuple(block) for block in _random_blocks(table.n, k, rng)]
     rng.shuffle(blocks)
     return tuple(blocks)
 

@@ -14,6 +14,7 @@ addition, so parallel runs are bit-identical to single-worker runs.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, permutations
@@ -59,6 +60,8 @@ class TSignature:
             raise ValueError("counts length must equal the link count")
         if sum(self.counts) != self.total:
             raise ValueError("counts must sum to total")
+        if self.total < 1 or min(self.counts) < 0:
+            raise ValueError("counts must be nonnegative with a positive total")
         if self.mode not in SIGNATURE_MODES:
             raise ValueError(
                 f"unknown mode {self.mode!r}; expected one of {SIGNATURE_MODES}"
@@ -95,21 +98,31 @@ def _check_m_mode(net: Network, m_mode: str) -> None:
 
 def _order_m(bg: BitGraph, order, m_mode: str, cache: dict | None) -> int:
     """M for one failure order: full sizes of the surviving prefix blocks
-    plus the minimum (or greedy) count inside the first fatal block."""
-    removed = 0
-    m = 0
+    plus the minimum (or greedy) count inside the first fatal block.
+
+    Removing links never reconnects the terminals, so the fatal block is
+    found by bisection: prefix[lo] (the links of the first lo blocks) keeps
+    them connected and prefix[hi] does not (checked last for the full order).
+    """
+    prefix = [0]
+    mask = 0
     for block in order:
-        block_mask = 0
         for link in block:
-            block_mask |= 1 << (link - 1)
-        if bg.connected(removed | block_mask):
-            removed |= block_mask
-            m += len(block)
+            mask |= 1 << (link - 1)
+        prefix.append(mask)
+    lo, hi = 0, len(order)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bg.connected(prefix[mid]):
+            lo = mid
         else:
-            if m_mode == "paper-greedy":
-                return m + bg.greedy_count(removed, block_mask)
-            return m + bg.min_subset_size(removed, tuple(sorted(block)), cache)
-    raise AssertionError("removing every link must disconnect a valid network")
+            hi = mid
+    if hi == len(order) and bg.connected(mask):
+        raise AssertionError("removing every link must disconnect a valid network")
+    removed = prefix[lo]
+    if m_mode == "paper-greedy":
+        return removed.bit_count() + bg.greedy_count(removed, prefix[hi] ^ removed)
+    return removed.bit_count() + bg.min_subset_size(removed, tuple(sorted(order[lo])), cache)
 
 
 def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset") -> MResult:
@@ -200,7 +213,8 @@ def _run_histogram(net, workers, fill, *extra) -> tuple[int, ...]:
     if workers == 1:
         results = [_histogram_worker(jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Still `workers` jobs, so the counts do not depend on the pool size.
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             results = list(pool.map(_histogram_worker, jobs))
     return tuple(map(sum, zip(*results)))
 

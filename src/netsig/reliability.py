@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .engine import TSignature
 
@@ -57,29 +58,28 @@ def count_cdf(model: CountingModel, j: int, t: float) -> float:
     result clamped into [0, 1]."""
     if j < 0:
         raise ValueError("j must be >= 0")
+    return _count_cdfs(model, j, t)[j]
+
+
+def _count_cdfs(model: CountingModel, j_max: int, t: float) -> list[float]:
+    """[P(N(t) <= j) for j in 0..j_max] from one running sum of the terms."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:
-        return 1.0
+        return [1.0] * (j_max + 1)
     if model.variant == "poisson":
         mean = model.rate * t
-        term = math.exp(-mean)
-        total = term
-        for r in range(1, j + 1):
-            term *= mean / r
-            total += term
-        return min(total, 1.0)
-    n = model.n
-    if j >= n:
-        return 1.0
-    p = _failure_probability(model, t)
-    q = 1.0 - p
-    if q == 0.0:
-        return 0.0  # all links failed almost surely and j < n
-    total = 0.0
-    for r in range(0, j + 1):
-        total += math.comb(n, r) * p**r * q ** (n - r)
-    return min(total, 1.0)
+        terms = [math.exp(-mean)]
+        for r in range(1, j_max + 1):
+            terms.append(terms[-1] * (mean / r))
+        top = j_max + 1
+    else:
+        n = model.n
+        p = _failure_probability(model, t)
+        q = 1.0 - p
+        top = min(j_max + 1, n)  # from j = n on, P(N(t) <= j) = 1
+        terms = [math.comb(n, r) * p**r * q ** (n - r) for r in range(top)]
+    return [min(total, 1.0) for total in accumulate(terms)] + [1.0] * (j_max + 1 - top)
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,10 @@ def survival_mixture(
     # is exactly 1 where every count_cdf is 1 (summing counts[i]/total can
     # miss 1 by an ulp).
     terms = [(i, float(c)) for i, c in enumerate(sig.counts) if c]
+    j_max = terms[-1][0]
     times = tuple(float(t) for t in grid)
-    survival = tuple(
-        sum(c * count_cdf(model, i, t) for i, c in terms) / sig.total
-        for t in times
-    )
-    return ReliabilityCurve(times=times, survival=survival)
+    survival = []
+    for t in times:
+        cdfs = _count_cdfs(model, j_max, t)
+        survival.append(sum(c * cdfs[i] for i, c in terms) / sig.total)
+    return ReliabilityCurve(times=times, survival=tuple(survival))

@@ -92,8 +92,9 @@ def oracle_histogram(net: Network):
     return tuple(counts), total
 
 
-def random_connected_network(rng: random.Random, n_links: int) -> Network:
-    """Random multigraph with n_links links, 2 terminals, terminal-connected."""
+def random_connected_network(rng: random.Random, n_links: int, n_terminals: int = 2) -> Network:
+    """Random multigraph with n_links links and n_terminals (2 or 3)
+    terminals, terminal-connected."""
     while True:
         n_nodes = rng.randint(3, n_links + 1)
         nodes = tuple(f"v{i}" for i in range(n_nodes))
@@ -101,7 +102,7 @@ def random_connected_network(rng: random.Random, n_links: int) -> Network:
         for link_id in range(1, n_links + 1):
             a, b = rng.sample(range(n_nodes), 2)
             links.append((link_id, nodes[a], nodes[b]))
-        terminals = frozenset(rng.sample(nodes, 2))
+        terminals = frozenset(rng.sample(nodes, n_terminals))
         try:
             return Network(nodes=nodes, links=tuple(links), terminals=terminals)
         except Exception:

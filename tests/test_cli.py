@@ -208,6 +208,19 @@ class TestReliability:
         assert code == 3 and out2 == ""
         assert err.startswith(f"error: unknown {field}") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("counts, total", [
+        (["0", "0"], "0"),  # used to divide by zero
+        (["-1", "4"], "3"),  # used to give survival above 1
+    ])
+    def test_impossible_counts_exit_code(self, tmp_path, capsys, counts, total):
+        artifact = {"n": 2, "counts": counts, "total": total,
+                    "mode": "exact", "m_mode": "exact-subset"}
+        artifact_file = tmp_path / "sig.json"
+        artifact_file.write_text(json.dumps(artifact))
+        code, out, err = run_cli(capsys, "reliability", str(artifact_file), "--steps", "2")
+        assert code == 3 and out == ""
+        assert "nonnegative with a positive total" in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("flag, value", [
         ("--rate", "inf"), ("--tmax", "inf"), ("--tmax", "nan"),
     ])

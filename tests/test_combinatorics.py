@@ -160,6 +160,19 @@ class TestRandomPartition:
         _, p = chisquare(list(freq.values()))
         assert p > 0.001
 
+    # Draws and the next rng.random() recorded from the recursive sampler
+    # (commit 3447fcd): the stream must be consumed exactly as before.
+    @pytest.mark.parametrize("n, k, seed, blocks, after", [
+        (10, 4, 2, ((1, 7, 10), (2, 4, 5), (3, 6, 8), (9,)), 0.5812040171120031),
+        (26, 13, 5, ((1, 7, 17, 21), (2, 5, 8), (3, 14, 15, 25, 26), (4, 22, 24), (6,),
+                     (9,), (10,), (11, 12), (13,), (16,), (18,), (19,), (20, 23)),
+         0.2893051677469265),
+    ])
+    def test_pinned_draws(self, n, k, seed, blocks, after):
+        rng = random.Random(seed)
+        assert random_partition_with_k_blocks(n, k, rng) == blocks
+        assert rng.random() == after
+
 
 class TestRandomOrder:
     def test_n1(self, rng):
@@ -190,3 +203,17 @@ class TestRandomOrder:
         assert len(freq) == 13
         _, p = chisquare(list(freq.values()))
         assert p > 0.001
+
+    # Recorded from the recursive sampler (commit 3447fcd), as above.
+    @pytest.mark.parametrize("n, seed, order, after", [
+        (4, 3, ((3, 4), (2,), (1,)), 0.9159448117309811),
+        (9, 11, ((3,), (7,), (1,), (2, 5, 9), (4,), (6,), (8,)), 0.3034012626245255),
+        (26, 7, ((19,), (3, 9, 12), (16,), (22,), (6,), (21,), (11,), (23,), (1, 4),
+                 (14, 24), (20,), (17,), (13, 15), (2, 18), (26,), (8,), (5, 10), (7,),
+                 (25,)),
+         0.5855618635076387),
+    ])
+    def test_pinned_draws(self, n, seed, order, after):
+        rng = random.Random(seed)
+        assert random_order(build_stratum_table(n), rng) == order
+        assert rng.random() == after

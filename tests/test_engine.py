@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from netsig import engine
 from netsig.combinatorics import enumerate_orders, n_star, random_order, build_stratum_table
 from netsig.engine import (
     M_MODES,
@@ -30,6 +31,24 @@ def _m_histogram(net, orders, m_mode):
 small_networks = st.builds(
     random_connected_network, st.randoms(use_true_random=False), st.integers(3, 6)
 )
+
+
+# Random networks with 3 to 8 links and two or three terminals.
+terminal_networks = st.builds(
+    random_connected_network,
+    st.randoms(use_true_random=False),
+    st.integers(3, 8),
+    st.sampled_from([2, 3]),
+)
+
+
+def _cut_shuffle_order(rng, n):
+    """A failure order from a shuffle of the links cut at random points
+    (independent of the package's sampler)."""
+    links = list(range(1, n + 1))
+    rng.shuffle(links)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    return tuple(tuple(sorted(links[a:b])) for a, b in zip([0] + cuts, cuts + [n]))
 
 
 class TestTSignatureType:
@@ -73,6 +92,25 @@ class TestCalculateM:
         net = load_fixture("figure1")
         with pytest.raises(UnsupportedModeError):
             calculate_m(net, tuple((i,) for i in range(1, 10)), m_mode="paper-greedy")
+
+    @settings(max_examples=80, deadline=None)
+    @given(net=terminal_networks, rng=st.randoms(use_true_random=False))
+    @example(net=load_fixture("figure1"), rng=random.Random(3))
+    def test_matches_oracle_at_every_fatal_position(self, net, rng):
+        # The fatal block is found by bisection; check it against the
+        # union-find oracle on a random order and on two orders built from
+        # it: the blocks up to the fatal one merged (the first block is
+        # fatal) and the blocks from it on merged (only the last is fatal).
+        oracle = OracleNet(net)
+        order = _cut_shuffle_order(rng, net.n)
+        fatal = next(
+            k for k in range(len(order))
+            if not oracle.connected(set().union(*order[: k + 1]))
+        )
+        first = (tuple(sorted(sum(order[: fatal + 1], ()))),) + order[fatal + 1 :]
+        last = order[:fatal] + (tuple(sorted(sum(order[fatal:], ()))),)
+        for scored in (order, first, last):
+            assert calculate_m(net, scored, "exact-subset").M == oracle.order_m(scored)
 
     def test_bounds_and_mode_ordering(self, rng):
         # 1 <= M <= n and greedy M never exceeds exact M
@@ -204,3 +242,28 @@ class TestParallelDeterminism:
         base = exact_tsignature(net)
         for workers in (2, 3):
             assert exact_tsignature(net, workers=workers).counts == base.counts
+
+    @pytest.mark.parametrize("cpus, pool_size", [(2, 2), (8, 5), (None, 1)])
+    def test_pool_bounded_by_cpu_count(self, monkeypatch, cpus, pool_size):
+        # The pool is recorded and run in this process, so no process starts.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        net = load_fixture("bridge")
+        sig = exact_tsignature(net, workers=5)
+        assert sizes == [pool_size]
+        assert sig.counts == exact_tsignature(net).counts

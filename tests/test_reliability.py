@@ -90,6 +90,37 @@ class TestSurvivalMixture:
         for model in (poisson_model(1.0), binomial_model(10, 1.0)):
             assert survival_mixture(sig, model, GRID).survival[0] == 1.0
 
+    def test_equals_per_count_sums_exactly(self):
+        # Each P(N(t) <= j) re-summed from r = 0 in the same term order as
+        # the running sum, so the curve must agree to the last bit.
+        def cdf(model, j, t):
+            if t == 0:
+                return 1.0
+            if model.variant == "poisson":
+                term = total = math.exp(-model.rate * t)
+                for r in range(1, j + 1):
+                    term *= model.rate * t / r
+                    total += term
+                return min(total, 1.0)
+            n, p = model.n, -math.expm1(-model.rate * t)
+            q = 1.0 - p
+            if j >= n or q == 0.0:
+                return 1.0 if j >= n else 0.0
+            return min(sum(math.comb(n, r) * p**r * q ** (n - r) for r in range(j + 1)), 1.0)
+
+        grid = GRID + [9.5, 40.0, 800.0]  # exp(-800) underflows: q == 0
+        for name in ("bridge", "figure1"):
+            sig = exact_tsignature(load_fixture(name))
+            for model in (poisson_model(1.7), binomial_model(sig.n, 0.9)):
+                curve = survival_mixture(sig, model, grid)
+                for t, s in zip(curve.times, curve.survival):
+                    expected = sum(
+                        float(c) * cdf(model, i, t) for i, c in enumerate(sig.counts) if c
+                    ) / sig.total
+                    assert s == expected, (name, model.variant, t)
+                    for j in range(sig.n + 1):
+                        assert count_cdf(model, j, t) == cdf(model, j, t)
+
     def test_non_increasing_both_models(self):
         sig = exact_tsignature(load_fixture("bridge"))
         for model in (poisson_model(1.3), binomial_model(5, 0.8)):

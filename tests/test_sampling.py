@@ -45,6 +45,15 @@ class TestApproxTSignature:
                 plan = SamplingPlan(sample_count=sample_count, seed=42, workers=workers)
                 assert approx_tsignature(net, plan).counts == base.counts
 
+    def test_pinned_eon_counts(self):
+        # Recorded from commit 3447fcd, whose sampler scored every prefix and
+        # drew partitions recursively; both now take shortcuts that must not
+        # change a single count.
+        net = load_fixture("eon_par_cop")
+        sig = approx_tsignature(net, SamplingPlan(sample_count=2_000, seed=7))
+        assert sig.counts == (0, 0, 0, 0, 0, 1, 3, 8, 12, 21, 26, 48, 81, 111, 160,
+                              221, 264, 324, 241, 186, 143, 66, 48, 26, 10, 0)
+
     def test_seed_changes_draws(self):
         net = load_fixture("bridge")
         a = approx_tsignature(net, SamplingPlan(sample_count=2_000, seed=1))

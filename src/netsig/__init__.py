@@ -42,12 +42,7 @@ from .reliability import (
     poisson_model,
     survival_mixture,
 )
-from .sampling import (
-    ConvergenceReport,
-    SamplingPlan,
-    approx_tsignature,
-    convergence_report,
-)
+from .sampling import SamplingPlan, approx_tsignature
 
 __version__ = "0.1.0"
 
@@ -85,9 +80,7 @@ __all__ = [
     "count_cdf",
     "poisson_model",
     "survival_mixture",
-    "ConvergenceReport",
     "SamplingPlan",
     "approx_tsignature",
-    "convergence_report",
     "__version__",
 ]

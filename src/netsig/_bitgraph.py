@@ -133,13 +133,19 @@ class BitGraph:
         block_mask = 0
         for link in block:
             block_mask |= 1 << (link - 1)
+        self._check_fatal_block(removed_mask, block_mask)
+        return self._min_subset_size(removed_mask, block_mask, cache)
+
+    def _min_subset_size(self, removed_mask: int, block_mask: int, cache: dict | None = None) -> int:
+        """min_subset_size for a caller that has established the
+        preconditions, with the block as a mask; `cache` maps
+        (removed_mask, block_mask) to earlier results."""
         if cache is not None:
             key = (removed_mask, block_mask)
             hit = cache.get(key)
             if hit is not None:
                 return hit
-        self._check_fatal_block(removed_mask, block_mask)
-        bits = [1 << (link - 1) for link in sorted(block)]
+        bits = [1 << i for i in range(self.n) if block_mask >> i & 1]
         result = len(bits)
         for size in range(1, len(bits)):
             found = False
@@ -167,6 +173,10 @@ class BitGraph:
         several links of a minimum disconnecting subset.
         """
         self._check_fatal_block(removed_mask, block_mask)
+        return self._greedy_count(removed_mask, block_mask)
+
+    def _greedy_count(self, removed_mask: int, block_mask: int) -> int:
+        """greedy_count for a caller that has established the preconditions."""
         src, dst = self.terminal_indices[0], self.terminal_indices[-1]
         count = 0
         mask = removed_mask

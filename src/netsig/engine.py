@@ -5,7 +5,9 @@ network goes down when the order's blocks fail left to right, and aggregates
 a histogram of M over the full order space (exact mode) or over the n!
 single-link permutations (classic mode).  M depends on an order only through
 its surviving set R and first fatal block B, so both histograms are sums over
-(R, B) pairs, each weighted by the number of orders that share it.
+(R, B) pairs, each weighted by the number of orders that share it.  With the
+exact fatal-block minimum that sum is a frontier dynamic program over the
+links (`_cut_dp`); the path-order dependent greedy count visits the pairs.
 
 Only the histogram is ever stored: counts are exact integers, merged by
 addition, so parallel runs are bit-identical to single-worker runs.
@@ -15,11 +17,11 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, permutations
+from operator import add, itemgetter
 
-from ._bitgraph import TABLE_MAX_LINKS, BitGraph
+from ._bitgraph import BitGraph
 from .combinatorics import (
     FailureOrder,
     check_failure_order,
@@ -29,12 +31,12 @@ from .combinatorics import (
 from .errors import EnumerationCapError, UnsupportedModeError
 from .graph import Network
 
-# Enumeration guards.  The exact sum visits up to 3^n (surviving set, fatal
-# block) pairs, 531,441 at 12 links (under a second); each added link triples
-# that.  The classic sum visits the 2^n surviving sets, and above
-# TABLE_MAX_LINKS every connectivity query becomes a breadth-first search.
+# Link-count guards.  The frontier DP's cost follows the width of the link
+# order's frontier rather than the link count (figure2, 11 links: 0.01 s; the
+# 26-link EON classic signatures: 0.1-0.2 s), so these caps are conservative
+# until a guard on the peak state count replaces them.
 DEFAULT_EXACT_CAP = 12
-DEFAULT_CLASSIC_CAP = TABLE_MAX_LINKS
+DEFAULT_CLASSIC_CAP = 16
 
 M_MODES = ("exact-subset", "paper-greedy")
 SIGNATURE_MODES = ("exact", "classic", "sampled")
@@ -103,6 +105,8 @@ def _order_m(bg: BitGraph, order, m_mode: str, cache: dict | None) -> int:
     Removing links never reconnects the terminals, so the fatal block is
     found by bisection: prefix[lo] (the links of the first lo blocks) keeps
     them connected and prefix[hi] does not (checked last for the full order).
+    These are the fatal-block preconditions, so the block is scored by the
+    unchecked cores.
     """
     prefix = [0]
     mask = 0
@@ -120,9 +124,10 @@ def _order_m(bg: BitGraph, order, m_mode: str, cache: dict | None) -> int:
     if hi == len(order) and bg.connected(mask):
         raise AssertionError("removing every link must disconnect a valid network")
     removed = prefix[lo]
+    block = prefix[hi] ^ removed
     if m_mode == "paper-greedy":
-        return removed.bit_count() + bg.greedy_count(removed, prefix[hi] ^ removed)
-    return removed.bit_count() + bg.min_subset_size(removed, tuple(sorted(order[lo])), cache)
+        return removed.bit_count() + bg._greedy_count(removed, block)
+    return removed.bit_count() + bg._min_subset_size(removed, block, cache)
 
 
 def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset") -> MResult:
@@ -133,60 +138,173 @@ def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset")
     return MResult(order=order, M=_order_m(bg, order, m_mode, None))
 
 
-def _bits(mask: int):
-    """The single-bit masks of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
+def _cut_schedule(net: Network, inf: int):
+    """The frontier DP's first state and its steps, one per link.
+
+    Links are taken in a greedy order: each step takes the link that opens
+    the fewest non-terminal nodes net of those it closes (a node is open
+    from its first link to its last), then the one that opens the fewest,
+    then the first.  The frontier lists the open nodes and every terminal
+    but one, which is pinned to side 0; bit p of a side assignment σ is the
+    side of the node at position p.  A step holds the factor by which the
+    link's new nodes repeat φ (they take the top positions), its crossing
+    row (1 where σ puts its ends on different sides), its ∞ row, and one
+    (σ with the bit 0, σ with the bit 1) getter pair per node it closes.
+    """
+    index = {label: i for i, label in enumerate(net.nodes)}
+    links = [(index[a], index[b]) for _, a, b in net.links]
+    pinned, *frontier = sorted(index[t] for t in net.terminals)
+    terminals = {pinned, *frontier}
+    left = [0] * len(net.nodes)
+    for a, b in links:
+        left[a] += 1
+        left[b] += 1
+
+    def cost(i):
+        ends = [x for x in links[i] if x not in terminals]
+        opened = sum(x not in frontier for x in ends)
+        return opened - sum(left[x] == 1 for x in ends), opened, i
+
+    # σ = 0 keeps every terminal with the pinned one and never separates.
+    start = (inf,) + (0,) * ((1 << len(frontier)) - 1)
+    steps = []
+    todo = set(range(len(links)))
+    while todo:
+        i = min(todo, key=cost)
+        todo.remove(i)
+        new = [x for x in links[i] if x != pinned and x not in frontier]
+        frontier += new
+        bits = [0 if x == pinned else 1 << frontier.index(x) for x in links[i]]
+        cross = tuple(
+            (s & bits[0] > 0) ^ (s & bits[1] > 0) for s in range(1 << len(frontier))
+        )
+        closes = []
+        for x in links[i]:
+            left[x] -= 1
+            if not left[x] and x not in terminals:
+                p = frontier.index(x)
+                frontier.remove(x)
+                low = (1 << p) - 1
+                zero = [s & low | (s & ~low) << 1 for s in range(1 << len(frontier))]
+                closes.append((itemgetter(*zero), itemgetter(*(s | 1 << p for s in zero))))
+        steps.append((1 << len(new), cross, tuple(inf * c for c in cross), closes))
+    return start, steps
+
+
+def _cut_dp(net: Network, worker_id: int, workers: int, counts: list, classic: bool) -> None:
+    """Add every order to the exact-subset M histogram through its (R, B)
+    pair, by a dynamic program over the links in frontier order.
+
+    Each link is labelled R (in the surviving set, cut cost 0), B (in the
+    fatal block, cost 1) or S (fails later, cost ∞).  Let c* be the least
+    cost of a cut separating the terminals.  (R, B) is a valid pair iff
+    0 < c* < ∞, and then the fatal-block minimum is c*, so its
+    w(r) * w(n - r - b) orders score M = r + c*; w counts the sequences of
+    blocks on k links: Fubini numbers, or factorials in classic mode, where
+    the fatal block is one link.
+
+    A state is φ, the least cost of the labelled links over the sides of the
+    closed nodes, for each side assignment σ of the frontier; it carries a
+    polynomial in (r, b).  R keeps φ, B adds 1 and S sets ∞ where the link
+    crosses, and closing a node takes the minimum over its side.  States
+    with φ = ∞ everywhere never separate at finite cost and are dropped.
+    Worker w takes the labellings of the first links whose base-3 index
+    (R=0, B=1, S=2) is w modulo `workers`.
+    """
+    n = net.n
+    inf = n + 1
+    start, steps = _cut_schedule(net, inf)
+    # A polynomial is one integer: the number of labellings with r R-links
+    # and b B-links sits in bits [width * (r * (most_b + 1) + b), +width).
+    # No coefficient reaches 3^n, the count of all labellings.
+    most_b = 1 if classic else n
+    width = (3**n).bit_length()
+    slot = (1 << width) - 1
+    r_shift = width * (most_b + 1)
+    b_room = sum(slot << r * r_shift << b * width for r in range(n + 1) for b in range(most_b))
+
+    def children(phi, poly, step):
+        """The R, B and S successors of one state, in that order."""
+        grow, cross, cut, closes = step
+        phi *= grow
+        kids = (
+            (phi, poly << r_shift),
+            (tuple(map(min, map(add, phi, cross), (inf,) * len(phi))), (poly & b_room) << width),
+            (tuple(map(max, phi, cut)), poly),
+        )
+        for kid, kid_poly in kids:
+            for zero, one in closes:
+                kid = tuple(map(min, zero(kid), one(kid)))
+            yield kid, kid_poly
+
+    split = 0
+    while 3**split < workers and split < n:
+        split += 1
+    paths = [(start, 1)]
+    for step in steps[:split]:
+        paths = [kid for phi, poly in paths for kid in children(phi, poly, step)]
+    states: dict[tuple[int, ...], int] = {}
+    for phi, poly in paths[worker_id::workers]:
+        states[phi] = states.get(phi, 0) + poly
+    for step in steps[split:]:
+        merged: dict[tuple[int, ...], int] = {}
+        get = merged.get
+        for phi, poly in states.items():
+            for kid, kid_poly in children(phi, poly, step):
+                if kid_poly and min(kid) < inf:
+                    merged[kid] = get(kid, 0) + kid_poly
+        states = merged
+
+    by_cut: dict[int, int] = {}
+    for phi, poly in states.items():
+        c = min(phi)
+        if 0 < c < inf:
+            by_cut[c] = by_cut.get(c, 0) + poly
+    arrangements = math.factorial if classic else n_star
+    weight = [1] + [arrangements(k) for k in range(1, n + 1)]
+    for c, poly in by_cut.items():
+        for r in range(n + 1):
+            for b in range(most_b + 1):
+                coeff = poly >> r * r_shift >> b * width & slot
+                if coeff:
+                    counts[r + c - 1] += coeff * weight[r] * weight[n - r - b]
 
 
 def _subsets(mask: int):
-    """The nonempty subsets of `mask` in ascending order, so that every
-    B - e comes before B."""
+    """The nonempty subsets of `mask` in ascending order."""
     block = 0
     while block != mask:
         block = (block - mask) & mask
         yield block
 
 
-def _count_pairs(bg, n, worker_id, workers, counts, m_mode, classic) -> None:
-    """Add every order to the M histogram through its (R, B) pair: R the
-    links of the surviving prefix blocks, B the first fatal block.
-
-    All w(|R|) * w(n - |R| - |B|) orders with that pair have M = |R| + f(R, B);
-    w(k) counts the ways to arrange k links into a sequence of blocks: Fubini
-    numbers, or factorials in classic mode, where every block is one link.
-    """
-    arrangements = math.factorial if classic else n_star
-    weight = [1] + [arrangements(k) for k in range(1, n + 1)]
+def _count_pairs(net, worker_id, workers, counts) -> None:
+    """Add every order to the paper-greedy M histogram through its (R, B)
+    pair: R the links of the surviving prefix blocks, B the first fatal
+    block.  All Fub(|R|) * Fub(n - |R| - |B|) orders with that pair have
+    M = |R| + the greedy count at B.  Worker w takes the surviving sets
+    whose mask is w modulo `workers`."""
+    bg = BitGraph(net, build_table=True)
+    n = net.n
+    weight = [1] + [n_star(k) for k in range(1, n + 1)]
     full = (1 << n) - 1
-    not_fatal = n + 1
-    fatal = [not_fatal] * (1 << n)  # f(R, B) by B, for the current R
     for surviving in range(worker_id, full + 1, workers):
         if not bg.connected(surviving):
             continue
         r = surviving.bit_count()
-        free = full ^ surviving
-        for block in _bits(free) if classic else _subsets(free):
-            if bg.connected(surviving | block):
-                fatal[block] = not_fatal
-                continue
-            size = block.bit_count()
-            if m_mode == "paper-greedy":
-                f = bg.greedy_count(surviving, block)
-            else:
-                # f(B) = min(|B|, min_e f(B - e)), B - e already scored
-                f = fatal[block] = min(size, *(fatal[block ^ low] for low in _bits(block)))
-            counts[r + f - 1] += weight[r] * weight[n - r - size]
+        for block in _subsets(full ^ surviving):
+            if not bg.connected(surviving | block):
+                f = bg._greedy_count(surviving, block)
+                counts[r + f - 1] += weight[r] * weight[n - r - block.bit_count()]
 
 
-def _stream_orders(bg, n, worker_id, workers, counts, m_mode, order_limit) -> None:
+def _stream_orders(net, worker_id, workers, counts, m_mode, order_limit) -> None:
     """Score the first `order_limit` orders of the canonical stream one by
     one; worker w takes the base partitions with index % workers == w."""
+    bg = BitGraph(net, build_table=True)
     cache: dict = {}
     offset = 0  # global stream position, tracked identically in every worker
-    for index, blocks in enumerate(iter_base_partitions(n)):
+    for index, blocks in enumerate(iter_base_partitions(net.n)):
         if offset >= order_limit:
             break
         if index % workers == worker_id:
@@ -197,14 +315,13 @@ def _stream_orders(bg, n, worker_id, workers, counts, m_mode, order_limit) -> No
 
 def _histogram_worker(args):
     net, fill, worker_id, workers, extra = args
-    bg = BitGraph(net, build_table=True)
     counts = [0] * net.n
-    fill(bg, net.n, worker_id, workers, counts, *extra)
+    fill(net, worker_id, workers, counts, *extra)
     return counts
 
 
 def _run_histogram(net, workers, fill, *extra) -> tuple[int, ...]:
-    """Run `fill(bg, n, worker_id, workers, counts, *extra)` once per worker,
+    """Run `fill(net, worker_id, workers, counts, *extra)` once per worker,
     in this process for one worker and in a process pool otherwise, and
     merge the per-worker histograms by integer addition."""
     if workers < 1:
@@ -213,6 +330,10 @@ def _run_histogram(net, workers, fill, *extra) -> tuple[int, ...]:
     if workers == 1:
         results = [_histogram_worker(jobs[0])]
     else:
+        # Imported here: the pool pulls in multiprocessing, which a
+        # one-worker run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         # Still `workers` jobs, so the counts do not depend on the pool size.
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             results = list(pool.map(_histogram_worker, jobs))
@@ -230,22 +351,27 @@ def exact_tsignature(
 
     Deterministic and independent of `workers` (per-worker histograms merge
     by exact integer addition).  The full run sums over (surviving set,
-    fatal block) pairs instead of visiting orders; `order_limit` instead
+    fatal block) pairs instead of visiting orders: by the frontier DP for
+    exact-subset M, pair by pair for paper-greedy M.  `order_limit` instead
     scores the first orders of the canonical enumeration stream one by one
     (partial histogram, used for consistency checks).
     """
     _check_m_mode(net, m_mode)
+    if order_limit is not None and order_limit < 1:
+        raise ValueError(f"order_limit must be >= 1, got {order_limit}")
     if net.n > max_links:
         raise EnumerationCapError(
-            f"{net.n} links means up to {3 ** net.n:,} (surviving set, fatal block) "
-            f"pairs; raise max_links to opt in, or use sampling"
+            f"{net.n} links is above the exact-signature cap of {max_links}; "
+            f"raise max_links to opt in, or use sampling"
         )
-    if order_limit is None:
-        counts = _run_histogram(net, workers, _count_pairs, m_mode, False)
-        total = n_star(net.n)
-    else:
+    total = n_star(net.n)
+    if order_limit is not None:
         counts = _run_histogram(net, workers, _stream_orders, m_mode, order_limit)
-        total = min(order_limit, n_star(net.n))
+        total = min(order_limit, total)
+    elif m_mode == "paper-greedy":
+        counts = _run_histogram(net, workers, _count_pairs)
+    else:
+        counts = _run_histogram(net, workers, _cut_dp, False)
     return TSignature(n=net.n, counts=counts, total=total, mode="exact", m_mode=m_mode)
 
 
@@ -256,13 +382,18 @@ def classic_signature(
     workers: int = 1,
 ) -> TSignature:
     """Classic signature over the n! single-link permutations: counts[i-1]
-    is the number of permutations whose i-th failure downs the network."""
+    is the number of permutations whose i-th failure downs the network.
+
+    Both m-modes give the same counts: a one-link fatal block lies on every
+    remaining terminal path, so the greedy count is 1 as well.  Both run the
+    frontier DP."""
     _check_m_mode(net, m_mode)
     if net.n > max_links:
         raise EnumerationCapError(
-            f"{net.n} links means {2 ** net.n:,} surviving sets; raise max_links to opt in"
+            f"{net.n} links is above the classic-signature cap of {max_links}; "
+            f"raise max_links to opt in"
         )
-    counts = _run_histogram(net, workers, _count_pairs, m_mode, True)
+    counts = _run_histogram(net, workers, _cut_dp, True)
     return TSignature(
         n=net.n,
         counts=counts,

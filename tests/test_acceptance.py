@@ -60,7 +60,7 @@ BENCH7_COUNTS = (0, 548_784, 1_556_228, 2_791_442, 1_425_489, 577_271, 188_047, 
 # Exact M histogram of the `figure2` fixture over all 1,622,632,573 orders,
 # from the earlier order-enumeration engine (prefix-pruned block
 # permutations of every set partition, 2 workers, 453 s), a second algorithm
-# to the (surviving set, fatal block) sum that computes it now.
+# to the frontier min-cut program that computes it now.
 BENCH11_COUNTS = (
     0, 42_523_566, 82_929_456, 141_399_642, 244_301_706, 383_304_074,
     349_356_832, 222_385_638, 113_908_093, 42_523_566, 0,

@@ -21,6 +21,14 @@ def load_artifact(stdout):
     return json.loads(stdout)
 
 
+def package_env():
+    """The environment of a child Python that imports this checkout's netsig."""
+    src = str(Path(netsig.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def strip_duration(artifact):
     artifact = json.loads(json.dumps(artifact))
     artifact["manifest"]["duration_seconds"] = 0.0
@@ -232,13 +240,10 @@ class TestReliability:
         assert "finite" in err and len(err.splitlines()) == 1
 
     def test_closed_stdout_exits_quietly(self):
-        src = str(Path(netsig.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "netsig.cli", "reliability",
              str(fixture_path("bridge")), "--steps", "20000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env(),
         )
         proc.stdout.read(10)
         proc.stdout.close()
@@ -265,3 +270,16 @@ class TestArtifactFiles:
         artifact = load_artifact(out)
         again = json.loads(json.dumps(artifact))
         assert again == artifact
+
+
+def test_import_leaves_process_pool_unloaded():
+    # The process pool is imported only by a run with more than one worker,
+    # so a one-worker run never pays for multiprocessing.
+    code = (
+        "import sys, netsig.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=package_env()
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,10 +1,13 @@
+import concurrent.futures
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from netsig import engine
+from netsig._bitgraph import BitGraph
 from netsig.combinatorics import enumerate_orders, n_star, random_order, build_stratum_table
 from netsig.engine import (
     M_MODES,
@@ -14,7 +17,7 @@ from netsig.engine import (
     exact_tsignature,
 )
 from netsig.errors import EnumerationCapError, UnsupportedModeError
-from netsig.fixtures import load_fixture
+from netsig.fixtures import FIXTURE_NAMES, load_fixture
 
 from conftest import OracleNet, oracle_histogram, random_connected_network
 
@@ -40,6 +43,25 @@ terminal_networks = st.builds(
     st.integers(3, 8),
     st.sampled_from([2, 3]),
 )
+
+
+# Random networks with 3 to 7 links and two or three terminals, small enough
+# for the brute-force oracle.
+oracle_networks = st.builds(
+    random_connected_network,
+    st.randoms(use_true_random=False),
+    st.integers(3, 7),
+    st.sampled_from([2, 3]),
+)
+
+
+def _classic_oracle(net):
+    """Classic counts by scoring every permutation with the oracle."""
+    oracle = OracleNet(net)
+    counts = [0] * net.n
+    for perm in itertools.permutations(range(1, net.n + 1)):
+        counts[oracle.order_m(tuple((x,) for x in perm)) - 1] += 1
+    return tuple(counts)
 
 
 def _cut_shuffle_order(rng, n):
@@ -168,6 +190,16 @@ class TestExactTSignature:
             sig = exact_tsignature(net)
             assert sig.counts == expected_counts and sig.total == expected_total
 
+    @settings(max_examples=30, deadline=None)
+    @given(net=oracle_networks)
+    def test_cut_dp_matches_oracle(self, net):
+        assert exact_tsignature(net).counts == oracle_histogram(net)[0]
+
+    @pytest.mark.parametrize("order_limit", [0, -5])
+    def test_order_limit_must_be_positive(self, order_limit):
+        with pytest.raises(ValueError, match="order_limit"):
+            exact_tsignature(load_fixture("bridge"), order_limit=order_limit)
+
     def test_order_limit_prefix(self):
         # scoring the first L stream orders one by one matches a manual walk
         net = load_fixture("bridge")
@@ -209,12 +241,45 @@ class TestClassicSignature:
     def test_permutation_oracle(self, rng):
         for _ in range(5):
             net = random_connected_network(rng, 4)
-            oracle = OracleNet(net)
-            counts = [0] * net.n
-            for perm in itertools.permutations(range(1, net.n + 1)):
-                order = tuple((x,) for x in perm)
-                counts[oracle.order_m(order) - 1] += 1
-            assert classic_signature(net).counts == tuple(counts)
+            assert classic_signature(net).counts == _classic_oracle(net)
+
+    def test_permutation_oracle_three_terminals(self, rng):
+        for n_links in (4, 5, 6, 6, 7):
+            net = random_connected_network(rng, n_links, n_terminals=3)
+            assert classic_signature(net).counts == _classic_oracle(net)
+
+    @pytest.mark.parametrize(
+        "name",
+        [name for name in FIXTURE_NAMES
+         if load_fixture(name).n <= 11 and len(load_fixture(name).terminals) == 2],
+    )
+    def test_greedy_equals_exact_subset(self, name):
+        # A one-link fatal block lies on every remaining terminal path, so
+        # the greedy count there is 1.  The greedy classic histogram, summed
+        # here over (R, e) pairs with checked greedy counts, equals the DP's
+        # in both m-modes.  (figure1 has three terminals: no greedy mode.)
+        net = load_fixture(name)
+        bg = BitGraph(net)
+        n = net.n
+        counts = [0] * n
+        for surviving in range(1 << n):
+            if not bg.connected(surviving):
+                continue
+            r = surviving.bit_count()
+            for link in range(n):
+                bit = 1 << link
+                if not bit & surviving and not bg.connected(surviving | bit):
+                    f = bg.greedy_count(surviving, bit)
+                    counts[r + f - 1] += math.factorial(r) * math.factorial(n - r - 1)
+        assert classic_signature(net, m_mode="paper-greedy").counts == tuple(counts)
+        assert classic_signature(net).counts == tuple(counts)
+
+    def test_eon_beyond_the_default_cap(self):
+        # 26 links: the DP's cost follows the frontier width, not 2^26.
+        sig = classic_signature(load_fixture("eon_par_cop"), max_links=26)
+        assert sig.total == math.factorial(26)
+        # COP has degree 4, and the last link alone never disconnects.
+        assert [sig.counts[i - 1] for i in (1, 2, 3, 26)] == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("m_mode", M_MODES)
     @settings(max_examples=20, deadline=None)
@@ -236,6 +301,26 @@ class TestParallelDeterminism:
         one = exact_tsignature(net, order_limit=limit)
         four = exact_tsignature(net, order_limit=limit, workers=4)
         assert one.counts == four.counts
+
+    @pytest.mark.parametrize("classic", [False, True])
+    @pytest.mark.parametrize(
+        "name, worker_counts", [("figure1", (2, 3, 4, 30)), ("bridge", (250,))]
+    )
+    def test_cut_dp_worker_split(self, classic, name, worker_counts):
+        # Every split of the first links' labellings, run in this process,
+        # adds up to the one-worker histogram.  30 workers split 4 links of
+        # figure1; 250 workers split all 5 links of bridge, and some get none.
+        net = load_fixture(name)
+
+        def split(workers):
+            counts = [0] * net.n
+            for worker_id in range(workers):
+                engine._cut_dp(net, worker_id, workers, counts, classic)
+            return counts
+
+        base = split(1)
+        for workers in worker_counts:
+            assert split(workers) == base
 
     def test_full_run_worker_counts_agree(self):
         net = load_fixture("bridge")
@@ -261,7 +346,7 @@ class TestParallelDeterminism:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
         net = load_fixture("bridge")
         sig = exact_tsignature(net, workers=5)

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from netsig._bitgraph import BitGraph
 from netsig.engine import exact_tsignature
 from netsig.fixtures import load_fixture
-from netsig.sampling import SamplingPlan, approx_tsignature, convergence_report
+from netsig.sampling import SamplingPlan, approx_tsignature
 
 
 class TestSamplingPlan:
@@ -54,6 +55,18 @@ class TestApproxTSignature:
         assert sig.counts == (0, 0, 0, 0, 0, 1, 3, 8, 12, 21, 26, 48, 81, 111, 160,
                               221, 264, 324, 241, 186, 143, 66, 48, 26, 10, 0)
 
+    def test_scoring_skips_fatal_block_rechecks(self, monkeypatch):
+        # The bisection has already established the fatal-block
+        # preconditions; the sampler must not query them again.
+        def fail(*args):
+            raise AssertionError("fatal-block preconditions re-checked")
+
+        monkeypatch.setattr(BitGraph, "_check_fatal_block", fail)
+        net = load_fixture("eon_par_cop")
+        for m_mode in ("exact-subset", "paper-greedy"):
+            plan = SamplingPlan(sample_count=200, seed=7, m_mode=m_mode)
+            assert sum(approx_tsignature(net, plan).counts) == 200
+
     def test_seed_changes_draws(self):
         net = load_fixture("bridge")
         a = approx_tsignature(net, SamplingPlan(sample_count=2_000, seed=1))
@@ -81,31 +94,3 @@ class TestApproxTSignature:
             mean = sums[i] / runs
             se_mean = math.sqrt(exact[i] * (1 - exact[i]) / (runs * per_run))
             assert abs(mean - exact[i]) < max(3 * se_mean, 1e-9), i
-
-
-class TestConvergenceReport:
-    def test_single_cell(self):
-        net = load_fixture("bridge")
-        report = convergence_report(net, seeds=[1], sample_counts=[500])
-        assert len(report.rows) == 1
-        assert report.rows[0].sample_count == 500
-        assert report.spread_by_samples[500] == 0.0
-
-    def test_requires_nonempty_lists(self):
-        net = load_fixture("bridge")
-        with pytest.raises(ValueError):
-            convergence_report(net, seeds=[], sample_counts=[10])
-
-    def test_deviation_shrinks_with_samples(self):
-        # against the exact vector, allowing one inversion
-        net = load_fixture("triangle")
-        exact = exact_tsignature(net).values
-        report = convergence_report(
-            net, seeds=[9], sample_counts=[1_000, 10_000, 100_000]
-        )
-        devs = []
-        for n_samples in (1_000, 10_000, 100_000):
-            row = next(r for r in report.rows if r.sample_count == n_samples)
-            devs.append(max(abs(a - b) for a, b in zip(row.values, exact)))
-        inversions = sum(1 for a, b in zip(devs, devs[1:]) if b > a)
-        assert inversions <= 1

@@ -3,7 +3,9 @@ enumeration/sampling pipelines.
 
 Link subsets are encoded as integers (bit i-1 set means link i is removed),
 which keeps the hot loops allocation-free and lets small networks precompute
-a full connectivity table over all 2^n removal sets.
+a full connectivity table over all 2^n removal sets.  Each link's two node
+indices are kept too, for the order scorer's union-find pass, which finds an
+order's first fatal block without a connectivity query.
 """
 
 from __future__ import annotations
@@ -25,16 +27,21 @@ class BitGraph:
         self._node_index = {label: i for i, label in enumerate(net.nodes)}
         # adj[v] = list of (link_bit, neighbor), ascending link id.
         self.adj: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
+        # ends[link_id] = the link's two node indices (ends[0] is unused).
+        self.ends: list[tuple[int, int]] = [(0, 0)]
         for link_id, a, b in net.links:
             bit = 1 << (link_id - 1)
             ia, ib = self._node_index[a], self._node_index[b]
             self.adj[ia].append((bit, ib))
             self.adj[ib].append((bit, ia))
+            self.ends.append((ia, ib))
         self.terminal_indices = sorted(self._node_index[t] for t in net.terminals)
         self.start = self.terminal_indices[0]
         self.terminal_node_mask = 0
+        self.is_terminal = [False] * len(self.adj)
         for t in self.terminal_indices:
             self.terminal_node_mask |= 1 << t
+            self.is_terminal[t] = True
         self._table: bytearray | None = None
         if build_table and self.n <= TABLE_MAX_LINKS:
             self._table = bytearray(

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from itertools import permutations
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate, permutations
 from typing import Iterator
 
 # A block is an ascending tuple of link ids; a failure order is a sequence of
@@ -81,12 +82,15 @@ class StratumTable:
     n: int
     m: tuple[int, ...]
     n_star: int
+    # cumulative[k-1] = m_1 + ... + m_k, for drawing k by bisection.
+    cumulative: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.m) != self.n or any(mk <= 0 for mk in self.m):
             raise ValueError("stratum table must have n positive entries")
         if sum(self.m) != self.n_star:
             raise ValueError("stratum weights do not sum to n_star")
+        object.__setattr__(self, "cumulative", tuple(accumulate(self.m)))
 
 
 def build_stratum_table(n: int) -> StratumTable:
@@ -171,13 +175,24 @@ def _random_blocks(n: int, k: int, rng: random.Random) -> list[list[int]]:
     minimum element.  S(m,k) = S(m-1,k-1) + k*S(m-1,k): element m is a
     singleton in the first summand's share of partitions, otherwise it joins
     one of k blocks.  These choices are drawn from m = n down to a base case
-    (k = m or k = 1), then the joining elements pick a block bottom-up."""
+    (k = m or k = 1), then the joining elements pick a block bottom-up.
+
+    Each draw below x repeats `rng.randrange(x)` inline (CPython's
+    `_randbelow_with_getrandbits`: redraw `getrandbits(x.bit_length())`
+    while it is >= x), so the stream is consumed exactly as by `randrange`
+    without its per-call overhead."""
     stirling2(n, k)  # extends the rows up to n
     rows = _stirling_rows
+    getrandbits = rng.getrandbits
     joins = []  # per element above the base case: 0, or its k if it joins
     m = n
     while 1 < k < m:
-        if rng.randrange(rows[m - 1][k - 1]) < rows[m - 2][k - 2]:
+        x = rows[m - 1][k - 1]
+        bits = x.bit_length()
+        r = getrandbits(bits)
+        while r >= x:
+            r = getrandbits(bits)
+        if r < rows[m - 2][k - 2]:
             joins.append(0)
             k -= 1
         else:
@@ -187,7 +202,11 @@ def _random_blocks(n: int, k: int, rng: random.Random) -> list[list[int]]:
     # A new block's element exceeds all earlier ones: the order is kept.
     for m, join in enumerate(reversed(joins), start=m + 1):
         if join:
-            blocks[rng.randrange(join)].append(m)
+            bits = join.bit_length()
+            r = getrandbits(bits)
+            while r >= join:
+                r = getrandbits(bits)
+            blocks[r].append(m)
         else:
             blocks.append([m])
     return blocks
@@ -196,20 +215,27 @@ def _random_blocks(n: int, k: int, rng: random.Random) -> list[list[int]]:
 def random_order(table: StratumTable, rng: random.Random) -> FailureOrder:
     """Draw a failure order uniformly over all n* orders.
 
-    Stratified: the block count k is chosen with probability m_k/n* by exact
-    integer threshold comparison, then a uniform k-block partition is drawn
-    and its block sequence shuffled (Fisher-Yates).
+    Stratified: the block count k is chosen with probability m_k/n* by
+    bisecting the cumulative stratum weights with a uniform integer below
+    n*, then a uniform k-block partition is drawn and its block sequence
+    shuffled.  The draws repeat `rng.randrange` and `rng.shuffle` (Fisher-
+    Yates) inline, as in `_random_blocks`.
     """
-    u = rng.randrange(table.n_star)
-    acc = 0
-    k = table.n
-    for idx, mk in enumerate(table.m, start=1):
-        acc += mk
-        if u < acc:
-            k = idx
-            break
+    getrandbits = rng.getrandbits
+    x = table.n_star
+    bits = x.bit_length()
+    u = getrandbits(bits)
+    while u >= x:
+        u = getrandbits(bits)
+    k = bisect_right(table.cumulative, u) + 1
     blocks = [tuple(block) for block in _random_blocks(table.n, k, rng)]
-    rng.shuffle(blocks)
+    for i in range(k - 1, 0, -1):
+        x = i + 1
+        bits = x.bit_length()
+        j = getrandbits(bits)
+        while j >= x:
+            j = getrandbits(bits)
+        blocks[i], blocks[j] = blocks[j], blocks[i]
     return tuple(blocks)
 
 

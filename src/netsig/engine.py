@@ -33,10 +33,14 @@ from .graph import Network
 
 # Link-count guards.  The frontier DP's cost follows the width of the link
 # order's frontier rather than the link count (figure2, 11 links: 0.01 s; the
-# 26-link EON classic signatures: 0.1-0.2 s), so these caps are conservative
-# until a guard on the peak state count replaces them.
+# 26-link EON classic signatures: 0.1-0.2 s), so these caps are conservative.
 DEFAULT_EXACT_CAP = 12
 DEFAULT_CLASSIC_CAP = 16
+
+# State guard of the frontier DP, whose memory follows its state count (the
+# distinct φ of a step): the EON t-signature passes 100,000 states at link 17
+# of 26 after 3 s and 210 MB; the EON classic signatures peak at 1,676.
+MAX_DP_STATES = 100_000
 
 M_MODES = ("exact-subset", "paper-greedy")
 SIGNATURE_MODES = ("exact", "classic", "sampled")
@@ -102,32 +106,44 @@ def _order_m(bg: BitGraph, order, m_mode: str, cache: dict | None) -> int:
     """M for one failure order: full sizes of the surviving prefix blocks
     plus the minimum (or greedy) count inside the first fatal block.
 
-    Removing links never reconnects the terminals, so the fatal block is
-    found by bisection: prefix[lo] (the links of the first lo blocks) keeps
-    them connected and prefix[hi] does not (checked last for the full order).
-    These are the fatal-block preconditions, so the block is scored by the
-    unchecked cores.
+    Removing links never reconnects the terminals, so the fatal block is the
+    block whose links, added back from the last block to the first, join
+    all terminals into one component: one union-find pass over the node
+    indices, with no connectivity query.  The blocks before it are the
+    removed links, which keep the terminals connected, while removing the
+    fatal block too disconnects them.  These are the fatal-block
+    preconditions, so the block is scored by the unchecked cores.
     """
-    prefix = [0]
-    mask = 0
-    for block in order:
-        for link in block:
-            mask |= 1 << (link - 1)
-        prefix.append(mask)
-    lo, hi = 0, len(order)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bg.connected(prefix[mid]):
-            lo = mid
-        else:
-            hi = mid
-    if hi == len(order) and bg.connected(mask):
+    parent = list(range(len(bg.adj)))
+    has_terminal = bg.is_terminal.copy()
+    parts = len(bg.terminal_indices)  # components holding a terminal
+    if parts < 2:
         raise AssertionError("removing every link must disconnect a valid network")
-    removed = prefix[lo]
-    block = prefix[hi] ^ removed
+    ends = bg.ends
+    kept = 0
+    for block in reversed(order):
+        block_mask = 0
+        for link in block:
+            block_mask |= 1 << (link - 1)
+            a, b = ends[link]
+            while a != parent[a]:
+                parent[a] = a = parent[parent[a]]
+            while b != parent[b]:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+                if has_terminal[a]:
+                    if has_terminal[b]:
+                        parts -= 1
+                    else:
+                        has_terminal[b] = True
+        kept |= block_mask
+        if parts == 1:
+            break
+    removed = kept ^ ((1 << bg.n) - 1)
     if m_mode == "paper-greedy":
-        return removed.bit_count() + bg._greedy_count(removed, block)
-    return removed.bit_count() + bg._min_subset_size(removed, block, cache)
+        return removed.bit_count() + bg._greedy_count(removed, block_mask)
+    return removed.bit_count() + bg._min_subset_size(removed, block_mask, cache)
 
 
 def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset") -> MResult:
@@ -246,13 +262,18 @@ def _cut_dp(net: Network, worker_id: int, workers: int, counts: list, classic: b
     states: dict[tuple[int, ...], int] = {}
     for phi, poly in paths[worker_id::workers]:
         states[phi] = states.get(phi, 0) + poly
-    for step in steps[split:]:
+    for link, step in enumerate(steps[split:], start=split + 1):
         merged: dict[tuple[int, ...], int] = {}
         get = merged.get
         for phi, poly in states.items():
             for kid, kid_poly in children(phi, poly, step):
                 if kid_poly and min(kid) < inf:
                     merged[kid] = get(kid, 0) + kid_poly
+            if len(merged) > MAX_DP_STATES:
+                raise EnumerationCapError(
+                    f"the frontier program passed {MAX_DP_STATES:,} states at link "
+                    f"{link} of {n}; use sampling"
+                )
         states = merged
 
     by_cut: dict[int, int] = {}

@@ -25,5 +25,6 @@ class UnsupportedModeError(RuntimeError):
 
 
 class EnumerationCapError(RuntimeError):
-    """Exhaustive enumeration refused because the order space is too large;
-    raise the cap explicitly or switch to sampling."""
+    """Exact computation refused because the network is above the link cap
+    (raise it explicitly) or the frontier program outgrew its state guard;
+    either way sampling still applies."""

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from netsig.combinatorics import stirling2
 from netsig.graph import Network
 
 
@@ -92,11 +93,50 @@ def oracle_histogram(net: Network):
     return tuple(counts), total
 
 
+def randrange_partition(n, k, rng):
+    """A uniform k-block partition of {1..n} drawn with `rng.randrange`: the
+    Stirling-recurrence draw as written before its draws were inlined, kept
+    as the reference for the random stream it consumes."""
+    joins = []
+    m = n
+    while 1 < k < m:
+        if rng.randrange(stirling2(m, k)) < stirling2(m - 1, k - 1):
+            joins.append(0)
+            k -= 1
+        else:
+            joins.append(k)
+        m -= 1
+    blocks = [[i] for i in range(1, m + 1)] if k == m else [list(range(1, m + 1))]
+    for m, join in enumerate(reversed(joins), start=m + 1):
+        if join:
+            blocks[rng.randrange(join)].append(m)
+        else:
+            blocks.append([m])
+    return tuple(tuple(block) for block in blocks)
+
+
+def randrange_order(table, rng):
+    """A uniform failure order drawn with `rng.randrange` and `rng.shuffle`,
+    the reference for `random_order`'s stream as `randrange_partition` is
+    for partitions."""
+    u = rng.randrange(table.n_star)
+    acc = 0
+    k = table.n
+    for idx, mk in enumerate(table.m, start=1):
+        acc += mk
+        if u < acc:
+            k = idx
+            break
+    blocks = list(randrange_partition(table.n, k, rng))
+    rng.shuffle(blocks)
+    return tuple(blocks)
+
+
 def random_connected_network(rng: random.Random, n_links: int, n_terminals: int = 2) -> Network:
-    """Random multigraph with n_links links and n_terminals (2 or 3)
+    """Random multigraph with n_links links and n_terminals (2 to 4)
     terminals, terminal-connected."""
     while True:
-        n_nodes = rng.randint(3, n_links + 1)
+        n_nodes = rng.randint(max(3, n_terminals), n_links + 1)
         nodes = tuple(f"v{i}" for i in range(n_nodes))
         links = []
         for link_id in range(1, n_links + 1):

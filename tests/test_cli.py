@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import netsig
+from netsig import engine
 from netsig.cli import main
 from netsig.fixtures import fixture_path
 
@@ -71,6 +72,17 @@ class TestExact:
         )
         assert code == 4
         assert "sampling" in err
+
+    def test_state_guard_exit_code(self, capsys, monkeypatch):
+        # The default guard refuses the EON t-signature after about 3 s at
+        # link 17; a guard of 1,000 states refuses it at link 7.
+        monkeypatch.setattr(engine, "MAX_DP_STATES", 1_000)
+        code, out, err = run_cli(
+            capsys, "exact", str(fixture_path("eon_par_cop")), "--max-n", "26"
+        )
+        assert code == 4 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "1,000 states at link" in err and "of 26" in err and "use sampling" in err
 
     def test_bad_graph_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.graph"

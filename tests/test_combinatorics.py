@@ -15,7 +15,10 @@ from netsig.combinatorics import (
     stirling2,
 )
 
-from conftest import all_set_partitions
+from conftest import all_set_partitions, randrange_order, randrange_partition
+
+# Plain seeds and seeds shaped like the sampler's per-sample (seed, index).
+STREAM_SEEDS = (0, 1, 2, 3 << 64 | 5, 7 << 64 | 19_999)
 
 # Ordered Bell numbers from the reference table, n=2..12.
 TABLE_N_STAR = {
@@ -173,6 +176,16 @@ class TestRandomPartition:
         assert random_partition_with_k_blocks(n, k, rng) == blocks
         assert rng.random() == after
 
+    def test_same_stream_as_randrange(self):
+        # Every (n <= 26, k): the same blocks from the same bits, and the
+        # generator left in the same state.
+        for n in range(1, 27):
+            for k in range(1, n + 1):
+                for seed in STREAM_SEEDS:
+                    rng, ref = random.Random(seed), random.Random(seed)
+                    assert random_partition_with_k_blocks(n, k, rng) == randrange_partition(n, k, ref)
+                    assert rng.random() == ref.random()
+
 
 class TestRandomOrder:
     def test_n1(self, rng):
@@ -217,3 +230,11 @@ class TestRandomOrder:
         rng = random.Random(seed)
         assert random_order(build_stratum_table(n), rng) == order
         assert rng.random() == after
+
+    def test_same_stream_as_randrange_and_shuffle(self):
+        for n in range(1, 27):
+            table = build_stratum_table(n)
+            for seed in STREAM_SEEDS + tuple(range(100, 120)):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert random_order(table, rng) == randrange_order(table, ref)
+                assert rng.random() == ref.random()

@@ -18,6 +18,7 @@ from netsig.engine import (
 )
 from netsig.errors import EnumerationCapError, UnsupportedModeError
 from netsig.fixtures import FIXTURE_NAMES, load_fixture
+from netsig.graph import Network
 
 from conftest import OracleNet, oracle_histogram, random_connected_network
 
@@ -36,12 +37,33 @@ small_networks = st.builds(
 )
 
 
-# Random networks with 3 to 8 links and two or three terminals.
+# Random networks with 3 to 8 links and two to four terminals.
 terminal_networks = st.builds(
     random_connected_network,
     st.randoms(use_true_random=False),
     st.integers(3, 8),
-    st.sampled_from([2, 3]),
+    st.sampled_from([2, 3, 4]),
+)
+
+
+def _with_parallel_links(net, rng):
+    """`net` plus a parallel copy of some of its links (at least one)."""
+    copies = [(a, b) for _, a, b in net.links if rng.random() < 0.5] or [net.links[0][1:]]
+    links = net.links + tuple((i, a, b) for i, (a, b) in enumerate(copies, start=net.n + 1))
+    return Network(nodes=net.nodes, links=links, terminals=net.terminals)
+
+
+# Random networks with 3 to 6 links and two to four terminals, plus a
+# parallel copy of some links.
+parallel_networks = st.builds(
+    _with_parallel_links,
+    st.builds(
+        random_connected_network,
+        st.randoms(use_true_random=False),
+        st.integers(3, 6),
+        st.sampled_from([2, 3, 4]),
+    ),
+    st.randoms(use_true_random=False),
 )
 
 
@@ -71,6 +93,33 @@ def _cut_shuffle_order(rng, n):
     rng.shuffle(links)
     cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
     return tuple(tuple(sorted(links[a:b])) for a, b in zip([0] + cuts, cuts + [n]))
+
+
+def _grid(rows, cols):
+    """A rows x cols grid network with terminals at opposite corners."""
+    label = [[f"v{r}_{c}" for c in range(cols)] for r in range(rows)]
+    pairs = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                pairs.append((label[r][c], label[r][c + 1]))
+            if r + 1 < rows:
+                pairs.append((label[r][c], label[r + 1][c]))
+    return Network(
+        nodes=tuple(x for row in label for x in row),
+        links=tuple((i, a, b) for i, (a, b) in enumerate(pairs, start=1)),
+        terminals=frozenset({label[0][0], label[-1][-1]}),
+    )
+
+
+# Ring a-b-c-d-a of terminals: links 1, 2 parallel a-b; 3 b-c; 4, 5
+# parallel c-d; 6 d-a; 7, 8 the detour b-e-c.
+_RING = Network(
+    nodes=("a", "b", "c", "d", "e"),
+    links=((1, "a", "b"), (2, "a", "b"), (3, "b", "c"), (4, "c", "d"),
+           (5, "c", "d"), (6, "d", "a"), (7, "b", "e"), (8, "e", "c")),
+    terminals=frozenset("abcd"),
+)
 
 
 class TestTSignatureType:
@@ -115,14 +164,18 @@ class TestCalculateM:
         with pytest.raises(UnsupportedModeError):
             calculate_m(net, tuple((i,) for i in range(1, 10)), m_mode="paper-greedy")
 
-    @settings(max_examples=80, deadline=None)
-    @given(net=terminal_networks, rng=st.randoms(use_true_random=False))
+    @settings(max_examples=120, deadline=None)
+    @given(
+        net=st.one_of(terminal_networks, parallel_networks),
+        rng=st.randoms(use_true_random=False),
+    )
     @example(net=load_fixture("figure1"), rng=random.Random(3))
     def test_matches_oracle_at_every_fatal_position(self, net, rng):
-        # The fatal block is found by bisection; check it against the
-        # union-find oracle on a random order and on two orders built from
-        # it: the blocks up to the fatal one merged (the first block is
-        # fatal) and the blocks from it on merged (only the last is fatal).
+        # The fatal block is found by one union pass from the last block;
+        # check it against the oracle's forward scan on a random order and
+        # on two orders built from it: the blocks up to the fatal one merged
+        # (the first block is fatal) and the blocks from it on merged (only
+        # the last is fatal).
         oracle = OracleNet(net)
         order = _cut_shuffle_order(rng, net.n)
         fatal = next(
@@ -133,6 +186,20 @@ class TestCalculateM:
         last = order[:fatal] + (tuple(sorted(sum(order[fatal:], ()))),)
         for scored in (order, first, last):
             assert calculate_m(net, scored, "exact-subset").M == oracle.order_m(scored)
+
+    @pytest.mark.parametrize("net, order, m", [
+        # bridge (s-u, s-v, u-v, u-t, v-t): the first block cuts s off
+        (load_fixture("bridge"), ((1, 2, 3), (4,), (5,)), 2),
+        (load_fixture("bridge"), ((3,), (1,), (2, 4, 5)), 3),
+        (load_fixture("bridge"), ((1,), (5,), (2, 3, 4)), 3),
+        # 4 terminals a-d on a ring with parallel a-b and c-d links and a
+        # detour b-e-c: the first block isolates a, and after the first
+        # three blocks the rest of the ring is a cycle that needs two cuts
+        (_RING, ((1, 2, 6), (3, 4), (5,), (7, 8)), 3),
+        (_RING, ((4,), (1,), (3,), (2, 5, 6, 7, 8)), 5),
+    ])
+    def test_first_or_only_last_block_fatal(self, net, order, m):
+        assert calculate_m(net, order).M == m == OracleNet(net).order_m(order)
 
     def test_bounds_and_mode_ordering(self, rng):
         # 1 <= M <= n and greedy M never exceeds exact M
@@ -171,6 +238,19 @@ class TestExactTSignature:
         net = load_fixture("bridge")
         with pytest.raises(EnumerationCapError):
             exact_tsignature(net, max_links=4)
+
+    def test_state_guard_admits_a_3x5_grid(self, monkeypatch):
+        # 22 links, 3,074 states at the peak: admitted by the default guard
+        # and by a guard of exactly that many, refused by one a state lower.
+        grid = _grid(3, 5)
+        assert engine.MAX_DP_STATES >= 3_074
+        monkeypatch.setattr(engine, "MAX_DP_STATES", 3_074)
+        sig = exact_tsignature(grid, max_links=22)
+        assert sig.total == n_star(22)
+        assert sig.counts[0] == 0 and sig.counts[1] > 0  # corner terminals
+        monkeypatch.setattr(engine, "MAX_DP_STATES", 3_073)
+        with pytest.raises(EnumerationCapError, match="3,073 states at link .* of 22; use sampling"):
+            exact_tsignature(grid, max_links=22)
 
     @pytest.mark.parametrize(
         "name", ["series2", "series3", "parallel2", "bridge", "triangle",

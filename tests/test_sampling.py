@@ -1,7 +1,9 @@
 import math
+from collections import Counter
 
 import pytest
 
+from netsig import sampling
 from netsig._bitgraph import BitGraph
 from netsig.engine import exact_tsignature
 from netsig.fixtures import load_fixture
@@ -56,8 +58,8 @@ class TestApproxTSignature:
                               221, 264, 324, 241, 186, 143, 66, 48, 26, 10, 0)
 
     def test_scoring_skips_fatal_block_rechecks(self, monkeypatch):
-        # The bisection has already established the fatal-block
-        # preconditions; the sampler must not query them again.
+        # The union pass that finds the fatal block has already established
+        # its preconditions; the sampler must not query them again.
         def fail(*args):
             raise AssertionError("fatal-block preconditions re-checked")
 
@@ -66,6 +68,27 @@ class TestApproxTSignature:
         for m_mode in ("exact-subset", "paper-greedy"):
             plan = SamplingPlan(sample_count=200, seed=7, m_mode=m_mode)
             assert sum(approx_tsignature(net, plan).counts) == 200
+
+    def test_one_draw_and_one_score_per_sample(self, monkeypatch):
+        # The per-layer trace of perfbench/layers.py counts samples by
+        # wrapping these two module-level names; the sampler must look each
+        # up once per sample, or the traced counts silently read 0.
+        calls = Counter()
+
+        def counted(name):
+            inner = getattr(sampling, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(sampling, name, wrapper)
+
+        counted("random_order")
+        counted("_order_m")
+        net = load_fixture("eon_par_cop")
+        sig = approx_tsignature(net, SamplingPlan(sample_count=300, seed=1))
+        assert calls == {"random_order": 300, "_order_m": 300} and sig.total == 300
 
     def test_seed_changes_draws(self):
         net = load_fixture("bridge")

@@ -8,8 +8,9 @@ because they exceed 64-bit JSON-safe integers.
 
 Exit codes: 0 success, 1 output pipe closed by the reader (nothing is
 written to stderr), 2 usage, 3 input validation (an unreadable path, a
-malformed graph or artifact, a non-finite rate or time, or an m-mode the
-network does not support), 4 enumeration-cap refusal.
+malformed graph or artifact, a non-finite rate or time, an m-mode the
+network does not support, or a non-finite number in a JSON artifact), 4
+enumeration-cap refusal.
 """
 
 from __future__ import annotations
@@ -66,9 +67,28 @@ def _manifest(command: str, digest: str | None, args: argparse.Namespace, starte
     }
 
 
+def _json_text(payload: dict) -> str:
+    """`json.dumps(payload, indent=2, sort_keys=True)`, byte for byte, with
+    each top-level list of numbers written by the C encoder (which `indent`
+    would turn off) and laid out as `indent=2` lays it out.  Non-finite
+    floats raise ValueError."""
+    fields = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, list) and set(map(type, value)) <= {int, float}:
+            text = json.dumps(value, allow_nan=False, separators=(",\n    ", ": "))
+            if value:
+                text = "[\n    " + text[1:-1] + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+            text = text.replace("\n", "\n  ")
+        fields.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
+
+
 def _emit(payload: dict, args: argparse.Namespace, csv_rows=None, csv_header=None) -> None:
     if args.output == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = _json_text(payload)
     else:
         lines = [",".join(csv_header)]
         lines += [",".join(str(x) for x in row) for row in csv_rows]
@@ -109,13 +129,13 @@ def cmd_signature(args) -> int:
         "total": str(sig.total),
         "values": list(sig.values),
     }
+    columns = [range(1, sig.n + 1), sig.counts, sig.values]
     header = ["i", "count", "value"]
-    rows = [[i + 1, sig.counts[i], sig.values[i]] for i in range(sig.n)]
     if isinstance(sig, SampledTSignature):
         payload["std_error"] = list(sig.std_error)
+        columns.append(sig.std_error)
         header.append("std_error")
-        for row, se in zip(rows, sig.std_error):
-            row.append(se)
+    rows = zip(*columns) if args.output == "csv" else None
     _emit(payload, args, csv_rows=rows, csv_header=header)
     return EXIT_OK
 
@@ -162,7 +182,7 @@ def cmd_reliability(args) -> int:
         "times": list(curve.times),
         "survival": list(curve.survival),
     }
-    rows = list(zip(curve.times, curve.survival))
+    rows = zip(curve.times, curve.survival) if args.output == "csv" else None
     _emit(payload, args, csv_rows=rows, csv_header=["t", "survival"])
     return EXIT_OK
 

@@ -11,8 +11,8 @@ order-statistic mixture).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .engine import TSignature
 
@@ -23,8 +23,7 @@ class CountingModel:
 
     variant 'poisson': N(t) ~ Poisson(rate * t).
     variant 'binomial': N(t) ~ Binomial(n, F(t)) with exponential link
-    lifetime CDF F(t) = 1 - exp(-rate * t).  Other lifetime CDFs can be
-    added by extending _failure_probability.
+    lifetime CDF F(t) = 1 - exp(-rate * t).
     """
 
     variant: str
@@ -48,38 +47,66 @@ def binomial_model(n: int, rate: float) -> CountingModel:
     return CountingModel(variant="binomial", rate=rate, n=n)
 
 
-def _failure_probability(model: CountingModel, t: float) -> float:
-    """Exponential link lifetime CDF F(t)."""
-    return -math.expm1(-model.rate * t)
-
-
 def count_cdf(model: CountingModel, j: int, t: float) -> float:
     """P(N(t) <= j), summed term by term with positive terms only and the
     result clamped into [0, 1]."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    return _count_cdfs(model, j, t)[j]
+    return _mixture(model, (0,) * j + (1,), 1, (t,))[0]
 
 
-def _count_cdfs(model: CountingModel, j_max: int, t: float) -> list[float]:
-    """[P(N(t) <= j) for j in 0..j_max] from one running sum of the terms."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0:
-        return [1.0] * (j_max + 1)
+def _mixture(model: CountingModel, weights, divisor: int, times) -> list[float]:
+    """[sum_j weights[j] * P(N(t) <= j) / divisor for t in times], one pass.
+
+    For each time point the Poisson terms exp(-mean) * prod(mean / r) or the
+    binomial terms comb(n, r) * p**r * q**(n - r) are added in one running
+    sum; each partial sum, clamped to 1, is P(N(t) <= r), and the weighted
+    sum over the nonzero weights is divided once.  An infinite Poisson mean
+    gives the limit 0 for every P(N(t) <= j); from j = n on the binomial
+    P(N(t) <= j) is 1.
+    """
+    last = max(j for j, c in enumerate(weights) if c)
+    ws = [float(c) for c in weights[: last + 1]]
+    survival = []
+    append = survival.append
+    rate = model.rate
     if model.variant == "poisson":
-        mean = model.rate * t
-        terms = [math.exp(-mean)]
-        for r in range(1, j_max + 1):
-            terms.append(terms[-1] * (mean / r))
-        top = j_max + 1
+        head = ws[0]
+        steps = list(enumerate(ws[1:], start=1))
+        for t in times:
+            if t < 0:
+                raise ValueError("t must be >= 0")
+            mean = rate * t
+            if mean == math.inf:
+                append(0.0)
+                continue
+            # exp(-mean) <= 1 needs no clamp; head * s is 0.0 for a zero head
+            term = s = math.exp(-mean)
+            acc = head * s
+            for r, c in steps:
+                term *= mean / r
+                s += term
+                if c:
+                    acc += c * (1.0 if s > 1.0 else s)
+            append(acc / divisor)
     else:
         n = model.n
-        p = _failure_probability(model, t)
-        q = 1.0 - p
-        top = min(j_max + 1, n)  # from j = n on, P(N(t) <= j) = 1
-        terms = [math.comb(n, r) * p**r * q ** (n - r) for r in range(top)]
-    return [min(total, 1.0) for total in accumulate(terms)] + [1.0] * (j_max + 1 - top)
+        steps = [(math.comb(n, r), r, n - r, c) for r, c in enumerate(ws[:n])]
+        beyond_n = [c for c in ws[n:] if c]
+        for t in times:
+            if t < 0:
+                raise ValueError("t must be >= 0")
+            p = -math.expm1(-rate * t)
+            q = 1.0 - p
+            s = acc = 0.0
+            for k, r, rest, c in steps:
+                s += k * p**r * q**rest
+                if c:
+                    acc += c * (1.0 if s > 1.0 else s)
+            for c in beyond_n:
+                acc += c  # times P(N(t) <= j) = 1
+            append(acc / divisor)
+    return survival
 
 
 @dataclass(frozen=True)
@@ -94,9 +121,9 @@ class ReliabilityCurve:
             raise ValueError("times and survival must have equal length")
         if not all(map(math.isfinite, self.times)):
             raise ValueError("time grid must be finite")
-        if any(b < a for a, b in zip(self.times, self.times[1:])):
+        if any(map(operator.gt, self.times, self.times[1:])):
             raise ValueError("time grid must be ascending")
-        if any(t < 0 for t in self.times):
+        if self.times and self.times[0] < 0:
             raise ValueError("time grid must be nonnegative")
 
 
@@ -107,20 +134,15 @@ def survival_mixture(
 
     With a classic signature and the binomial model this is the i.i.d.
     order-statistic representation; with a batch-failure signature and a
-    Poisson model it is the shock-process representation.
+    Poisson model it is the shock-process representation.  The whole grid
+    is one pass of the mixture kernel over the integer counts, divided once
+    by the total, so the curve is exactly 1 where every P(N(t) <= j) is 1
+    (summing counts[i]/total can miss 1 by an ulp).
     """
     if model.variant == "binomial" and model.n != sig.n:
         raise ValueError(
             f"binomial model n={model.n} does not match signature length {sig.n}"
         )
-    # Integer counts are weighted first and divided once, so that the curve
-    # is exactly 1 where every count_cdf is 1 (summing counts[i]/total can
-    # miss 1 by an ulp).
-    terms = [(i, float(c)) for i, c in enumerate(sig.counts) if c]
-    j_max = terms[-1][0]
-    times = tuple(float(t) for t in grid)
-    survival = []
-    for t in times:
-        cdfs = _count_cdfs(model, j_max, t)
-        survival.append(sum(c * cdfs[i] for i, c in terms) / sig.total)
+    times = tuple(map(float, grid))
+    survival = _mixture(model, sig.counts, sig.total, times)
     return ReliabilityCurve(times=times, survival=tuple(survival))

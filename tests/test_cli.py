@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import netsig
-from netsig import engine
+from netsig import cli, engine
 from netsig.cli import main
+from netsig.reliability import ReliabilityCurve
 from netsig.fixtures import fixture_path
 
 
@@ -18,8 +21,12 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"artifact holds {name}, which is not JSON")
+
+
 def load_artifact(stdout):
-    return json.loads(stdout)
+    return json.loads(stdout, parse_constant=_reject_constant)
 
 
 def package_env():
@@ -205,6 +212,23 @@ class TestReliability:
         assert code == 0
         assert load_artifact(out2)["survival"][0] == 1.0
 
+    def test_overflowing_poisson_mean_gives_zero(self, capsys):
+        # rate * t overflows to inf; the curve used to hold NaN, not JSON.
+        code, out, _ = run_cli(
+            capsys, "reliability", str(fixture_path("bridge")),
+            "--rate", "1e300", "--tmax", "1e10", "--steps", "2",
+        )
+        assert code == 0
+        assert load_artifact(out)["survival"] == [1.0, 0.0, 0.0]
+
+    def test_non_finite_survival_exit_code(self, capsys, monkeypatch):
+        # A non-finite value ends in the one-line input error, not in NaN.
+        curve = ReliabilityCurve(times=(0.0, 1.0), survival=(1.0, math.nan))
+        monkeypatch.setattr(cli, "survival_mixture", lambda sig, model, grid: curve)
+        code, out, err = run_cli(capsys, "reliability", str(fixture_path("bridge")))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_zero_steps_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["reliability", str(fixture_path("bridge")), "--steps", "0"])
@@ -282,6 +306,44 @@ class TestArtifactFiles:
         artifact = load_artifact(out)
         again = json.loads(json.dumps(artifact))
         assert again == artifact
+
+
+class TestEmit:
+    """`_emit` writes the text of `json.dumps(payload, indent=2,
+    sort_keys=True)`, byte for byte."""
+
+    @staticmethod
+    def emitted(payload, capsys):
+        cli._emit(payload, argparse.Namespace(output="json", out=None))
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ("exact", str(fixture_path("figure1"))),
+        ("signature", str(fixture_path("bridge"))),
+        ("approx", str(fixture_path("bridge")), "--samples", "500", "--seed", "4"),
+        ("reliability", str(fixture_path("figure1")), "--steps", "300"),
+        ("reliability", str(fixture_path("bridge")), "--process", "binomial", "--steps", "300"),
+    ])
+    def test_real_payloads(self, capsys, argv):
+        _, out, _ = run_cli(capsys, *argv)
+        payload = load_artifact(out)
+        assert self.emitted(payload, capsys) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("payload", [
+        {"empty": [], "one": [0.5], "ints": [3, 0, -7, 2**70]},
+        {"floats": [5e-324, 1e16, 1e-7, 0.1 + 0.2, -0.0], "x": 1.0},
+        {"manifest": {"flags": {"seed": 3, "rate": 1e300}, "name": "a, b", "none": None},
+         "counts": ["1", "2"], "nested": [[1, 2], {"k": []}], "z": []},
+    ])
+    def test_hand_made_payloads(self, capsys, payload):
+        assert self.emitted(payload, capsys) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, capsys, value):
+        with pytest.raises(ValueError):
+            self.emitted({"survival": [1.0, value]}, capsys)
+        with pytest.raises(ValueError):
+            self.emitted({"manifest": {"rate": value}}, capsys)
 
 
 def test_import_leaves_process_pool_unloaded():

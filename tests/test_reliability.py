@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from netsig.engine import TSignature, exact_tsignature
 from netsig.fixtures import load_fixture
@@ -12,6 +13,8 @@ from netsig.reliability import (
     poisson_model,
     survival_mixture,
 )
+
+from conftest import oracle_count_cdf, oracle_survival
 
 GRID = [i / 25 for i in range(101)]  # 0 .. 4
 
@@ -53,6 +56,19 @@ class TestCountCdf:
             poisson_model(0.0)
         with pytest.raises(ValueError):
             binomial_model(0, 1.0)
+
+    def test_infinite_poisson_mean_is_the_zero_limit(self):
+        # rate * t overflows to inf; the terms used to be 0 * inf = nan.
+        # The binomial count gives 0 there too.
+        for j in (0, 1, 2, 5):
+            assert count_cdf(poisson_model(1e300), j, 1e10) == 0.0
+        assert [count_cdf(binomial_model(3, 1e300), j, 1e10) for j in range(5)] == [
+            0.0, 0.0, 0.0, 1.0, 1.0,
+        ]
+        sig = exact_tsignature(load_fixture("bridge"))
+        curve = survival_mixture(sig, poisson_model(1e300), [0.0, 1e-300, 1e10])
+        assert curve.survival[0] == 1.0 and curve.survival[2] == 0.0
+        assert all(map(math.isfinite, curve.survival))
 
     @pytest.mark.parametrize("rate", [math.inf, math.nan])
     def test_rejects_non_finite_rate(self, rate):
@@ -120,6 +136,33 @@ class TestSurvivalMixture:
                     assert s == expected, (name, model.variant, t)
                     for j in range(sig.n + 1):
                         assert count_cdf(model, j, t) == cdf(model, j, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=st.lists(
+            st.one_of(st.just(0), st.integers(1, 10**6), st.integers(2**53, 2**70)),
+            min_size=1, max_size=12,
+        ).filter(any),
+        binomial=st.booleans(),
+        rate=st.floats(0.05, 5.0),
+        times=st.lists(st.floats(0.0, 50.0), max_size=6),
+    )
+    @example(counts=[0, 0, 3, 0], binomial=False, rate=1.7, times=[1.0])
+    @example(counts=[0, 0, 3, 0], binomial=True, rate=0.9, times=[1.0])
+    @example(counts=[5], binomial=True, rate=1.0, times=[0.5])
+    @example(counts=[2**60 + 1, 0, 2**53 + 1, 7, 0, 0], binomial=True, rate=2.0, times=[3.0])
+    def test_kernel_matches_per_count_oracle(self, counts, binomial, rate, times):
+        # Random count vectors, bit for bit against the per-count oracle; the
+        # grid always holds t = 0 and t = 800, where q == 0.
+        n, total = len(counts), sum(counts)
+        sig = self._sig(tuple(counts), total)
+        model = binomial_model(n, rate) if binomial else poisson_model(rate)
+        grid = sorted({0.0, 800.0, *times})
+        curve = survival_mixture(sig, model, grid)
+        for t, s in zip(curve.times, curve.survival):
+            assert s.hex() == oracle_survival(counts, total, model, t).hex(), t
+            for j in range(n + 3):
+                assert count_cdf(model, j, t).hex() == oracle_count_cdf(model, j, t).hex(), (j, t)
 
     def test_non_increasing_both_models(self):
         sig = exact_tsignature(load_fixture("bridge"))

@@ -9,6 +9,7 @@ from .combinatorics import (
     random_order,
     random_partition_with_k_blocks,
     stirling2,
+    unrank_order,
 )
 from .engine import (
     MResult,
@@ -44,7 +45,7 @@ from .reliability import (
 )
 from .sampling import SamplingPlan, approx_tsignature
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "StratumTable",
@@ -55,6 +56,7 @@ __all__ = [
     "random_order",
     "random_partition_with_k_blocks",
     "stirling2",
+    "unrank_order",
     "MResult",
     "SampledTSignature",
     "TSignature",

@@ -8,9 +8,9 @@ because they exceed 64-bit JSON-safe integers.
 
 Exit codes: 0 success, 1 output pipe closed by the reader (nothing is
 written to stderr), 2 usage, 3 input validation (an unreadable path, a
-malformed graph or artifact, a non-finite rate or time, an m-mode the
-network does not support, or a non-finite number in a JSON artifact), 4
-enumeration-cap refusal.
+malformed graph or artifact, a non-finite rate or time, a seed outside
+[0, 2**64), an m-mode the network does not support, or a non-finite number
+in a JSON artifact), 4 enumeration-cap refusal.
 """
 
 from __future__ import annotations
@@ -165,6 +165,16 @@ def _load_signature_input(path: str, args):
     return exact_tsignature(net, workers=args.workers, max_links=args.max_n), digest
 
 
+def _time_grid(tmax: float, steps: int) -> list[float]:
+    """`tmax * i / steps` for i = 0..steps, or `tmax * (i / steps)` at the
+    points where `tmax * i` alone overflows."""
+    grid = []
+    for i in range(steps + 1):
+        t = tmax * i
+        grid.append(t / steps if math.isfinite(t) else tmax * (i / steps))
+    return grid
+
+
 def cmd_reliability(args) -> int:
     started = time.time()
     sig, digest = _load_signature_input(args.input, args)
@@ -172,8 +182,7 @@ def cmd_reliability(args) -> int:
         model = poisson_model(args.rate)
     else:
         model = binomial_model(sig.n, args.rate)
-    grid = [args.tmax * i / args.steps for i in range(args.steps + 1)]
-    curve = survival_mixture(sig, model, grid)
+    curve = survival_mixture(sig, model, _time_grid(args.tmax, args.steps))
     payload = {
         "manifest": _manifest("reliability", digest, args, started),
         "n": sig.n,

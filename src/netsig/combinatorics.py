@@ -3,8 +3,9 @@
 A failure order is an ordered set partition of the link ids {1..n}: links in
 the same block fail together, blocks fail left to right.  This module counts
 those orders (binomials, Stirling numbers of the second kind, Fubini numbers),
-enumerates them lazily in a fixed canonical order, and draws them uniformly at
-random via stratification over the block count.
+enumerates them lazily in a fixed canonical order, and unranks them: every
+integer below n* names one order, stratified by the block count, so one
+uniform integer below n* is one uniform order.
 
 All counts are exact Python integers; the order count for n=26 has 31 digits.
 """
@@ -74,15 +75,16 @@ def n_star(n: int) -> int:
 class StratumTable:
     """Per-block-count order counts: m[k-1] = k!*S(n,k), summing to n*.
 
-    The stratum weights drive probability-proportional-to-size sampling of
-    failure orders: pick the block count k with probability m_k/n*, then a
-    uniform k-block partition and a uniform block permutation.
+    The stratum weights split the ranks of `unrank_order`: ranks below m_1
+    have one block, the next m_2 two blocks, and so on, so a uniform rank
+    picks the block count k with probability m_k/n*, then a uniform k-block
+    partition and a uniform block permutation.
     """
 
     n: int
     m: tuple[int, ...]
     n_star: int
-    # cumulative[k-1] = m_1 + ... + m_k, for drawing k by bisection.
+    # cumulative[k-1] = m_1 + ... + m_k, for finding k by bisection.
     cumulative: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -158,85 +160,74 @@ def enumerate_orders(n: int) -> Iterator[FailureOrder]:
 def random_partition_with_k_blocks(
     n: int, k: int, rng: random.Random
 ) -> tuple[Block, ...]:
-    """Draw a uniform random partition of {1..n} into exactly k blocks.
-
-    Elements are assigned sequentially; element i opens a new block or joins
-    an existing one with probabilities proportional to the completion counts
-    given by the Stirling recurrence, so each of the S(n,k) partitions is
-    equally likely.  All threshold comparisons use exact integers.
-    """
+    """Draw a uniform random partition of {1..n} into exactly k blocks: the
+    partition whose rank is `rng.randrange(S(n, k))` (see `_unrank_blocks`),
+    so each of the S(n,k) partitions is equally likely."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    return tuple(tuple(block) for block in _random_blocks(n, k, rng))
+    return tuple(_unrank_blocks(n, k, rng.randrange(stirling2(n, k))))
 
 
-def _random_blocks(n: int, k: int, rng: random.Random) -> list[list[int]]:
-    """The blocks of a uniform k-block partition of {1..n}, ordered by
-    minimum element.  S(m,k) = S(m-1,k-1) + k*S(m-1,k): element m is a
-    singleton in the first summand's share of partitions, otherwise it joins
-    one of k blocks.  These choices are drawn from m = n down to a base case
-    (k = m or k = 1), then the joining elements pick a block bottom-up.
+def _unrank_blocks(n: int, k: int, r: int) -> list[Block]:
+    """The blocks, ordered by minimum element, of the k-block partition of
+    {1..n} with rank r, for 0 <= r < S(n,k); the Stirling rows must reach n.
 
-    Each draw below x repeats `rng.randrange(x)` inline (CPython's
-    `_randbelow_with_getrandbits`: redraw `getrandbits(x.bit_length())`
-    while it is >= x), so the stream is consumed exactly as by `randrange`
-    without its per-call overhead."""
-    stirling2(n, k)  # extends the rows up to n
+    S(m,k) = S(m-1,k-1) + k*S(m-1,k): the first S(m-1,k-1) ranks make
+    element m the least element of block k, and each later rank
+    r' = r - S(m-1,k-1) puts m into block r' % k of a partition of {1..m-1}
+    with rank r' // k.  Adding larger elements never changes which element
+    is a block's least, so the blocks are numbered as in the whole
+    partition, and the elements are placed from m = n down to a base case
+    (k = m or k = 1, where the rank is 0).  Every rank gives a different
+    partition (Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).
+    """
     rows = _stirling_rows
-    getrandbits = rng.getrandbits
-    joins = []  # per element above the base case: 0, or its k if it joins
+    blocks = [()] * k
     m = n
     while 1 < k < m:
-        x = rows[m - 1][k - 1]
-        bits = x.bit_length()
-        r = getrandbits(bits)
-        while r >= x:
-            r = getrandbits(bits)
-        if r < rows[m - 2][k - 2]:
-            joins.append(0)
+        singletons = rows[m - 2][k - 2]
+        if r < singletons:
             k -= 1
+            blocks[k] = (m,) + blocks[k]
         else:
-            joins.append(k)
+            r, block = divmod(r - singletons, k)
+            blocks[block] = (m,) + blocks[block]
         m -= 1
-    blocks = [[i] for i in range(1, m + 1)] if k == m else [list(range(1, m + 1))]
-    # A new block's element exceeds all earlier ones: the order is kept.
-    for m, join in enumerate(reversed(joins), start=m + 1):
-        if join:
-            bits = join.bit_length()
-            r = getrandbits(bits)
-            while r >= join:
-                r = getrandbits(bits)
-            blocks[r].append(m)
-        else:
-            blocks.append([m])
+    if k == m:
+        for i in range(m):
+            blocks[i] = (i + 1,) + blocks[i]
+    else:
+        blocks[0] = tuple(range(1, m + 1)) + blocks[0]
     return blocks
 
 
-def random_order(table: StratumTable, rng: random.Random) -> FailureOrder:
-    """Draw a failure order uniformly over all n* orders.
+def unrank_order(table: StratumTable, u: int) -> FailureOrder:
+    """The failure order of rank u, for 0 <= u < n*: a bijection from
+    [0, n*) onto the failure orders of {1..table.n}.
 
-    Stratified: the block count k is chosen with probability m_k/n* by
-    bisecting the cumulative stratum weights with a uniform integer below
-    n*, then a uniform k-block partition is drawn and its block sequence
-    shuffled.  The draws repeat `rng.randrange` and `rng.shuffle` (Fisher-
-    Yates) inline, as in `_random_blocks`.
+    Bisecting the cumulative stratum weights gives the block count k and a
+    rank below k!*S(n,k); `divmod` by k! splits it into a partition rank
+    (see `_unrank_blocks`) and a block-permutation rank, whose mixed-radix
+    digits are the swaps of a Fisher-Yates shuffle of the blocks.
     """
-    getrandbits = rng.getrandbits
-    x = table.n_star
-    bits = x.bit_length()
-    u = getrandbits(bits)
-    while u >= x:
-        u = getrandbits(bits)
-    k = bisect_right(table.cumulative, u) + 1
-    blocks = [tuple(block) for block in _random_blocks(table.n, k, rng)]
+    cumulative = table.cumulative
+    if not 0 <= u < table.n_star:
+        raise ValueError(f"order rank must lie in [0, {table.n_star}), got {u}")
+    k = bisect_right(cumulative, u) + 1
+    if k > 1:
+        u -= cumulative[k - 2]
+    u, perm = divmod(u, math.factorial(k))
+    blocks = _unrank_blocks(table.n, k, u)
     for i in range(k - 1, 0, -1):
-        x = i + 1
-        bits = x.bit_length()
-        j = getrandbits(bits)
-        while j >= x:
-            j = getrandbits(bits)
+        perm, j = divmod(perm, i + 1)
         blocks[i], blocks[j] = blocks[j], blocks[i]
     return tuple(blocks)
+
+
+def random_order(table: StratumTable, rng: random.Random) -> FailureOrder:
+    """Draw a failure order uniformly over all n* orders: the order whose
+    rank is `rng.randrange(table.n_star)`.  `rng` needs only `randrange`."""
+    return unrank_order(table, rng.randrange(table.n_star))
 
 
 def check_failure_order(order: FailureOrder, n: int) -> None:

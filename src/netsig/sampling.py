@@ -1,18 +1,26 @@
 """Monte Carlo approximation of the batch-failure signature.
 
-Orders are drawn uniformly over the full order space through stratification
-on the block count (probability proportional to the stratum size k!*S(n,k)),
-then scored exactly like the enumeration pipeline.
+Orders are drawn uniformly over the full order space: one uniform integer
+below n* per sample, unranked into its order (`combinatorics.unrank_order`,
+stratified on the block count), then scored exactly like the enumeration
+pipeline.
 
-Reproducibility contract: the random stream for sample j is derived from
-(seed, j) alone, so a run is bit-identical for a fixed (seed, sample_count)
-no matter how the samples are split across workers.
+Reproducibility contract: sample j draws from its own counter-based stream
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+Its c-th block (c = 0, 1, 2, ...) is the 512-bit BLAKE2b digest, keyed by
+the seed's 8 little-endian bytes and personalized b"netsig order", of the
+16 little-endian bytes of c * 2**64 + j.  A uniform integer below x is the
+top x.bit_length() bits of the next block (of the next blocks, joined, past
+512 bits), redrawn from the following blocks until it is below x.  The
+stream depends on (seed, j) alone, so a run is bit-identical for a fixed
+(seed, sample_count) no matter how the samples are split across workers;
+another stream of the same sample would take another personalization.
+Seeds lie in [0, 2**64) and sample indices below 2**64.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from ._bitgraph import BitGraph
@@ -20,7 +28,8 @@ from .combinatorics import build_stratum_table, random_order
 from .engine import SampledTSignature, _check_m_mode, _order_m, _run_histogram
 from .graph import Network
 
-_SEED_MASK = (1 << 64) - 1
+_DIGEST_BITS = 512
+_ORDER_STREAM = b"netsig order"
 
 
 @dataclass(frozen=True)
@@ -33,21 +42,53 @@ class SamplingPlan:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
 
-def _sample_rng(seed: int, index: int) -> random.Random:
-    # Counter-based derivation: one independent stream per sample index.
-    return random.Random(((seed & _SEED_MASK) << 64) | index)
+class _SampleStream:
+    """The random stream of sample `index`: `randrange` over the digests of
+    `keyed` (the seed-keyed BLAKE2b of `_seed_hash`) updated with the 16
+    bytes of counter * 2**64 + index, as the module docstring sets out."""
+
+    __slots__ = ("_keyed", "_index", "_counter")
+
+    def __init__(self, keyed, index: int):
+        self._keyed = keyed
+        self._index = index
+        self._counter = 0
+
+    def randrange(self, x: int) -> int:
+        bits = x.bit_length()
+        digests = -(-bits // _DIGEST_BITS)
+        while True:
+            u = 0
+            for _ in range(digests):
+                h = self._keyed.copy()
+                h.update((self._counter << 64 | self._index).to_bytes(16, "little"))
+                self._counter += 1
+                u = u << _DIGEST_BITS | int.from_bytes(h.digest(), "big")
+            u >>= digests * _DIGEST_BITS - bits
+            if u < x:
+                return u
+
+
+def _seed_hash(seed: int):
+    """BLAKE2b keyed by the seed: the root of every sample's order stream."""
+    from hashlib import blake2b  # only sampling pays for loading hashlib
+
+    return blake2b(key=seed.to_bytes(8, "little"), person=_ORDER_STREAM)
 
 
 def _draw_orders(net, worker_id, workers, counts, m_mode, seed, sample_count) -> None:
     """Draw and score the samples with index % workers == worker_id."""
     bg = BitGraph(net, build_table=True)
     table = build_stratum_table(net.n)
+    keyed = _seed_hash(seed)
     for j in range(worker_id, sample_count, workers):
-        order = random_order(table, _sample_rng(seed, j))
+        order = random_order(table, _SampleStream(keyed, j))
         counts[_order_m(bg, order, m_mode, None) - 1] += 1
 
 

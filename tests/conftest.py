@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from netsig.combinatorics import stirling2
 from netsig.graph import Network
 
 
@@ -92,45 +91,6 @@ def oracle_histogram(net: Network):
         counts[oracle.order_m(order) - 1] += 1
         total += 1
     return tuple(counts), total
-
-
-def randrange_partition(n, k, rng):
-    """A uniform k-block partition of {1..n} drawn with `rng.randrange`: the
-    Stirling-recurrence draw as written before its draws were inlined, kept
-    as the reference for the random stream it consumes."""
-    joins = []
-    m = n
-    while 1 < k < m:
-        if rng.randrange(stirling2(m, k)) < stirling2(m - 1, k - 1):
-            joins.append(0)
-            k -= 1
-        else:
-            joins.append(k)
-        m -= 1
-    blocks = [[i] for i in range(1, m + 1)] if k == m else [list(range(1, m + 1))]
-    for m, join in enumerate(reversed(joins), start=m + 1):
-        if join:
-            blocks[rng.randrange(join)].append(m)
-        else:
-            blocks.append([m])
-    return tuple(tuple(block) for block in blocks)
-
-
-def randrange_order(table, rng):
-    """A uniform failure order drawn with `rng.randrange` and `rng.shuffle`,
-    the reference for `random_order`'s stream as `randrange_partition` is
-    for partitions."""
-    u = rng.randrange(table.n_star)
-    acc = 0
-    k = table.n
-    for idx, mk in enumerate(table.m, start=1):
-        acc += mk
-        if u < acc:
-            k = idx
-            break
-    blocks = list(randrange_partition(table.n, k, rng))
-    rng.shuffle(blocks)
-    return tuple(blocks)
 
 
 def oracle_count_cdf(model, j, t):

@@ -153,6 +153,16 @@ class TestApprox:
         b.pop("manifest")
         assert a == b
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_exit_code(self, capsys, seed):
+        # Masked to 64 bits, -1 would draw what 2**64 - 1 draws, and 2**64
+        # what 0 draws.
+        code, out, err = run_cli(
+            capsys, "approx", str(fixture_path("bridge")), "--samples", "10", "--seed", seed
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: seed") and len(err.splitlines()) == 1
+
     def test_rerun_byte_identical_modulo_duration(self, capsys):
         args = ["approx", str(fixture_path("bridge")), "--samples", "500", "--seed", "3"]
         _, out1, _ = run_cli(capsys, *args)
@@ -220,6 +230,14 @@ class TestReliability:
         )
         assert code == 0
         assert load_artifact(out)["survival"] == [1.0, 0.0, 0.0]
+
+    def test_time_grid_near_float_max(self, capsys):
+        # tmax * i overflows at the last point, although tmax itself is finite.
+        code, out, _ = run_cli(
+            capsys, "reliability", str(fixture_path("bridge")), "--tmax", "1e308", "--steps", "2"
+        )
+        assert code == 0
+        assert load_artifact(out)["times"] == [0.0, 5e307, 1e308]
 
     def test_non_finite_survival_exit_code(self, capsys, monkeypatch):
         # A non-finite value ends in the one-line input error, not in NaN.
@@ -357,3 +375,13 @@ def test_import_leaves_process_pool_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=package_env()
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_leaves_hashlib_unloaded():
+    # Only the sampler and the CLI hash, so a bare import does not pay for
+    # loading hashlib and its OpenSSL binding.
+    code = "import sys, netsig; print('hashlib' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=package_env()
+    )
+    assert out.stdout.strip() == "False"

@@ -9,16 +9,28 @@ from netsig.combinatorics import (
     build_stratum_table,
     check_failure_order,
     enumerate_orders,
+    iter_base_partitions,
     n_star,
     random_order,
     random_partition_with_k_blocks,
     stirling2,
+    unrank_order,
 )
 
-from conftest import all_set_partitions, randrange_order, randrange_partition
+from conftest import all_set_partitions
 
-# Plain seeds and seeds shaped like the sampler's per-sample (seed, index).
-STREAM_SEEDS = (0, 1, 2, 3 << 64 | 5, 7 << 64 | 19_999)
+
+class FixedDraw:
+    """A stand-in generator whose one `randrange(x)` returns a chosen rank."""
+
+    def __init__(self, rank):
+        self.rank = rank
+        self.bounds = []
+
+    def randrange(self, x):
+        self.bounds.append(x)
+        assert 0 <= self.rank < x
+        return self.rank
 
 # Ordered Bell numbers from the reference table, n=2..12.
 TABLE_N_STAR = {
@@ -163,28 +175,32 @@ class TestRandomPartition:
         _, p = chisquare(list(freq.values()))
         assert p > 0.001
 
-    # Draws and the next rng.random() recorded from the recursive sampler
-    # (commit 3447fcd): the stream must be consumed exactly as before.
+    # Draws and the next rng.random() recorded from the unranking sampler,
+    # which takes one rng.randrange(S(n, k)) per partition.
     @pytest.mark.parametrize("n, k, seed, blocks, after", [
-        (10, 4, 2, ((1, 7, 10), (2, 4, 5), (3, 6, 8), (9,)), 0.5812040171120031),
-        (26, 13, 5, ((1, 7, 17, 21), (2, 5, 8), (3, 14, 15, 25, 26), (4, 22, 24), (6,),
-                     (9,), (10,), (11, 12), (13,), (16,), (18,), (19,), (20, 23)),
-         0.2893051677469265),
+        (10, 4, 2, ((1, 2, 3, 5), (4, 7, 10), (6, 8), (9,)), 0.09158478740507359),
+        (26, 13, 5, ((1, 10), (2, 8, 9, 12), (3, 26), (4,), (5, 17), (6, 23), (7, 13, 15),
+                     (11, 19, 24), (14, 22), (16, 21), (18,), (20,), (25,)),
+         0.7417869892607294),
     ])
     def test_pinned_draws(self, n, k, seed, blocks, after):
         rng = random.Random(seed)
         assert random_partition_with_k_blocks(n, k, rng) == blocks
         assert rng.random() == after
 
-    def test_same_stream_as_randrange(self):
-        # Every (n <= 26, k): the same blocks from the same bits, and the
-        # generator left in the same state.
-        for n in range(1, 27):
+    def test_unranking_is_a_bijection(self):
+        # Every rank below S(n, k) gives a different k-block partition, so
+        # the ranks cover each partition of {1..n} exactly once.
+        for n in range(1, 9):
             for k in range(1, n + 1):
-                for seed in STREAM_SEEDS:
-                    rng, ref = random.Random(seed), random.Random(seed)
-                    assert random_partition_with_k_blocks(n, k, rng) == randrange_partition(n, k, ref)
-                    assert rng.random() == ref.random()
+                drawn = []
+                for r in range(stirling2(n, k)):
+                    rng = FixedDraw(r)
+                    drawn.append(random_partition_with_k_blocks(n, k, rng))
+                    assert rng.bounds == [stirling2(n, k)]
+                expected = [part for part in iter_base_partitions(n) if len(part) == k]
+                assert len(set(drawn)) == len(drawn), (n, k)
+                assert set(drawn) == set(expected), (n, k)
 
 
 class TestRandomOrder:
@@ -217,24 +233,38 @@ class TestRandomOrder:
         _, p = chisquare(list(freq.values()))
         assert p > 0.001
 
-    # Recorded from the recursive sampler (commit 3447fcd), as above.
+    # Recorded from the unranking sampler, as above.
     @pytest.mark.parametrize("n, seed, order, after", [
-        (4, 3, ((3, 4), (2,), (1,)), 0.9159448117309811),
-        (9, 11, ((3,), (7,), (1,), (2, 5, 9), (4,), (6,), (8,)), 0.3034012626245255),
-        (26, 7, ((19,), (3, 9, 12), (16,), (22,), (6,), (21,), (11,), (23,), (1, 4),
-                 (14, 24), (20,), (17,), (13, 15), (2, 18), (26,), (8,), (5, 10), (7,),
-                 (25,)),
-         0.5855618635076387),
+        (4, 3, ((4,), (2, 3), (1,)), 0.5926409106271656),
+        (9, 11, ((1,), (9,), (6, 8), (2, 4), (5,), (7,), (3,)), 0.8657422852499215),
+        (26, 7, ((14,), (3,), (16, 22, 23), (2, 7), (17,), (11,), (15,), (26,), (13, 18),
+                 (4,), (9, 12), (21,), (8,), (1,), (10, 25), (19, 24), (20,), (6,), (5,)),
+         0.6509344730398537),
     ])
     def test_pinned_draws(self, n, seed, order, after):
         rng = random.Random(seed)
         assert random_order(build_stratum_table(n), rng) == order
         assert rng.random() == after
 
-    def test_same_stream_as_randrange_and_shuffle(self):
-        for n in range(1, 27):
+    def test_unranking_is_a_bijection(self):
+        # Every rank below n* gives a different valid order, so the ranks
+        # cover each failure order of {1..n} exactly once.
+        for n in range(1, 8):
             table = build_stratum_table(n)
-            for seed in STREAM_SEEDS + tuple(range(100, 120)):
-                rng, ref = random.Random(seed), random.Random(seed)
-                assert random_order(table, rng) == randrange_order(table, ref)
-                assert rng.random() == ref.random()
+            drawn = [unrank_order(table, u) for u in range(table.n_star)]
+            for order in drawn:
+                check_failure_order(order, n)
+            assert len(set(drawn)) == len(drawn) == n_star(n), n
+            assert set(drawn) == set(enumerate_orders(n)), n
+
+    def test_draw_is_one_rank_below_n_star(self):
+        table = build_stratum_table(6)
+        for u in (0, 1, 2_500, table.n_star - 1):
+            rng = FixedDraw(u)
+            assert random_order(table, rng) == unrank_order(table, u)
+            assert rng.bounds == [table.n_star]
+
+    @pytest.mark.parametrize("u", [-1, 75])
+    def test_unrank_rejects_rank_out_of_range(self, u):
+        with pytest.raises(ValueError):
+            unrank_order(build_stratum_table(4), u)

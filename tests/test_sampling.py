@@ -7,7 +7,7 @@ from netsig import sampling
 from netsig._bitgraph import BitGraph
 from netsig.engine import exact_tsignature
 from netsig.fixtures import load_fixture
-from netsig.sampling import SamplingPlan, approx_tsignature
+from netsig.sampling import SamplingPlan, _SampleStream, _seed_hash, approx_tsignature
 
 
 class TestSamplingPlan:
@@ -18,6 +18,44 @@ class TestSamplingPlan:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             SamplingPlan(sample_count=1, workers=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        # Masking seeds to 64 bits would alias -1 with 2**64 - 1.
+        with pytest.raises(ValueError, match="seed"):
+            SamplingPlan(sample_count=1, seed=seed)
+
+    def test_accepts_64_bit_seed_range(self):
+        for seed in (0, 2**64 - 1):
+            assert SamplingPlan(sample_count=1, seed=seed).seed == seed
+
+
+class TestSampleStream:
+    @pytest.mark.parametrize("x", [1, 2, 5, 2**512 - 1, 2**512, 2**512 + 1, 3**700])
+    def test_draws_below_bound(self, x):
+        # 2**512 and up take more than one digest per draw.
+        keyed = _seed_hash(9)
+        draws = [_SampleStream(keyed, j).randrange(x) for j in range(60)]
+        assert all(0 <= u < x for u in draws)
+        assert x == 1 or max(draws) >= x // 4
+
+    def test_stream_depends_on_seed_and_index_alone(self):
+        x = 10**30
+        first = [_SampleStream(_seed_hash(3), j).randrange(x) for j in range(5)]
+        assert first == [_SampleStream(_seed_hash(3), j).randrange(x) for j in range(5)]
+        assert len(set(first)) == 5
+        assert first != [_SampleStream(_seed_hash(4), j).randrange(x) for j in range(5)]
+
+    def test_uniform_with_rejections(self):
+        # x = 5 rejects 3 of every 8 candidates; a redraw must come from the
+        # next digest, never a fixed value.
+        from scipy.stats import chisquare
+
+        keyed = _seed_hash(1)
+        freq = Counter(_SampleStream(keyed, j).randrange(5) for j in range(40_000))
+        assert sorted(freq) == [0, 1, 2, 3, 4]
+        _, p = chisquare(list(freq.values()))
+        assert p > 0.001
 
 
 class TestApproxTSignature:
@@ -49,13 +87,12 @@ class TestApproxTSignature:
                 assert approx_tsignature(net, plan).counts == base.counts
 
     def test_pinned_eon_counts(self):
-        # Recorded from commit 3447fcd, whose sampler scored every prefix and
-        # drew partitions recursively; both now take shortcuts that must not
-        # change a single count.
+        # Recorded from the keyed-hash stream with unranked orders; a faster
+        # sampler must not change a single count.
         net = load_fixture("eon_par_cop")
         sig = approx_tsignature(net, SamplingPlan(sample_count=2_000, seed=7))
-        assert sig.counts == (0, 0, 0, 0, 0, 1, 3, 8, 12, 21, 26, 48, 81, 111, 160,
-                              221, 264, 324, 241, 186, 143, 66, 48, 26, 10, 0)
+        assert sig.counts == (0, 0, 0, 0, 1, 4, 1, 8, 11, 17, 17, 38, 68, 122, 161,
+                              231, 306, 277, 236, 213, 136, 82, 43, 21, 7, 0)
 
     def test_scoring_skips_fatal_block_rechecks(self, monkeypatch):
         # The union pass that finds the fatal block has already established

@@ -2,15 +2,15 @@
 enumeration/sampling pipelines.
 
 Link subsets are encoded as integers (bit i-1 set means link i is removed),
-which keeps the hot loops allocation-free and lets small networks precompute
-a full connectivity table over all 2^n removal sets.  Each link's two node
-indices are kept too, for the order scorer's union-find pass, which finds an
-order's first fatal block without a connectivity query.
+which keeps the hot loops allocation-free.  On request a small network
+precomputes a full connectivity table over all 2^n removal sets; only the
+paper-greedy count queries it often enough to pay for it.  Each link's two
+node indices are kept too, for the union-find passes: the order scorer's,
+which finds an order's first fatal block without a connectivity query, and
+the fatal-block minimum, a min cut on the components of the later links.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .errors import ContractError
 
@@ -132,10 +132,9 @@ class BitGraph:
         cache: dict | None = None,
     ) -> int:
         """Smallest number of `block` links whose removal, on top of
-        `removed_mask`, disconnects the terminals.
-
-        Subsets are scanned by ascending cardinality, lexicographic link-id
-        order.  Preconditions as _check_fatal_block.
+        `removed_mask`, disconnects the terminals: a min cut on the
+        components of the other links, as `_block_cut` computes it.
+        Preconditions as _check_fatal_block.
         """
         block_mask = 0
         for link in block:
@@ -152,23 +151,67 @@ class BitGraph:
             hit = cache.get(key)
             if hit is not None:
                 return hit
-        bits = [1 << i for i in range(self.n) if block_mask >> i & 1]
-        result = len(bits)
-        for size in range(1, len(bits)):
-            found = False
-            for combo in combinations(bits, size):
-                mask = removed_mask
-                for bit in combo:
-                    mask |= bit
-                if not self.connected(mask):
-                    found = True
-                    break
-            if found:
-                result = size
-                break
+        parent = list(range(len(self.adj)))
+        ends = self.ends
+        skip = removed_mask | block_mask
+        for link in range(1, self.n + 1):
+            if not skip >> (link - 1) & 1:
+                a, b = ends[link]
+                parent[_find(parent, a)] = _find(parent, b)
+        block = [link for link in range(1, self.n + 1) if block_mask >> (link - 1) & 1]
+        result = self._block_cut(parent, block)
         if cache is not None:
             cache[key] = result
         return result
+
+    def _block_cut(self, parent: list[int], block) -> int:
+        """Fewest links of the fatal block `block` whose removal disconnects
+        the terminals; `parent` is a union-find forest over the links that
+        fail after the block (compressed in place).
+
+        The block's links are unit-capacity edges between those links'
+        components (a link inside one component is left out).  The answer
+        is the least max-flow (Ford & Fulkerson, 1956) from the pinned
+        terminal's component to another terminal's, each flow stopping at
+        the best value so far: at least 1 and at most the block size.
+        """
+        ends = self.ends
+        tails = []  # arc 2e runs tails[2e] -> tails[2e+1], arc 2e+1 back
+        out: dict[int, list[tuple[int, int]]] = {}
+        for link in block:
+            a, b = ends[link]
+            a, b = _find(parent, a), _find(parent, b)
+            if a != b:
+                arc = len(tails)
+                tails += (a, b)
+                out.setdefault(a, []).append((arc, b))
+                out.setdefault(b, []).append((arc + 1, a))
+        source = _find(parent, self.start)
+        sinks = {_find(parent, t) for t in self.terminal_indices}
+        sinks.discard(source)
+        best = len(tails) >> 1
+        for sink in sinks:
+            cap = [1] * len(tails)
+            flow = 0
+            while flow < best:
+                via = {source: -1}
+                stack = [source]
+                while stack and sink not in via:
+                    for arc, w in out[stack.pop()]:
+                        if cap[arc] and w not in via:
+                            via[w] = arc
+                            stack.append(w)
+                if sink not in via:
+                    break
+                w = sink
+                while w != source:
+                    arc = via[w]
+                    cap[arc] -= 1
+                    cap[arc ^ 1] += 1
+                    w = tails[arc]
+                flow += 1
+            best = flow
+        return best
 
     def greedy_count(self, removed_mask: int, block_mask: int) -> int:
         """Path-destruction count of the greedy two-terminal strategy:
@@ -195,3 +238,10 @@ class BitGraph:
                     mask |= bit
             count += 1
         return count
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of `x` in a union-find forest, halving the path on the way."""
+    while x != parent[x]:
+        parent[x] = x = parent[parent[x]]
+    return x

@@ -196,6 +196,17 @@ def cmd_reliability(args) -> int:
     return EXIT_OK
 
 
+def _sample_count(text: str) -> int:
+    """`--samples`: a whole number, also in scientific notation (1e6)."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"not a finite whole number: {text!r}")
+    return int(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netsig",
@@ -226,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="Monte Carlo batch-failure signature")
     p.add_argument("graph")
     common(p)
-    p.add_argument("--samples", type=lambda s: int(float(s)), required=True)
+    p.add_argument("--samples", type=_sample_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_signature)
 

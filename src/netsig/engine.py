@@ -112,7 +112,10 @@ def _order_m(bg: BitGraph, order, m_mode: str, cache: dict | None) -> int:
     indices, with no connectivity query.  The blocks before it are the
     removed links, which keep the terminals connected, while removing the
     fatal block too disconnects them.  These are the fatal-block
-    preconditions, so the block is scored by the unchecked cores.
+    preconditions, so the block is scored by the unchecked cores: a
+    one-link block scores 1, a larger one the min cut `_block_cut` finds on
+    the union-find forest as it stood before the block's own unions, or
+    through `cache` (see `_min_subset_size`).
     """
     parent = list(range(len(bg.adj)))
     has_terminal = bg.is_terminal.copy()
@@ -120,8 +123,11 @@ def _order_m(bg: BitGraph, order, m_mode: str, cache: dict | None) -> int:
     if parts < 2:
         raise AssertionError("removing every link must disconnect a valid network")
     ends = bg.ends
+    cut = m_mode == "exact-subset" and cache is None  # scored from `before`
     kept = 0
     for block in reversed(order):
+        if cut and len(block) > 1:
+            before = parent[:]
         block_mask = 0
         for link in block:
             block_mask |= 1 << (link - 1)
@@ -143,6 +149,10 @@ def _order_m(bg: BitGraph, order, m_mode: str, cache: dict | None) -> int:
     removed = kept ^ ((1 << bg.n) - 1)
     if m_mode == "paper-greedy":
         return removed.bit_count() + bg._greedy_count(removed, block_mask)
+    if len(block) == 1:
+        return removed.bit_count() + 1
+    if cut:
+        return removed.bit_count() + bg._block_cut(before, block)
     return removed.bit_count() + bg._min_subset_size(removed, block_mask, cache)
 
 
@@ -321,8 +331,9 @@ def _count_pairs(net, worker_id, workers, counts) -> None:
 
 def _stream_orders(net, worker_id, workers, counts, m_mode, order_limit) -> None:
     """Score the first `order_limit` orders of the canonical stream one by
-    one; worker w takes the base partitions with index % workers == w."""
-    bg = BitGraph(net, build_table=True)
+    one; worker w takes the base partitions with index % workers == w.
+    Only the greedy count queries the connectivity table."""
+    bg = BitGraph(net, build_table=m_mode == "paper-greedy")
     cache: dict = {}
     offset = 0  # global stream position, tracked identically in every worker
     for index, blocks in enumerate(iter_base_partitions(net.n)):

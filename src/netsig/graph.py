@@ -168,9 +168,9 @@ def min_failed_subset_size(net: Network, removed: LinkSet, block: LinkSet) -> in
     """Smallest cardinality of a subset of `block` whose removal on top of
     `removed` disconnects the terminals.
 
-    Exhaustive by ascending cardinality (lexicographic link-id order), so
-    exponential in |block|; intended for the small blocks the enumeration
-    produces.  Preconditions (caller contract): removed keeps the terminals
+    A min cut, polynomial in |block|: the least max-flow between terminal
+    components once the links outside `removed` and `block` are contracted.
+    Preconditions (caller contract): removed keeps the terminals
     connected, removed + block disconnects them, and the sets are disjoint.
     """
     removed = net.link_set(removed)

@@ -83,8 +83,9 @@ def _seed_hash(seed: int):
 
 
 def _draw_orders(net, worker_id, workers, counts, m_mode, seed, sample_count) -> None:
-    """Draw and score the samples with index % workers == worker_id."""
-    bg = BitGraph(net, build_table=True)
+    """Draw and score the samples with index % workers == worker_id.  Only
+    the greedy count queries the connectivity table."""
+    bg = BitGraph(net, build_table=m_mode == "paper-greedy")
     table = build_stratum_table(net.n)
     keyed = _seed_hash(seed)
     for j in range(worker_id, sample_count, workers):

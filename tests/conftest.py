@@ -46,19 +46,23 @@ class OracleNet:
     def connected(self, removed_ids):
         return uf_connected(self.n_nodes, self.edges, removed_ids, self.terminals)
 
+    def min_subset_size(self, removed, block):
+        """The fatal-block minimum by the ascending-size subset scan: the
+        fewest links of `block` whose removal on top of `removed`
+        disconnects the terminals, subsets tried in lexicographic order."""
+        for r in range(1, len(block) + 1):
+            for sub in itertools.combinations(sorted(block), r):
+                if not self.connected(set(removed) | set(sub)):
+                    return r
+        raise AssertionError("removing the whole block must disconnect")
+
     def order_m(self, order):
         """M by exhaustive subset search at the fatal block."""
         removed = set()
-        m = 0
         for block in order:
-            if self.connected(removed | set(block)):
-                removed |= set(block)
-                m += len(block)
-            else:
-                for r in range(1, len(block) + 1):
-                    for sub in itertools.combinations(sorted(block), r):
-                        if not self.connected(removed | set(sub)):
-                            return m + r
+            if not self.connected(removed | set(block)):
+                return len(removed) + self.min_subset_size(removed, block)
+            removed |= set(block)
         raise AssertionError("removing all links must disconnect")
 
 
@@ -119,7 +123,7 @@ def oracle_survival(counts, total, model, t):
 
 
 def random_connected_network(rng: random.Random, n_links: int, n_terminals: int = 2) -> Network:
-    """Random multigraph with n_links links and n_terminals (2 to 4)
+    """Random multigraph with n_links links and n_terminals (2 to 5)
     terminals, terminal-connected."""
     while True:
         n_nodes = rng.randint(max(3, n_terminals), n_links + 1)

@@ -142,6 +142,22 @@ class TestApprox:
         assert code == 0
         assert load_artifact(out)["total"] == "100"
 
+    @pytest.mark.parametrize("samples", ["inf", "1e400", "nan", "2.7", "ten"])
+    def test_bad_samples_usage_error(self, capsys, samples):
+        # Non-finite and fractional counts are refused, never truncated.
+        with pytest.raises(SystemExit) as err:
+            main(["approx", str(fixture_path("series2")), "--samples", samples])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert "Traceback" not in err_text
+        assert err_text.splitlines()[-1].startswith("netsig approx: error: argument --samples")
+
+    def test_large_integer_samples_parse_exactly(self):
+        args = cli.build_parser().parse_args(
+            ["approx", "g", "--samples", "100000000000000000000001"]
+        )
+        assert args.samples == 10**23 + 1
+
     def test_deterministic_across_workers(self, capsys):
         # the payload is worker-count independent; only the manifest records
         # the differing --workers flag

@@ -294,6 +294,18 @@ class TestExactTSignature:
         assert sig.counts == tuple(expected)
         assert sig.total == limit
 
+    def test_full_stream_matches_oracle(self, rng):
+        # The stream path scores with the (removed, block) cache; over the
+        # whole stream it must give the oracle's histogram.
+        for _ in range(6):
+            net = _with_parallel_links(
+                random_connected_network(rng, rng.randint(3, 4), rng.randint(2, 4)), rng
+            )
+            if net.n > 7:
+                continue
+            counts, total = oracle_histogram(net)
+            assert exact_tsignature(net, order_limit=total).counts == counts
+
     @pytest.mark.parametrize("m_mode", M_MODES)
     @settings(max_examples=20, deadline=None)
     @given(net=small_networks)

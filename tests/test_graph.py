@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from netsig.errors import (
@@ -6,6 +9,7 @@ from netsig.errors import (
     NetworkValidationError,
     UnsupportedModeError,
 )
+from netsig.engine import calculate_m
 from netsig.fixtures import load_fixture
 from netsig.graph import (
     Network,
@@ -16,7 +20,7 @@ from netsig.graph import (
     parse_network,
 )
 
-from conftest import OracleNet, random_connected_network
+from conftest import OracleNet, random_connected_network, uf_connected
 
 
 class TestParseNetwork:
@@ -188,6 +192,48 @@ class TestMinFailedSubsetSize:
             for r in range(1, m):
                 for sub in itertools.combinations(sorted(block), r):
                     assert is_terminal_connected(net, frozenset(sub))
+
+    def test_cut_equals_subset_scan_oracle(self):
+        # Random (removed, block) pairs that meet the fatal-block
+        # preconditions, on multigraphs with 2-5 terminals and parallel
+        # links, against the oracle's ascending-size subset scan.
+        rng = random.Random(20261018)
+        seen = Counter()
+        for _ in range(150):
+            n = rng.randint(4, 9)
+            net = random_connected_network(rng, n, rng.randint(2, 5))
+            oracle = OracleNet(net)
+            links = range(1, n + 1)
+            pairs = [(frozenset(), frozenset(links))]  # the one-block order
+            for _ in range(12):
+                removed = frozenset(x for x in links if rng.random() < 0.3)
+                rest = [x for x in links if x not in removed]
+                size = rng.choice((1, rng.randint(1, len(rest)))) if rest else 0
+                pairs.append((removed, frozenset(rng.sample(rest, size))))
+            for removed, block in pairs:
+                if not block or not oracle.connected(removed):
+                    continue
+                if oracle.connected(removed | block):
+                    continue
+                m = min_failed_subset_size(net, removed, block)
+                assert m == oracle.min_subset_size(removed, block), (net, removed, block)
+                later = [x for x in links if x not in removed | block]
+                inside = any(
+                    uf_connected(oracle.n_nodes, [e for e in oracle.edges if e[0] in later],
+                                 (), [oracle.edges[x - 1][1], oracle.edges[x - 1][2]])
+                    for x in block
+                )
+                seen["one link" if len(block) == 1 else "several links"] += 1
+                seen["link inside a component"] += inside
+                seen["one block"] += not removed and len(block) == n
+                seen[f"{len(net.terminals)} terminals"] += 1
+        assert len(seen) == 8 and min(seen.values()) >= 5, seen
+
+    def test_thirty_parallel_links(self):
+        # 2**30 subsets for a scan by size; 30 augmenting paths for the cut.
+        net = parse_network("terminals s t\n" + "edge s t\n" * 30)
+        assert min_failed_subset_size(net, frozenset(), frozenset(range(1, 31))) == 30
+        assert calculate_m(net, (tuple(range(1, 31)),)).M == 30
 
 
 class TestGreedyFailedCount:

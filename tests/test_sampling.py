@@ -94,6 +94,18 @@ class TestApproxTSignature:
         assert sig.counts == (0, 0, 0, 0, 1, 4, 1, 8, 11, 17, 17, 38, 68, 122, 161,
                               231, 306, 277, 236, 213, 136, 82, 43, 21, 7, 0)
 
+    @pytest.mark.parametrize("name, counts", [
+        ("eon_lon_ber_mil", (0, 0, 0, 0, 3, 4, 3, 14, 17, 33, 50, 87, 119, 201, 254,
+                             317, 319, 273, 165, 85, 37, 12, 6, 1, 0, 0)),
+        ("figure1", (0, 144, 455, 784, 403, 163, 51, 0, 0)),
+    ])
+    def test_pinned_three_terminal_counts(self, name, counts):
+        # Recorded with the subset-scan scorer; the min-cut scorer must give
+        # the same M for every sampled order.
+        net = load_fixture(name)
+        sig = approx_tsignature(net, SamplingPlan(sample_count=2_000, seed=7))
+        assert sig.counts == counts
+
     def test_scoring_skips_fatal_block_rechecks(self, monkeypatch):
         # The union pass that finds the fatal block has already established
         # its preconditions; the sampler must not query them again.

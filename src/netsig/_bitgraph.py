@@ -27,14 +27,17 @@ class BitGraph:
         self._node_index = {label: i for i, label in enumerate(net.nodes)}
         # adj[v] = list of (link_bit, neighbor), ascending link id.
         self.adj: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
-        # ends[link_id] = the link's two node indices (ends[0] is unused).
+        # ends[link_id] = the link's two node indices and bits[link_id] its
+        # removal-mask bit (index 0 is unused in both).
         self.ends: list[tuple[int, int]] = [(0, 0)]
+        self.bits: list[int] = [0]
         for link_id, a, b in net.links:
             bit = 1 << (link_id - 1)
             ia, ib = self._node_index[a], self._node_index[b]
             self.adj[ia].append((bit, ib))
             self.adj[ib].append((bit, ia))
             self.ends.append((ia, ib))
+            self.bits.append(bit)
         self.terminal_indices = sorted(self._node_index[t] for t in net.terminals)
         self.start = self.terminal_indices[0]
         self.terminal_node_mask = 0
@@ -173,7 +176,10 @@ class BitGraph:
         components (a link inside one component is left out).  The answer
         is the least max-flow (Ford & Fulkerson, 1956) from the pinned
         terminal's component to another terminal's, each flow stopping at
-        the best value so far: at least 1 and at most the block size.
+        the best value so far.  Cutting every edge of one terminal's
+        component separates it, so the best value starts at the least such
+        degree; the block is fatal, so the answer is at least 1, and a
+        least degree of 1 is the answer with no flow.
         """
         ends = self.ends
         tails = []  # arc 2e runs tails[2e] -> tails[2e+1], arc 2e+1 back
@@ -189,7 +195,9 @@ class BitGraph:
         source = _find(parent, self.start)
         sinks = {_find(parent, t) for t in self.terminal_indices}
         sinks.discard(source)
-        best = len(tails) >> 1
+        best = min(len(out[c]) for c in (source, *sinks))
+        if best == 1:
+            return 1
         for sink in sinks:
             cap = [1] * len(tails)
             flow = 0

@@ -161,17 +161,28 @@ def random_partition_with_k_blocks(
     n: int, k: int, rng: random.Random
 ) -> tuple[Block, ...]:
     """Draw a uniform random partition of {1..n} into exactly k blocks: the
-    partition whose rank is `rng.randrange(S(n, k))` (see `_unrank_blocks`),
-    so each of the S(n,k) partitions is equally likely."""
+    partition whose rank is `rng.randrange(S(n, k))`, placed by the walk of
+    `_unrank_partition`, so each of the S(n,k) partitions is equally likely."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    return tuple(_unrank_blocks(n, k, rng.randrange(stirling2(n, k))))
+    table = build_stratum_table(n)
+    stratum = table.cumulative[k - 2] if k > 1 else 0
+    r = rng.randrange(stirling2(n, k))
+    blocks, _ = _unrank_partition(table, stratum + r * math.factorial(k))
+    return tuple(tuple(reversed(block)) for block in blocks)
 
 
-def _unrank_blocks(n: int, k: int, r: int) -> list[Block]:
-    """The blocks, ordered by minimum element, of the k-block partition of
-    {1..n} with rank r, for 0 <= r < S(n,k); the Stirling rows must reach n.
+def _unrank_partition(table: StratumTable, u: int) -> tuple[list[list[int]], int]:
+    """The base partition and the block-permutation rank of the failure
+    order of rank u, for 0 <= u < n*: `(blocks, perm)`, the blocks ordered
+    by least element, each a list of its links in descending order.
 
+    Bisecting the cumulative stratum weights gives the block count k and a
+    rank below k!*S(n,k); `divmod` by k! splits it into a partition rank r
+    and `perm`, whose mixed-radix digits are the swaps of a Fisher-Yates
+    shuffle of the blocks (see `unrank_order`).
+
+    The partition of rank r is placed by the recurrence
     S(m,k) = S(m-1,k-1) + k*S(m-1,k): the first S(m-1,k-1) ranks make
     element m the least element of block k, and each later rank
     r' = r - S(m-1,k-1) puts m into block r' % k of a partition of {1..m-1}
@@ -181,47 +192,47 @@ def _unrank_blocks(n: int, k: int, r: int) -> list[Block]:
     (k = m or k = 1, where the rank is 0).  Every rank gives a different
     partition (Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).
     """
-    rows = _stirling_rows
-    blocks = [()] * k
-    m = n
-    while 1 < k < m:
-        singletons = rows[m - 2][k - 2]
-        if r < singletons:
-            k -= 1
-            blocks[k] = (m,) + blocks[k]
-        else:
-            r, block = divmod(r - singletons, k)
-            blocks[block] = (m,) + blocks[block]
-        m -= 1
-    if k == m:
-        for i in range(m):
-            blocks[i] = (i + 1,) + blocks[i]
-    else:
-        blocks[0] = tuple(range(1, m + 1)) + blocks[0]
-    return blocks
-
-
-def unrank_order(table: StratumTable, u: int) -> FailureOrder:
-    """The failure order of rank u, for 0 <= u < n*: a bijection from
-    [0, n*) onto the failure orders of {1..table.n}.
-
-    Bisecting the cumulative stratum weights gives the block count k and a
-    rank below k!*S(n,k); `divmod` by k! splits it into a partition rank
-    (see `_unrank_blocks`) and a block-permutation rank, whose mixed-radix
-    digits are the swaps of a Fisher-Yates shuffle of the blocks.
-    """
     cumulative = table.cumulative
     if not 0 <= u < table.n_star:
         raise ValueError(f"order rank must lie in [0, {table.n_star}), got {u}")
     k = bisect_right(cumulative, u) + 1
     if k > 1:
         u -= cumulative[k - 2]
-    u, perm = divmod(u, math.factorial(k))
-    blocks = _unrank_blocks(table.n, k, u)
-    for i in range(k - 1, 0, -1):
+    r, perm = divmod(u, math.factorial(k))
+    rows = _stirling_rows
+    blocks: list[list[int]] = [[] for _ in range(k)]
+    m = table.n
+    while 1 < k < m:
+        singletons = rows[m - 2][k - 2]
+        if r < singletons:
+            k -= 1
+            blocks[k].append(m)
+        else:
+            r, block = divmod(r - singletons, k)
+            blocks[block].append(m)
+        m -= 1
+    if k == m:
+        for i in range(m):
+            blocks[i].append(i + 1)
+    else:
+        blocks[0].extend(range(m, 0, -1))
+    return blocks, perm
+
+
+def unrank_order(table: StratumTable, u: int) -> FailureOrder:
+    """The failure order of rank u, for 0 <= u < n*: a bijection from
+    [0, n*) onto the failure orders of {1..table.n}.
+
+    `_unrank_partition` gives the base partition and the permutation rank
+    `perm`; from the last position i = k-1 down to 1, `divmod(perm, i + 1)`
+    takes the next digit j and swaps the blocks at positions i and j, after
+    which position i is final.  The order's blocks are ascending tuples.
+    """
+    blocks, perm = _unrank_partition(table, u)
+    for i in range(len(blocks) - 1, 0, -1):
         perm, j = divmod(perm, i + 1)
         blocks[i], blocks[j] = blocks[j], blocks[i]
-    return tuple(blocks)
+    return tuple(tuple(reversed(block)) for block in blocks)
 
 
 def random_order(table: StratumTable, rng: random.Random) -> FailureOrder:

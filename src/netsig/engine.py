@@ -102,9 +102,17 @@ def _check_m_mode(net: Network, m_mode: str) -> None:
         )
 
 
-def _order_m(bg: BitGraph, order, m_mode: str, cache: dict | None) -> int:
+def _order_m(bg: BitGraph, blocks, perm: int | None, m_mode: str, cache: dict | None) -> int:
     """M for one failure order: full sizes of the surviving prefix blocks
     plus the minimum (or greedy) count inside the first fatal block.
+
+    `blocks` are the order's blocks, in order when `perm` is None.
+    Otherwise they are a base partition in a list, and `perm` is a
+    block-permutation rank: the order is the one `unrank_order` builds, and
+    its Fisher-Yates swaps are done here, from the last position down, so
+    each position is final when it is reached and the swaps stop at the
+    fatal block.  (`perm` == 0 is not the identity: every swap then goes to
+    position 0.)  The list is permuted in place.
 
     Removing links never reconnects the terminals, so the fatal block is the
     block whose links, added back from the last block to the first, join
@@ -115,7 +123,8 @@ def _order_m(bg: BitGraph, order, m_mode: str, cache: dict | None) -> int:
     preconditions, so the block is scored by the unchecked cores: a
     one-link block scores 1, a larger one the min cut `_block_cut` finds on
     the union-find forest as it stood before the block's own unions, or
-    through `cache` (see `_min_subset_size`).
+    through `cache` (see `_min_subset_size`); the greedy count and the
+    cache take the removal masks, built from the final positions.
     """
     parent = list(range(len(bg.adj)))
     has_terminal = bg.is_terminal.copy()
@@ -124,13 +133,21 @@ def _order_m(bg: BitGraph, order, m_mode: str, cache: dict | None) -> int:
         raise AssertionError("removing every link must disconnect a valid network")
     ends = bg.ends
     cut = m_mode == "exact-subset" and cache is None  # scored from `before`
-    kept = 0
-    for block in reversed(order):
-        if cut and len(block) > 1:
-            before = parent[:]
-        block_mask = 0
+    kept = 0  # links kept, counted on the `cut` path only
+    for i in range(len(blocks) - 1, -1, -1):
+        if perm is None:
+            block = blocks[i]
+        else:
+            perm, j = divmod(perm, i + 1)
+            block = blocks[j]
+            blocks[j] = blocks[i]
+            blocks[i] = block
+        if cut:
+            size = len(block)
+            kept += size
+            if size > 1:
+                before = parent[:]
         for link in block:
-            block_mask |= 1 << (link - 1)
             a, b = ends[link]
             while a != parent[a]:
                 parent[a] = a = parent[parent[a]]
@@ -143,17 +160,28 @@ def _order_m(bg: BitGraph, order, m_mode: str, cache: dict | None) -> int:
                         parts -= 1
                     else:
                         has_terminal[b] = True
-        kept |= block_mask
         if parts == 1:
             break
-    removed = kept ^ ((1 << bg.n) - 1)
-    if m_mode == "paper-greedy":
-        return removed.bit_count() + bg._greedy_count(removed, block_mask)
-    if len(block) == 1:
-        return removed.bit_count() + 1
+    else:
+        raise AssertionError("the links of every block must join the terminals")
     if cut:
-        return removed.bit_count() + bg._block_cut(before, block)
-    return removed.bit_count() + bg._min_subset_size(removed, block_mask, cache)
+        if size == 1:
+            return bg.n - kept + 1
+        return bg.n - kept + bg._block_cut(before, block)
+    # Positions 0..i-1 hold the removed blocks, in some order.
+    bits = bg.bits
+    block_mask = removed_mask = 0
+    for link in block:
+        block_mask |= bits[link]
+    for t in range(i):
+        for link in blocks[t]:
+            removed_mask |= bits[link]
+    removed = removed_mask.bit_count()
+    if m_mode == "paper-greedy":
+        return removed + bg._greedy_count(removed_mask, block_mask)
+    if len(block) == 1:
+        return removed + 1
+    return removed + bg._min_subset_size(removed_mask, block_mask, cache)
 
 
 def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset") -> MResult:
@@ -161,7 +189,7 @@ def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset")
     check_failure_order(order, net.n)
     _check_m_mode(net, m_mode)
     bg = BitGraph(net, build_table=False)
-    return MResult(order=order, M=_order_m(bg, order, m_mode, None))
+    return MResult(order=order, M=_order_m(bg, order, None, m_mode, None))
 
 
 def _cut_schedule(net: Network, inf: int):
@@ -341,7 +369,7 @@ def _stream_orders(net, worker_id, workers, counts, m_mode, order_limit) -> None
             break
         if index % workers == worker_id:
             for order in islice(permutations(blocks), order_limit - offset):
-                counts[_order_m(bg, order, m_mode, cache) - 1] += 1
+                counts[_order_m(bg, order, None, m_mode, cache) - 1] += 1
         offset += math.factorial(len(blocks))
 
 

@@ -1,9 +1,12 @@
 """Monte Carlo approximation of the batch-failure signature.
 
-Orders are drawn uniformly over the full order space: one uniform integer
-below n* per sample, unranked into its order (`combinatorics.unrank_order`,
-stratified on the block count), then scored exactly like the enumeration
-pipeline.
+Orders are drawn uniformly over the full order space: one uniform integer u
+below n* per sample, whose order is `combinatorics.unrank_order(table, u)`
+(stratified on the block count).  The sample is decoded lazily:
+`_unrank_partition` gives the base partition and the block-permutation
+rank, and the one M scorer, `engine._order_m`, does the rank's Fisher-Yates
+swaps from the last position down inside its union pass, so it places only
+the blocks from the fatal block on.
 
 Reproducibility contract: sample j draws from its own counter-based stream
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
@@ -24,7 +27,9 @@ import math
 from dataclasses import dataclass
 
 from ._bitgraph import BitGraph
-from .combinatorics import build_stratum_table, random_order
+from .combinatorics import _unrank_partition, build_stratum_table
+# Not called here; perfbench/layers.py wraps this name for its trace.
+from .combinatorics import random_order  # noqa: F401
 from .engine import SampledTSignature, _check_m_mode, _order_m, _run_histogram
 from .graph import Network
 
@@ -77,20 +82,27 @@ class _SampleStream:
 
 def _seed_hash(seed: int):
     """BLAKE2b keyed by the seed: the root of every sample's order stream."""
-    from hashlib import blake2b  # only sampling pays for loading hashlib
+    # Imported here, so only sampling pays for it; the builtin BLAKE2b
+    # spares hashlib's OpenSSL binding.
+    try:
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
 
     return blake2b(key=seed.to_bytes(8, "little"), person=_ORDER_STREAM)
 
 
 def _draw_orders(net, worker_id, workers, counts, m_mode, seed, sample_count) -> None:
-    """Draw and score the samples with index % workers == worker_id.  Only
-    the greedy count queries the connectivity table."""
+    """Draw and score the samples with index % workers == worker_id: one
+    rank per sample, decoded by the scorer up to the fatal block.  Only the
+    greedy count queries the connectivity table."""
     bg = BitGraph(net, build_table=m_mode == "paper-greedy")
     table = build_stratum_table(net.n)
     keyed = _seed_hash(seed)
+    n_star = table.n_star
     for j in range(worker_id, sample_count, workers):
-        order = random_order(table, _SampleStream(keyed, j))
-        counts[_order_m(bg, order, m_mode, None) - 1] += 1
+        u = _SampleStream(keyed, j).randrange(n_star)
+        counts[_order_m(bg, *_unrank_partition(table, u), m_mode, None) - 1] += 1
 
 
 def approx_tsignature(net: Network, plan: SamplingPlan) -> SampledTSignature:

@@ -401,3 +401,26 @@ def test_import_leaves_hashlib_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=package_env()
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_runs_leave_openssl_unloaded(tmp_path):
+    # `exact` and `approx` hash with the builtin SHA-256 and BLAKE2b, so a
+    # CLI call never loads hashlib's OpenSSL binding; the digest is still
+    # hashlib's.
+    import hashlib
+
+    graph = fixture_path("figure1")
+    outs = [tmp_path / "exact.json", tmp_path / "approx.json"]
+    code = (
+        "import sys; from netsig.cli import main; "
+        f"main(['exact', {str(graph)!r}, '--out', {str(outs[0])!r}]); "
+        f"main(['approx', {str(graph)!r}, '--samples', '50', '--out', {str(outs[1])!r}]); "
+        "print('_hashlib' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=package_env()
+    )
+    assert out.stdout.strip() == "False"
+    digest = hashlib.sha256(Path(graph).read_bytes()).hexdigest()
+    for path in outs:
+        assert json.loads(path.read_text())["manifest"]["input_sha256"] == digest

@@ -8,7 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from netsig import engine
 from netsig._bitgraph import BitGraph
-from netsig.combinatorics import enumerate_orders, n_star, random_order, build_stratum_table
+from netsig.combinatorics import (
+    _unrank_partition,
+    build_stratum_table,
+    enumerate_orders,
+    n_star,
+    random_order,
+    unrank_order,
+)
 from netsig.engine import (
     M_MODES,
     TSignature,
@@ -211,6 +218,84 @@ class TestCalculateM:
                 exact = calculate_m(net, order, "exact-subset").M
                 greedy = calculate_m(net, order, "paper-greedy").M
                 assert 1 <= greedy <= exact <= net.n
+
+
+def _oracle_m(net, order, m_mode):
+    """M of `order` with the fatal block found by the oracle's forward
+    scan; the greedy count is the checked `BitGraph.greedy_count`."""
+    oracle = OracleNet(net)
+    if m_mode == "exact-subset":
+        return oracle.order_m(order)
+    removed = ()
+    for block in order:
+        if not oracle.connected(set(removed + block)):
+            masks = [sum(1 << (x - 1) for x in links) for links in (removed, block)]
+            return len(removed) + BitGraph(net).greedy_count(*masks)
+        removed += block
+    raise AssertionError("removing all links must disconnect")
+
+
+def _check_lazy_scorer(net, table, ranks):
+    """The lazy scorer on `_unrank_partition`'s (blocks, perm) equals the
+    scorer on the unranked order and the oracle, in each m-mode."""
+    bg = BitGraph(net)
+    modes = M_MODES if len(net.terminals) == 2 else ("exact-subset",)
+    for u in ranks:
+        order = unrank_order(table, u)
+        for m_mode in modes:
+            lazy = engine._order_m(bg, *_unrank_partition(table, u), m_mode, None)
+            eager = engine._order_m(bg, order, None, m_mode, None)
+            assert lazy == eager == _oracle_m(net, order, m_mode), (net, u, order, m_mode)
+
+
+def _low_perm_ranks(table, rng, count):
+    """Ranks of random partitions with a block-permutation rank below k,
+    which reaches 0 after the first swap (every later swap then goes to
+    position 0), including 0 itself."""
+    ranks = []
+    for _ in range(count):
+        k = rng.randint(2, table.n)
+        r = rng.randrange(table.m[k - 1] // math.factorial(k))
+        perm = rng.choice((0, rng.randrange(k)))
+        ranks.append(table.cumulative[k - 2] + r * math.factorial(k) + perm)
+    return ranks
+
+
+class TestLazyScorer:
+    @pytest.mark.parametrize("net", [
+        load_fixture("bridge"),
+        load_fixture("counterexample"),
+        _with_parallel_links(random_connected_network(random.Random(4), 3), random.Random(4)),
+        random_connected_network(random.Random(4), 6, 4),
+    ])
+    def test_every_rank_of_a_small_network(self, net):
+        assert net.n <= 6
+        table = build_stratum_table(net.n)
+        _check_lazy_scorer(net, table, range(table.n_star))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.builds(
+            random_connected_network,
+            st.randoms(use_true_random=False),
+            st.integers(4, 6),
+            st.integers(2, 5),
+        ),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_random_ranks_with_parallel_links(self, base, rng):
+        net = _with_parallel_links(base, rng)
+        table = build_stratum_table(net.n)
+        ranks = [rng.randrange(table.n_star) for _ in range(10)]
+        _check_lazy_scorer(net, table, ranks + _low_perm_ranks(table, rng, 10))
+
+    def test_blocks_that_never_join_the_terminals(self):
+        # A partial order whose links never join the terminals raises
+        # rather than wrapping around to the last block.
+        bg = BitGraph(load_fixture("bridge"))
+        for perm in (None, 0):
+            with pytest.raises(AssertionError):
+                engine._order_m(bg, [[1], [2]], perm, "exact-subset", None)
 
 
 class TestExactTSignature:

@@ -23,6 +23,44 @@ from netsig.graph import (
 from conftest import OracleNet, random_connected_network, uf_connected
 
 
+# Fatal blocks on either side of the terminal-degree bound of the cut:
+# (case, graph, removed links, block, fewest block links that disconnect).
+_CUT_CASES = [
+    # t's only block link is a-t; link 5 (a-b) fails later
+    ("least degree 1", "terminals s t\nedge s a\nedge s a\nedge s a\nedge a t\nedge a b",
+     (), (1, 2, 3, 4), 1),
+    # link 6 fails later and joins a and c, so block link 3 lies inside
+    # one component; s and t each have two block links, and so has the cut
+    ("flow equals least degree",
+     "terminals s t\nedge s a\nedge s b\nedge a c\nedge c t\nedge b t\nedge a c",
+     (), (1, 2, 3, 4, 5), 2),
+    # s and t each have two block links, but c-d is a bottleneck;
+    # link 10 (s-t) fails first
+    ("flow below least degree",
+     "terminals s t\nedge s a\nedge s b\nedge a c\nedge b c\nedge c d\nedge d e\n"
+     "edge d f\nedge e t\nedge f t\nedge s t",
+     (10,), tuple(range(1, 10)), 1),
+    # w has two block links; a-b cuts it off with one
+    ("flow below least degree, three terminals",
+     "terminals s t w\nedge s t\nedge s t\nedge s t\nedge s a\nedge s a\nedge t a\n"
+     "edge t a\nedge a b\nedge b w\nedge b w",
+     (), tuple(range(1, 11)), 1),
+    # a ring of doubled links: every terminal has four
+    ("flow equals least degree, three terminals",
+     "terminals s t w\nedge s t\nedge s t\nedge t w\nedge t w\nedge w s\nedge w s",
+     (), tuple(range(1, 7)), 4),
+    # link 1 fails later and joins s and t; w is joined to them by three
+    # disjoint paths
+    ("flow equals least degree, joined terminals",
+     "terminals s t w\nedge s t\nedge s w\nedge t w\nedge s a\nedge a w",
+     (), (2, 3, 4, 5), 3),
+    ("least degree 1, four terminals",
+     "terminals s t w x\nedge s t\nedge s t\nedge t w\nedge t w\nedge w s\nedge w s\n"
+     "edge w x",
+     (), tuple(range(1, 8)), 1),
+]
+
+
 class TestParseNetwork:
     def test_figure1(self):
         net = load_fixture("figure1")
@@ -228,6 +266,35 @@ class TestMinFailedSubsetSize:
                 seen["one block"] += not removed and len(block) == n
                 seen[f"{len(net.terminals)} terminals"] += 1
         assert len(seen) == 8 and min(seen.values()) >= 5, seen
+
+    @pytest.mark.parametrize("case, text, removed, block, m", _CUT_CASES, ids=[c[0] for c in _CUT_CASES])
+    def test_cut_bounded_by_terminal_degrees(self, case, text, removed, block, m):
+        # The cut starts from the least block-link degree of a terminal's
+        # component (the components of the links that fail later); each
+        # case sits on one side of that bound, against the subset scan.
+        net = parse_network(text)
+        oracle = OracleNet(net)
+        later = [e for e in oracle.edges if e[0] not in set(removed) | set(block)]
+        comps = [
+            frozenset(v for v in range(oracle.n_nodes) if uf_connected(oracle.n_nodes, later, (), [t, v]))
+            for t in oracle.terminals
+        ]
+        degree = min(
+            sum((a in comp) != (b in comp) for x, a, b in oracle.edges if x in block)
+            for comp in comps
+        )
+        cut = oracle.min_subset_size(removed, block)
+        assert cut == m
+        if case.startswith("least degree 1"):
+            assert degree == 1
+        elif case.startswith("flow equals"):
+            assert cut == degree > 1
+        else:
+            assert cut < degree
+        assert min_failed_subset_size(net, frozenset(removed), frozenset(block)) == m
+        rest = tuple(x for x in range(1, net.n + 1) if x not in set(removed) | set(block))
+        order = tuple(b for b in (tuple(removed), tuple(block), rest) if b)
+        assert calculate_m(net, order).M == len(removed) + m == oracle.order_m(order)
 
     def test_thirty_parallel_links(self):
         # 2**30 subsets for a scan by size; 30 augmenting paths for the cut.

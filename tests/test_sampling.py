@@ -119,9 +119,9 @@ class TestApproxTSignature:
             assert sum(approx_tsignature(net, plan).counts) == 200
 
     def test_one_draw_and_one_score_per_sample(self, monkeypatch):
-        # The per-layer trace of perfbench/layers.py counts samples by
-        # wrapping these two module-level names; the sampler must look each
-        # up once per sample, or the traced counts silently read 0.
+        # A per-layer trace counts samples by wrapping these two
+        # module-level names; the sampler must look each up once per
+        # sample, or the traced counts silently read 0.
         calls = Counter()
 
         def counted(name):
@@ -133,11 +133,11 @@ class TestApproxTSignature:
 
             monkeypatch.setattr(sampling, name, wrapper)
 
-        counted("random_order")
+        counted("_unrank_partition")
         counted("_order_m")
         net = load_fixture("eon_par_cop")
         sig = approx_tsignature(net, SamplingPlan(sample_count=300, seed=1))
-        assert calls == {"random_order": 300, "_order_m": 300} and sig.total == 300
+        assert calls == {"_unrank_partition": 300, "_order_m": 300} and sig.total == 300
 
     def test_seed_changes_draws(self):
         net = load_fixture("bridge")

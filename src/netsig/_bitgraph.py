@@ -238,8 +238,11 @@ class BitGraph:
         src, dst = self.terminal_indices[0], self.terminal_indices[-1]
         count = 0
         mask = removed_mask
-        while self.connected(mask):
+        table = self._table  # if built, it answers the stop test without a search
+        while table is None or table[mask]:
             path = self.shortest_path(mask, src, dst)
+            if path is None:
+                break
             for link in path:
                 bit = 1 << (link - 1)
                 if bit & block_mask:

@@ -149,6 +149,13 @@ def cmd_signature(args) -> int:
     return EXIT_OK
 
 
+def _artifact_int(value) -> int:
+    """A JSON integer or an integer string; not a float (`1e400`, `2.7`) or `true`."""
+    if type(value) is not int and not isinstance(value, str):
+        raise TypeError(f"expected an integer or an integer string, got {value!r}")
+    return int(value)
+
+
 def _load_signature_input(path: str, args):
     """Accept either a graph file (exact signature is computed) or a
     previously emitted signature artifact."""
@@ -159,9 +166,9 @@ def _load_signature_input(path: str, args):
         data = json.loads(text)
         try:
             sig = TSignature(
-                n=data["n"],
-                counts=tuple(int(c) for c in data["counts"]),
-                total=int(data["total"]),
+                n=_artifact_int(data["n"]),
+                counts=tuple(map(_artifact_int, data["counts"])),
+                total=_artifact_int(data["total"]),
                 mode=data["mode"],
                 m_mode=data["m_mode"],
             )
@@ -176,12 +183,12 @@ def _load_signature_input(path: str, args):
 
 def _time_grid(tmax: float, steps: int) -> list[float]:
     """`tmax * i / steps` for i = 0..steps, or `tmax * (i / steps)` at the
-    points where `tmax * i` alone overflows."""
-    grid = []
-    for i in range(steps + 1):
-        t = tmax * i
-        grid.append(t / steps if math.isfinite(t) else tmax * (i / steps))
-    return grid
+    points where `tmax * i` alone overflows (none if `tmax * steps` is
+    finite, as rounding is monotone)."""
+    if math.isfinite(tmax * steps):
+        return [tmax * i / steps for i in range(steps + 1)]
+    return [tmax * i / steps if math.isfinite(tmax * i) else tmax * (i / steps)
+            for i in range(steps + 1)]
 
 
 def cmd_reliability(args) -> int:

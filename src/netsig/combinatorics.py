@@ -13,11 +13,11 @@ All counts are exact Python integers; the order count for n=26 has 31 digits.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from itertools import accumulate, permutations
-from typing import Iterator
+
+from ._record import Record
 
 # A block is an ascending tuple of link ids; a failure order is a sequence of
 # disjoint nonempty blocks covering {1..n}.
@@ -71,8 +71,7 @@ def n_star(n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class StratumTable:
+class StratumTable(Record):
     """Per-block-count order counts: m[k-1] = k!*S(n,k), summing to n*.
 
     The stratum weights split the ranks of `unrank_order`: ranks below m_1
@@ -84,8 +83,8 @@ class StratumTable:
     n: int
     m: tuple[int, ...]
     n_star: int
-    # cumulative[k-1] = m_1 + ... + m_k, for finding k by bisection.
-    cumulative: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # Set by __post_init__, not a field: cumulative[k-1] = m_1 + ... + m_k,
+    # for finding k by bisection.
 
     def __post_init__(self):
         if len(self.m) != self.n or any(mk <= 0 for mk in self.m):
@@ -158,7 +157,7 @@ def enumerate_orders(n: int) -> Iterator[FailureOrder]:
 
 
 def random_partition_with_k_blocks(
-    n: int, k: int, rng: random.Random
+    n: int, k: int, rng: "random.Random"
 ) -> tuple[Block, ...]:
     """Draw a uniform random partition of {1..n} into exactly k blocks: the
     partition whose rank is `rng.randrange(S(n, k))`, placed by the walk of
@@ -235,7 +234,7 @@ def unrank_order(table: StratumTable, u: int) -> FailureOrder:
     return tuple(tuple(reversed(block)) for block in blocks)
 
 
-def random_order(table: StratumTable, rng: random.Random) -> FailureOrder:
+def random_order(table: StratumTable, rng: "random.Random") -> FailureOrder:
     """Draw a failure order uniformly over all n* orders: the order whose
     rank is `rng.randrange(table.n_star)`.  `rng` needs only `randrange`."""
     return unrank_order(table, rng.randrange(table.n_star))

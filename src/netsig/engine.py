@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from itertools import islice, permutations
 from operator import add, itemgetter
 
 from ._bitgraph import BitGraph
+from ._record import Record
 from .combinatorics import (
     FailureOrder,
     check_failure_order,
@@ -46,8 +46,7 @@ M_MODES = ("exact-subset", "paper-greedy")
 SIGNATURE_MODES = ("exact", "classic", "sampled")
 
 
-@dataclass(frozen=True)
-class TSignature:
+class TSignature(Record):
     """Histogram of M normalized to a probability vector.
 
     counts[i-1] is the exact number of scored orders with M=i; total is the
@@ -80,15 +79,13 @@ class TSignature:
         return tuple(c / self.total for c in self.counts)
 
 
-@dataclass(frozen=True)
 class SampledTSignature(TSignature):
     """TSignature plus per-component binomial standard errors."""
 
     std_error: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class MResult:
+class MResult(Record):
     order: FailureOrder
     M: int
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .graph import Network, parse_network
@@ -27,7 +26,7 @@ def fixture_path(name: str) -> Path:
     """Filesystem path of a bundled .graph file."""
     if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}; available: {FIXTURE_NAMES}")
-    return Path(resources.files("netsig") / "fixtures" / f"{name}.graph")
+    return Path(__file__).with_name("fixtures") / f"{name}.graph"
 
 
 def load_fixture(name: str) -> Network:

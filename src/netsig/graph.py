@@ -7,17 +7,15 @@ order.  Parallel links are allowed, self-loops are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ._bitgraph import BitGraph
+from ._record import Record
 from .errors import ContractError, GraphParseError, NetworkValidationError, UnsupportedModeError
 
 LinkSet = frozenset[int]
 Path = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(Record):
     """Immutable multigraph with distinguished terminals.
 
     links is a tuple of (link_id, endpoint_a, endpoint_b) with ids exactly
@@ -28,7 +26,8 @@ class Network:
     nodes: tuple[str, ...]
     links: tuple[tuple[int, str, str], ...]
     terminals: frozenset[str]
-    name: str = field(default="", compare=False)
+    name: str = ""
+    _compare = ("nodes", "links", "terminals")
 
     def __post_init__(self):
         if len(set(self.nodes)) != len(self.nodes):

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
+from ._record import Record
 from .engine import TSignature
 
 
-@dataclass(frozen=True)
-class CountingModel:
+class CountingModel(Record):
     """Distribution of N(t), the number of links failed by time t.
 
     variant 'poisson': N(t) ~ Poisson(rate * t).
@@ -109,8 +108,7 @@ def _mixture(model: CountingModel, weights, divisor: int, times) -> list[float]:
     return survival
 
 
-@dataclass(frozen=True)
-class ReliabilityCurve:
+class ReliabilityCurve(Record):
     """Survival probabilities P(T > t) on an ascending time grid."""
 
     times: tuple[float, ...]

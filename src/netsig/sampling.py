@@ -24,9 +24,9 @@ Seeds lie in [0, 2**64) and sample indices below 2**64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._bitgraph import BitGraph
+from ._record import Record
 from .combinatorics import _unrank_partition, build_stratum_table
 # Not called here; perfbench/layers.py wraps this name for its trace.
 from .combinatorics import random_order  # noqa: F401
@@ -37,8 +37,7 @@ _DIGEST_BITS = 512
 _ORDER_STREAM = b"netsig order"
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
+class SamplingPlan(Record):
     sample_count: int
     seed: int = 0
     workers: int = 1

@@ -255,6 +255,13 @@ class TestReliability:
         assert code == 0
         assert load_artifact(out)["times"] == [0.0, 5e307, 1e308]
 
+    def test_time_grid_is_tmax_times_i_over_steps(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "reliability", str(fixture_path("bridge")), "--tmax", "0.3", "--steps", "7"
+        )
+        assert code == 0
+        assert load_artifact(out)["times"] == [0.3 * i / 7 for i in range(8)]
+
     def test_non_finite_survival_exit_code(self, capsys, monkeypatch):
         # A non-finite value ends in the one-line input error, not in NaN.
         curve = ReliabilityCurve(times=(0.0, 1.0), survival=(1.0, math.nan))
@@ -298,6 +305,33 @@ class TestReliability:
         code, out, err = run_cli(capsys, "reliability", str(artifact_file), "--steps", "2")
         assert code == 3 and out == ""
         assert "nonnegative with a positive total" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["Infinity", "1e400", "2.7", "true"])
+    @pytest.mark.parametrize("field", ["n", "counts", "total"])
+    def test_non_integer_artifact_number_exit_code(self, tmp_path, capsys, field, value):
+        # A count of Infinity or 1e400 used to end in an OverflowError
+        # traceback, int() truncated 2.7 and took true for 1, and a float n
+        # failed inside the binomial model.
+        numbers = {"n": "2", "counts": '["3", "0"]', "total": '"3"'}
+        numbers[field] = f'[{value}, "0"]' if field == "counts" else value
+        artifact_file = tmp_path / "sig.json"
+        artifact_file.write_text(
+            '{"mode": "exact", "m_mode": "exact-subset", '
+            + ", ".join(f'"{key}": {text}' for key, text in numbers.items()) + "}"
+        )
+        code, out, err = run_cli(
+            capsys, "reliability", str(artifact_file), "--steps", "2", "--process", "binomial"
+        )
+        assert code == 3 and out == ""
+        assert "expected an integer" in err and len(err.splitlines()) == 1
+
+    def test_integer_artifact_numbers_accepted(self, tmp_path, capsys):
+        artifact_file = tmp_path / "sig.json"
+        artifact_file.write_text(
+            '{"n": 2, "counts": [3, "0"], "total": 3, "mode": "exact", "m_mode": "exact-subset"}'
+        )
+        code, out, _ = run_cli(capsys, "reliability", str(artifact_file), "--steps", "2")
+        assert code == 0 and load_artifact(out)["survival"][0] == 1.0
 
     @pytest.mark.parametrize("flag, value", [
         ("--rate", "inf"), ("--tmax", "inf"), ("--tmax", "nan"),
@@ -401,6 +435,27 @@ def test_import_leaves_hashlib_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=package_env()
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_runs_load_no_unused_library(tmp_path):
+    # Without `site` (whose hooks may import anything), a CLI call loads
+    # only what it runs: no `dataclasses` and what it pulls in, and no
+    # module that was used only in an annotation.
+    graph = str(fixture_path("figure1"))
+    art = str(tmp_path / "exact.json")
+    code = (
+        "import sys; from netsig.cli import main; "
+        f"main(['exact', {graph!r}, '--out', {art!r}]); "
+        f"main(['approx', {graph!r}, '--samples', '50', '--out', {str(tmp_path / 'a.json')!r}]); "
+        f"main(['reliability', {art!r}, '--out', {str(tmp_path / 'r.json')!r}]); "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'random', "
+        "'importlib.resources'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, check=True, env=package_env(),
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_runs_leave_openssl_unloaded(tmp_path):

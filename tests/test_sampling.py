@@ -94,6 +94,21 @@ class TestApproxTSignature:
         assert sig.counts == (0, 0, 0, 0, 1, 4, 1, 8, 11, 17, 17, 38, 68, 122, 161,
                               231, 306, 277, 236, 213, 136, 82, 43, 21, 7, 0)
 
+    def test_pinned_eon_greedy_counts_with_one_search_per_step(self, monkeypatch):
+        # Recorded when the greedy loop still tested `connected` before each
+        # shortest path.  With 26 links there is no table, and the shortest
+        # path's None alone must stop the loop.
+        def fail(*args):
+            raise AssertionError("greedy count queried connectivity")
+
+        net = load_fixture("eon_par_cop")
+        monkeypatch.setattr(BitGraph, "connected", fail)
+        for workers in (1, 2):
+            plan = SamplingPlan(sample_count=2_000, seed=3, workers=workers, m_mode="paper-greedy")
+            assert approx_tsignature(net, plan).counts == (
+                0, 0, 0, 0, 1, 1, 4, 5, 8, 16, 39, 40, 72, 110, 163, 227, 275, 270,
+                247, 209, 155, 79, 41, 28, 10, 0)
+
     @pytest.mark.parametrize("name, counts", [
         ("eon_lon_ber_mil", (0, 0, 0, 0, 3, 4, 3, 14, 17, 33, 50, 87, 119, 201, 254,
                              317, 319, 273, 165, 85, 37, 12, 6, 1, 0, 0)),

@@ -3,11 +3,11 @@ enumeration/sampling pipelines.
 
 Link subsets are encoded as integers (bit i-1 set means link i is removed),
 which keeps the hot loops allocation-free.  On request a small network
-precomputes a full connectivity table over all 2^n removal sets; only the
-paper-greedy count queries it often enough to pay for it.  Each link's two
-node indices are kept too, for the union-find passes: the order scorer's,
-which finds an order's first fatal block without a connectivity query, and
-the fatal-block minimum, a min cut on the components of the later links.
+precomputes a full connectivity table over all 2^n removal sets, for the
+paper-greedy count and the order stream.  Each link's two node indices are
+kept too, for the union-find passes: the order scorer's, which finds an
+order's first fatal block without a connectivity query, and the fatal-block
+minimum, a min cut on the components of the later links.
 """
 
 from __future__ import annotations
@@ -128,12 +128,7 @@ class BitGraph:
         if self.connected(removed_mask | block_mask):
             raise ContractError("removing the whole block does not disconnect")
 
-    def min_subset_size(
-        self,
-        removed_mask: int,
-        block: tuple[int, ...],
-        cache: dict | None = None,
-    ) -> int:
+    def min_subset_size(self, removed_mask: int, block: tuple[int, ...]) -> int:
         """Smallest number of `block` links whose removal, on top of
         `removed_mask`, disconnects the terminals: a min cut on the
         components of the other links, as `_block_cut` computes it.
@@ -143,17 +138,6 @@ class BitGraph:
         for link in block:
             block_mask |= 1 << (link - 1)
         self._check_fatal_block(removed_mask, block_mask)
-        return self._min_subset_size(removed_mask, block_mask, cache)
-
-    def _min_subset_size(self, removed_mask: int, block_mask: int, cache: dict | None = None) -> int:
-        """min_subset_size for a caller that has established the
-        preconditions, with the block as a mask; `cache` maps
-        (removed_mask, block_mask) to earlier results."""
-        if cache is not None:
-            key = (removed_mask, block_mask)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
         parent = list(range(len(self.adj)))
         ends = self.ends
         skip = removed_mask | block_mask
@@ -161,11 +145,7 @@ class BitGraph:
             if not skip >> (link - 1) & 1:
                 a, b = ends[link]
                 parent[_find(parent, a)] = _find(parent, b)
-        block = [link for link in range(1, self.n + 1) if block_mask >> (link - 1) & 1]
-        result = self._block_cut(parent, block)
-        if cache is not None:
-            cache[key] = result
-        return result
+        return self._block_cut(parent, block)
 
     def _block_cut(self, parent: list[int], block) -> int:
         """Fewest links of the fatal block `block` whose removal disconnects

@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from pathlib import Path
 
 # The builtin SHA-256 gives hashlib's digest without loading its OpenSSL
 # binding, which costs every CLI call a few milliseconds.
@@ -55,10 +54,13 @@ EXIT_INPUT = 3
 EXIT_CAP = 4
 
 
-def _read_graph(path: str):
-    text = Path(path).read_text()
-    digest = sha256(text.encode()).hexdigest()
-    return parse_network(text, name=Path(path).stem), digest
+def _read_input(path: str) -> tuple[str, str, str]:
+    """The text of a file, its SHA-256 and its name without the last suffix
+    (as `pathlib.Path.stem` gives it)."""
+    with open(path) as f:
+        text = f.read()
+    stem = os.path.splitext(os.path.basename(path))[0]
+    return text, sha256(text.encode()).hexdigest(), stem
 
 
 def _manifest(command: str, digest: str | None, args: argparse.Namespace, started: float) -> dict:
@@ -103,7 +105,8 @@ def _emit(payload: dict, args: argparse.Namespace, csv_rows=None, csv_header=Non
         lines += [",".join(str(x) for x in row) for row in csv_rows]
         text = "\n".join(lines)
     if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n")
+        with open(args.out, "w") as f:
+            f.write(text + "\n")
     else:
         print(text)
 
@@ -118,7 +121,8 @@ def cmd_signature(args) -> int:
     """exact, approx and signature: one network in, one signature artifact
     out."""
     started = time.time()
-    net, digest = _read_graph(args.graph)
+    text, digest, name = _read_input(args.graph)
+    net = parse_network(text, name=name)
     m_mode = "paper-greedy" if args.m_mode == "greedy" else "exact-subset"
     if args.command == "exact":
         sig = exact_tsignature(net, m_mode=m_mode, max_links=args.max_n, workers=args.workers)
@@ -159,12 +163,10 @@ def _artifact_int(value) -> int:
 def _load_signature_input(path: str, args):
     """Accept either a graph file (exact signature is computed) or a
     previously emitted signature artifact."""
-    text = Path(path).read_text()
-    digest = sha256(text.encode()).hexdigest()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        data = json.loads(text)
+    text, digest, name = _read_input(path)
+    if text.lstrip().startswith("{"):
         try:
+            data = json.loads(text)
             sig = TSignature(
                 n=_artifact_int(data["n"]),
                 counts=tuple(map(_artifact_int, data["counts"])),
@@ -172,12 +174,12 @@ def _load_signature_input(path: str, args):
                 mode=data["mode"],
                 m_mode=data["m_mode"],
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, RecursionError) as exc:
             raise ValueError(
                 f"{path}: not a signature artifact ({type(exc).__name__}: {exc})"
             ) from None
         return sig, digest
-    net = parse_network(text, name=Path(path).stem)
+    net = parse_network(text, name=name)
     return exact_tsignature(net, workers=args.workers, max_links=args.max_n), digest
 
 
@@ -296,7 +298,7 @@ def main(argv=None) -> int:
         return EXIT_PIPE
     # ValueError covers GraphParseError and NetworkValidationError.
     except (ValueError, UnsupportedModeError, FileNotFoundError, IsADirectoryError,
-            PermissionError) as exc:
+            NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EnumerationCapError as exc:

@@ -99,17 +99,15 @@ def _check_m_mode(net: Network, m_mode: str) -> None:
         )
 
 
-def _order_m(bg: BitGraph, blocks, perm: int | None, m_mode: str, cache: dict | None) -> int:
+def _order_m(bg: BitGraph, blocks: list, perm: int, m_mode: str) -> int:
     """M for one failure order: full sizes of the surviving prefix blocks
     plus the minimum (or greedy) count inside the first fatal block.
 
-    `blocks` are the order's blocks, in order when `perm` is None.
-    Otherwise they are a base partition in a list, and `perm` is a
-    block-permutation rank: the order is the one `unrank_order` builds, and
-    its Fisher-Yates swaps are done here, from the last position down, so
-    each position is final when it is reached and the swaps stop at the
-    fatal block.  (`perm` == 0 is not the identity: every swap then goes to
-    position 0.)  The list is permuted in place.
+    `blocks` is a base partition in a list, permuted in place, and `perm` a
+    block-permutation rank: the order is the one `unrank_order` builds.  Its
+    Fisher-Yates swaps are done here, from the last position down, so each
+    position is final when it is reached and the swaps stop at the fatal
+    block.  Rank k! - 1 of k blocks is the identity: every swap stays put.
 
     Removing links never reconnects the terminals, so the fatal block is the
     block whose links, added back from the last block to the first, join
@@ -119,9 +117,8 @@ def _order_m(bg: BitGraph, blocks, perm: int | None, m_mode: str, cache: dict | 
     fatal block too disconnects them.  These are the fatal-block
     preconditions, so the block is scored by the unchecked cores: a
     one-link block scores 1, a larger one the min cut `_block_cut` finds on
-    the union-find forest as it stood before the block's own unions, or
-    through `cache` (see `_min_subset_size`); the greedy count and the
-    cache take the removal masks, built from the final positions.
+    the union-find forest as it stood before the block's own unions; the
+    greedy count takes the removal masks, built from the final positions.
     """
     parent = list(range(len(bg.adj)))
     has_terminal = bg.is_terminal.copy()
@@ -129,16 +126,12 @@ def _order_m(bg: BitGraph, blocks, perm: int | None, m_mode: str, cache: dict | 
     if parts < 2:
         raise AssertionError("removing every link must disconnect a valid network")
     ends = bg.ends
-    cut = m_mode == "exact-subset" and cache is None  # scored from `before`
+    cut = m_mode == "exact-subset"  # scored from `before`
     kept = 0  # links kept, counted on the `cut` path only
     for i in range(len(blocks) - 1, -1, -1):
-        if perm is None:
-            block = blocks[i]
-        else:
-            perm, j = divmod(perm, i + 1)
-            block = blocks[j]
-            blocks[j] = blocks[i]
-            blocks[i] = block
+        perm, j = divmod(perm, i + 1)
+        block = blocks[j]
+        blocks[j], blocks[i] = blocks[i], block
         if cut:
             size = len(block)
             kept += size
@@ -167,18 +160,9 @@ def _order_m(bg: BitGraph, blocks, perm: int | None, m_mode: str, cache: dict | 
         return bg.n - kept + bg._block_cut(before, block)
     # Positions 0..i-1 hold the removed blocks, in some order.
     bits = bg.bits
-    block_mask = removed_mask = 0
-    for link in block:
-        block_mask |= bits[link]
-    for t in range(i):
-        for link in blocks[t]:
-            removed_mask |= bits[link]
-    removed = removed_mask.bit_count()
-    if m_mode == "paper-greedy":
-        return removed + bg._greedy_count(removed_mask, block_mask)
-    if len(block) == 1:
-        return removed + 1
-    return removed + bg._min_subset_size(removed_mask, block_mask, cache)
+    block_mask = sum(bits[link] for link in block)
+    removed_mask = sum(bits[link] for t in range(i) for link in blocks[t])
+    return removed_mask.bit_count() + bg._greedy_count(removed_mask, block_mask)
 
 
 def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset") -> MResult:
@@ -186,7 +170,8 @@ def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset")
     check_failure_order(order, net.n)
     _check_m_mode(net, m_mode)
     bg = BitGraph(net, build_table=False)
-    return MResult(order=order, M=_order_m(bg, order, None, m_mode, None))
+    identity = math.factorial(len(order)) - 1  # see _order_m
+    return MResult(order=order, M=_order_m(bg, list(order), identity, m_mode))
 
 
 def _cut_schedule(net: Network, inf: int):
@@ -355,19 +340,49 @@ def _count_pairs(net, worker_id, workers, counts) -> None:
 
 
 def _stream_orders(net, worker_id, workers, counts, m_mode, order_limit) -> None:
-    """Score the first `order_limit` orders of the canonical stream one by
-    one; worker w takes the base partitions with index % workers == w.
-    Only the greedy count queries the connectivity table."""
-    bg = BitGraph(net, build_table=m_mode == "paper-greedy")
-    cache: dict = {}
+    """Score the first `order_limit` orders of the canonical stream; worker
+    w takes the base partitions with index % workers == w.
+
+    An order's M depends only on its fatal block B and the set L of blocks
+    after it, so a base partition of k blocks whose k! orders all fall
+    inside the limit is a sum over (L, B) pairs: L alone leaves the
+    terminals apart, L and B join them, and the |L|! (k - |L| - 1)! orders
+    that put B just before L score as the representative order (the other
+    blocks, then B, then L).  The partition the limit cuts is scored order
+    by order.
+    """
+    bg = BitGraph(net, build_table=True)
+    full = (1 << net.n) - 1
     offset = 0  # global stream position, tracked identically in every worker
     for index, blocks in enumerate(iter_base_partitions(net.n)):
         if offset >= order_limit:
             break
-        if index % workers == worker_id:
-            for order in islice(permutations(blocks), order_limit - offset):
-                counts[_order_m(bg, order, None, m_mode, cache) - 1] += 1
-        offset += math.factorial(len(blocks))
+        start = offset
+        k = len(blocks)
+        identity = math.factorial(k) - 1
+        offset += identity + 1
+        if index % workers != worker_id:
+            continue
+        if offset > order_limit:
+            for order in islice(permutations(blocks), order_limit - start):
+                counts[_order_m(bg, list(order), identity, m_mode) - 1] += 1
+            continue
+        masks = [sum(bg.bits[link] for link in block) for block in blocks]
+        kept = [0]  # kept[L]: the links of the blocks in L, a bit set of block indices
+        for mask in masks:
+            kept += [links | mask for links in kept]
+        for later, links in enumerate(kept):
+            if bg.connected(full ^ links):
+                continue
+            size = later.bit_count()
+            weight = math.factorial(size) * math.factorial(k - size - 1)
+            tail = [block for i, block in enumerate(blocks) if later >> i & 1]
+            for b, mask in enumerate(masks):
+                if not later >> b & 1 and bg.connected(full ^ links ^ mask):
+                    order = [block for i, block in enumerate(blocks)
+                             if not (later | 1 << b) >> i & 1]
+                    order += [blocks[b], *tail]
+                    counts[_order_m(bg, order, identity, m_mode) - 1] += weight
 
 
 def _histogram_worker(args):
@@ -410,8 +425,9 @@ def exact_tsignature(
     by exact integer addition).  The full run sums over (surviving set,
     fatal block) pairs instead of visiting orders: by the frontier DP for
     exact-subset M, pair by pair for paper-greedy M.  `order_limit` instead
-    scores the first orders of the canonical enumeration stream one by one
-    (partial histogram, used for consistency checks).
+    scores the first orders of the canonical enumeration stream (partial
+    histogram, used for consistency checks), each base partition summed
+    over its (later blocks, fatal block) pairs.
     """
     _check_m_mode(net, m_mode)
     if order_limit is not None and order_limit < 1:

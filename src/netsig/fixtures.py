@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .graph import Network, parse_network
 
 FIXTURE_NAMES = (
@@ -24,6 +22,8 @@ FIXTURE_NAMES = (
 
 def fixture_path(name: str) -> Path:
     """Filesystem path of a bundled .graph file."""
+    from pathlib import Path  # imported here: a CLI call never needs it
+
     if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}; available: {FIXTURE_NAMES}")
     return Path(__file__).with_name("fixtures") / f"{name}.graph"

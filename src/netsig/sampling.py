@@ -101,7 +101,7 @@ def _draw_orders(net, worker_id, workers, counts, m_mode, seed, sample_count) ->
     n_star = table.n_star
     for j in range(worker_id, sample_count, workers):
         u = _SampleStream(keyed, j).randrange(n_star)
-        counts[_order_m(bg, *_unrank_partition(table, u), m_mode, None) - 1] += 1
+        counts[_order_m(bg, *_unrank_partition(table, u), m_mode) - 1] += 1
 
 
 def approx_tsignature(net: Network, plan: SamplingPlan) -> SampledTSignature:

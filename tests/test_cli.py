@@ -107,6 +107,17 @@ class TestExact:
         assert code == 3
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("graph, out", [
+        ("figure1.graph/", None),  # a file named as a directory
+        ("figure1.graph", "figure1.graph/x.json"),
+    ])
+    def test_file_as_directory_exit_code(self, tmp_path, capsys, graph, out):
+        (tmp_path / "figure1.graph").write_text(fixture_path("figure1").read_text())
+        argv = ["exact", f"{tmp_path}/{graph}"] + (["--out", f"{tmp_path}/{out}"] if out else [])
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 3 and stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_unsupported_mode_exit_code(self, capsys):
         # figure1 has three terminals; the greedy count is two-terminal only
         code, _, err = run_cli(
@@ -282,6 +293,15 @@ class TestReliability:
         assert code == 3
         assert "not a signature artifact" in err and len(err.splitlines()) == 1
 
+    def test_deeply_nested_artifact_exit_code(self, tmp_path, capsys):
+        # Nesting past the recursion limit is a malformed artifact: one line
+        # and exit 3, not a traceback and exit 1, the closed-pipe code.
+        artifact_file = tmp_path / "deep.json"
+        artifact_file.write_text('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run_cli(capsys, "reliability", str(artifact_file), "--steps", "2")
+        assert code == 3 and out == ""
+        assert "not a signature artifact (RecursionError" in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("field, value", [("mode", "nonsense"), ("m_mode", "x")])
     def test_unknown_artifact_mode_exit_code(self, tmp_path, capsys, field, value):
         _, out, _ = run_cli(capsys, "exact", str(fixture_path("parallel2")))
@@ -439,8 +459,10 @@ def test_import_leaves_hashlib_unloaded():
 
 def test_cli_runs_load_no_unused_library(tmp_path):
     # Without `site` (whose hooks may import anything), a CLI call loads
-    # only what it runs: no `dataclasses` and what it pulls in, and no
-    # module that was used only in an annotation.
+    # only what it runs: no `dataclasses` and what it pulls in, no module
+    # that was used only in an annotation, and no `pathlib` with the
+    # `urllib.parse` and `ipaddress` it imports.  (`fnmatch` still loads:
+    # argparse's help formatter imports `shutil`, which imports it.)
     graph = str(fixture_path("figure1"))
     art = str(tmp_path / "exact.json")
     code = (
@@ -449,7 +471,8 @@ def test_cli_runs_load_no_unused_library(tmp_path):
         f"main(['approx', {graph!r}, '--samples', '50', '--out', {str(tmp_path / 'a.json')!r}]); "
         f"main(['reliability', {art!r}, '--out', {str(tmp_path / 'r.json')!r}]); "
         "print(sorted({'dataclasses', 'inspect', 'typing', 'random', "
-        "'importlib.resources'} & set(sys.modules)))"
+        "'importlib.resources', 'pathlib', 'urllib.parse', 'ipaddress'} "
+        "& set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],

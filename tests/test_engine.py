@@ -12,6 +12,7 @@ from netsig.combinatorics import (
     _unrank_partition,
     build_stratum_table,
     enumerate_orders,
+    iter_base_partitions,
     n_star,
     random_order,
     unrank_order,
@@ -243,8 +244,8 @@ def _check_lazy_scorer(net, table, ranks):
     for u in ranks:
         order = unrank_order(table, u)
         for m_mode in modes:
-            lazy = engine._order_m(bg, *_unrank_partition(table, u), m_mode, None)
-            eager = engine._order_m(bg, order, None, m_mode, None)
+            lazy = engine._order_m(bg, *_unrank_partition(table, u), m_mode)
+            eager = engine._order_m(bg, list(order), math.factorial(len(order)) - 1, m_mode)
             assert lazy == eager == _oracle_m(net, order, m_mode), (net, u, order, m_mode)
 
 
@@ -291,11 +292,12 @@ class TestLazyScorer:
 
     def test_blocks_that_never_join_the_terminals(self):
         # A partial order whose links never join the terminals raises
-        # rather than wrapping around to the last block.
+        # rather than wrapping around to the last block; rank 1 of two
+        # blocks is the identity, rank 0 swaps them.
         bg = BitGraph(load_fixture("bridge"))
-        for perm in (None, 0):
+        for perm in (1, 0):
             with pytest.raises(AssertionError):
-                engine._order_m(bg, [[1], [2]], perm, "exact-subset", None)
+                engine._order_m(bg, [[1], [2]], perm, "exact-subset")
 
 
 class TestExactTSignature:
@@ -365,23 +367,43 @@ class TestExactTSignature:
         with pytest.raises(ValueError, match="order_limit"):
             exact_tsignature(load_fixture("bridge"), order_limit=order_limit)
 
-    def test_order_limit_prefix(self):
-        # scoring the first L stream orders one by one matches a manual walk
-        net = load_fixture("bridge")
-        limit = 100
-        oracle = OracleNet(net)
-        expected = [0] * net.n
-        for i, order in enumerate(enumerate_orders(net.n)):
-            if i >= limit:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("shift", [-1, 0, 1], ids=["before", "on", "after"])
+    @pytest.mark.parametrize("name, m_mode", [
+        ("bridge", "exact-subset"),
+        ("bridge", "paper-greedy"),
+        ("figure1", "exact-subset"),  # three terminals: no greedy mode
+    ])
+    def test_order_limit_prefix(self, name, m_mode, shift, workers):
+        # The stream sums each base partition that the limit leaves whole
+        # over its (later blocks, fatal block) pairs and scores the one it
+        # cuts order by order.  A limit on the start of the first 4-block
+        # partition, one order before it or one after, matches a manual
+        # walk of the first `limit` orders.
+        net = load_fixture(name)
+        limit = shift
+        for blocks in iter_base_partitions(net.n):
+            if len(blocks) == 4:
                 break
-            expected[oracle.order_m(order) - 1] += 1
-        sig = exact_tsignature(net, order_limit=limit)
+            limit += math.factorial(len(blocks))
+        expected = [0] * net.n
+        for order in itertools.islice(enumerate_orders(net.n), limit):
+            expected[_oracle_m(net, order, m_mode) - 1] += 1
+        sig = exact_tsignature(net, m_mode=m_mode, workers=workers, order_limit=limit)
         assert sig.counts == tuple(expected)
         assert sig.total == limit
 
+    @pytest.mark.parametrize("m_mode", M_MODES)
+    def test_order_limit_on_eleven_links(self, m_mode):
+        # The first 10^6 figure2 orders, with the counts that scoring each
+        # order on its own gives.
+        sig = exact_tsignature(load_fixture("figure2"), m_mode=m_mode, order_limit=10**6)
+        assert sig.counts == (0, 51270, 241628, 192984, 215473, 182576, 100539, 15530, 0, 0, 0)
+
     def test_full_stream_matches_oracle(self, rng):
-        # The stream path scores with the (removed, block) cache; over the
-        # whole stream it must give the oracle's histogram.
+        # Over the whole stream, every base partition is summed over its
+        # (later blocks, fatal block) pairs; that must give the oracle's
+        # histogram.
         for _ in range(6):
             net = _with_parallel_links(
                 random_connected_network(rng, rng.randint(3, 4), rng.randint(2, 4)), rng

@@ -10,7 +10,7 @@ Exit codes: 0 success, 1 output pipe closed by the reader (nothing is
 written to stderr), 2 usage, 3 input validation (an unreadable path, a
 malformed graph or artifact, a non-finite rate or time, a seed outside
 [0, 2**64), an m-mode the network does not support, or a non-finite number
-in a JSON artifact), 4 enumeration-cap refusal.
+in a JSON artifact), 4 an exact program refused (memory budget, link limit).
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ except ImportError:
 from . import __version__
 from .combinatorics import n_star
 from .engine import (
-    DEFAULT_CLASSIC_CAP,
-    DEFAULT_EXACT_CAP,
     SampledTSignature,
     TSignature,
     classic_signature,
@@ -66,7 +64,7 @@ def _read_input(path: str) -> tuple[str, str, str]:
 def _manifest(command: str, digest: str | None, args: argparse.Namespace, started: float) -> dict:
     flags = {
         key: getattr(args, key)
-        for key in ("m_mode", "seed", "workers", "samples", "max_n", "process", "rate", "tmax", "steps")
+        for key in ("m_mode", "seed", "workers", "samples", "process", "rate", "tmax", "steps")
         if hasattr(args, key)
     }
     return {
@@ -125,14 +123,14 @@ def cmd_signature(args) -> int:
     net = parse_network(text, name=name)
     m_mode = "paper-greedy" if args.m_mode == "greedy" else "exact-subset"
     if args.command == "exact":
-        sig = exact_tsignature(net, m_mode=m_mode, max_links=args.max_n, workers=args.workers)
+        sig = exact_tsignature(net, m_mode=m_mode, workers=args.workers)
     elif args.command == "approx":
         plan = SamplingPlan(
             sample_count=args.samples, seed=args.seed, workers=args.workers, m_mode=m_mode
         )
         sig = approx_tsignature(net, plan)
     else:
-        sig = classic_signature(net, m_mode=m_mode, max_links=args.max_n, workers=args.workers)
+        sig = classic_signature(net, m_mode=m_mode, workers=args.workers)
     payload = {
         "manifest": _manifest(args.command, digest, args, started),
         "n": sig.n,
@@ -180,7 +178,7 @@ def _load_signature_input(path: str, args):
             ) from None
         return sig, digest
     net = parse_network(text, name=name)
-    return exact_tsignature(net, workers=args.workers, max_links=args.max_n), digest
+    return exact_tsignature(net, workers=args.workers), digest
 
 
 def _time_grid(tmax: float, steps: int) -> list[float]:
@@ -248,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exhaustive batch-failure signature")
     p.add_argument("graph")
     common(p)
-    p.add_argument("--max-n", type=int, default=DEFAULT_EXACT_CAP,
-                   help="refuse enumeration above this link count")
     p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("approx", help="Monte Carlo batch-failure signature")
@@ -262,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("signature", help="classic single-failure signature")
     p.add_argument("graph")
     common(p)
-    p.add_argument("--max-n", type=int, default=DEFAULT_CLASSIC_CAP)
     p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("reliability", help="survival curve from a signature mixture")
@@ -272,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-n", type=int, default=DEFAULT_EXACT_CAP)
     p.add_argument("--output", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_reliability)

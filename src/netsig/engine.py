@@ -31,16 +31,12 @@ from .combinatorics import (
 from .errors import EnumerationCapError, UnsupportedModeError
 from .graph import Network
 
-# Link-count guards.  The frontier DP's cost follows the width of the link
-# order's frontier rather than the link count (figure2, 11 links: 0.01 s; the
-# 26-link EON classic signatures: 0.1-0.2 s), so these caps are conservative.
-DEFAULT_EXACT_CAP = 12
-DEFAULT_CLASSIC_CAP = 16
-
-# State guard of the frontier DP, whose memory follows its state count (the
-# distinct φ of a step): the EON t-signature passes 100,000 states at link 17
-# of 26 after 3 s and 210 MB; the EON classic signatures peak at 1,676.
-MAX_DP_STATES = 100_000
+# Bytes the frontier DP's tables and two steps of states may hold, counted by
+# upper bounds, per process.  The 10-terminal star fits: its RSS grows by 514
+# MiB, beyond its bound, as freed tuples fragment the heap (README).
+MEMORY_BUDGET = 576 << 20
+# The paper-greedy t-signature visits up to 3^n (R, B) pairs.
+GREEDY_MAX_LINKS = 12
 
 M_MODES = ("exact-subset", "paper-greedy")
 SIGNATURE_MODES = ("exact", "classic", "sampled")
@@ -186,6 +182,8 @@ def _cut_schedule(net: Network, inf: int):
     link's new nodes repeat φ (they take the top positions), its crossing
     row (1 where σ puts its ends on different sides), its ∞ row, and one
     (σ with the bit 0, σ with the bit 1) getter pair per node it closes.
+    A step's tables hold up to 128 bytes per σ (8 per row entry, 32 per ∞
+    int, 40 per getter index for two closed nodes): `held`, checked first.
     """
     index = {label: i for i, label in enumerate(net.nodes)}
     links = [(index[a], index[b]) for _, a, b in net.links]
@@ -201,15 +199,17 @@ def _cut_schedule(net: Network, inf: int):
         opened = sum(x not in frontier for x in ends)
         return opened - sum(left[x] == 1 for x in ends), opened, i
 
-    # σ = 0 keeps every terminal with the pinned one and never separates.
-    start = (inf,) + (0,) * ((1 << len(frontier)) - 1)
     steps = []
+    held = 0
     todo = set(range(len(links)))
     while todo:
         i = min(todo, key=cost)
         todo.remove(i)
         new = [x for x in links[i] if x != pinned and x not in frontier]
         frontier += new
+        held += 128 << len(frontier)
+        if held > MEMORY_BUDGET:
+            raise _over_budget(len(steps) + 1, len(links))
         bits = [0 if x == pinned else 1 << frontier.index(x) for x in links[i]]
         cross = tuple(
             (s & bits[0] > 0) ^ (s & bits[1] > 0) for s in range(1 << len(frontier))
@@ -224,7 +224,14 @@ def _cut_schedule(net: Network, inf: int):
                 zero = [s & low | (s & ~low) << 1 for s in range(1 << len(frontier))]
                 closes.append((itemgetter(*zero), itemgetter(*(s | 1 << p for s in zero))))
         steps.append((1 << len(new), cross, tuple(inf * c for c in cross), closes))
-    return start, steps
+    # σ = 0 keeps every terminal with the pinned one and never separates.
+    start = (inf,) + (0,) * ((1 << len(terminals) - 1) - 1)
+    return start, steps, held
+
+
+def _over_budget(link: int, n: int) -> EnumerationCapError:
+    return EnumerationCapError(f"the frontier program needs more than "
+                               f"{MEMORY_BUDGET:,} bytes at link {link} of {n}; use sampling")
 
 
 def _cut_dp(net: Network, worker_id: int, workers: int, counts: list, classic: bool) -> None:
@@ -246,10 +253,13 @@ def _cut_dp(net: Network, worker_id: int, workers: int, counts: list, classic: b
     with φ = ∞ everywhere never separate at finite cost and are dropped.
     Worker w takes the labellings of the first links whose base-3 index
     (R=0, B=1, S=2) is w modulo `workers`.
+
+    A step is refused once its states and its parents', by `state_bytes`,
+    and the tables would pass `MEMORY_BUDGET`.
     """
     n = net.n
     inf = n + 1
-    start, steps = _cut_schedule(net, inf)
+    start, steps, held = _cut_schedule(net, inf)
     # A polynomial is one integer: the number of labellings with r R-links
     # and b B-links sits in bits [width * (r * (most_b + 1) + b), +width).
     # No coefficient reaches 3^n, the count of all labellings.
@@ -258,6 +268,13 @@ def _cut_dp(net: Network, worker_id: int, workers: int, counts: list, classic: b
     slot = (1 << width) - 1
     r_shift = width * (most_b + 1)
     b_room = sum(slot << r * r_shift << b * width for r in range(n + 1) for b in range(most_b))
+
+    def state_bytes(link, entries):
+        # φ: 40 + 8 per entry (+32 per int above the small-int cache); the
+        # polynomial, r <= link: 24 + 4 per 30-bit digit; allocator rounding
+        # 2 * 23; a dict entry while its table grows: 90.
+        digits = -(-(r_shift * link + width) // 30)
+        return (8 if inf <= 256 else 40) * entries + 4 * digits + 200
 
     def children(phi, poly, step):
         """The R, B and S successors of one state, in that order."""
@@ -282,19 +299,20 @@ def _cut_dp(net: Network, worker_id: int, workers: int, counts: list, classic: b
     states: dict[tuple[int, ...], int] = {}
     for phi, poly in paths[worker_id::workers]:
         states[phi] = states.get(phi, 0) + poly
+    held_states = sum(state_bytes(split, len(phi)) for phi in states)
     for link, step in enumerate(steps[split:], start=split + 1):
+        size = state_bytes(link, len(step[1]) >> len(step[3]))
+        limit = (MEMORY_BUDGET - held - held_states) // size
         merged: dict[tuple[int, ...], int] = {}
         get = merged.get
         for phi, poly in states.items():
             for kid, kid_poly in children(phi, poly, step):
                 if kid_poly and min(kid) < inf:
                     merged[kid] = get(kid, 0) + kid_poly
-            if len(merged) > MAX_DP_STATES:
-                raise EnumerationCapError(
-                    f"the frontier program passed {MAX_DP_STATES:,} states at link "
-                    f"{link} of {n}; use sampling"
-                )
+            if len(merged) > limit:
+                raise _over_budget(link, n)
         states = merged
+        held_states = len(states) * size
 
     by_cut: dict[int, int] = {}
     for phi, poly in states.items():
@@ -415,7 +433,6 @@ def _run_histogram(net, workers, fill, *extra) -> tuple[int, ...]:
 def exact_tsignature(
     net: Network,
     m_mode: str = "exact-subset",
-    max_links: int = DEFAULT_EXACT_CAP,
     workers: int = 1,
     order_limit: int | None = None,
 ) -> TSignature:
@@ -432,16 +449,14 @@ def exact_tsignature(
     _check_m_mode(net, m_mode)
     if order_limit is not None and order_limit < 1:
         raise ValueError(f"order_limit must be >= 1, got {order_limit}")
-    if net.n > max_links:
-        raise EnumerationCapError(
-            f"{net.n} links is above the exact-signature cap of {max_links}; "
-            f"raise max_links to opt in, or use sampling"
-        )
     total = n_star(net.n)
     if order_limit is not None:
         counts = _run_histogram(net, workers, _stream_orders, m_mode, order_limit)
         total = min(order_limit, total)
     elif m_mode == "paper-greedy":
+        if net.n > GREEDY_MAX_LINKS:
+            raise EnumerationCapError(f"{net.n} links is above the paper-greedy "
+                                      f"limit of {GREEDY_MAX_LINKS} links; use sampling")
         counts = _run_histogram(net, workers, _count_pairs)
     else:
         counts = _run_histogram(net, workers, _cut_dp, False)
@@ -451,7 +466,6 @@ def exact_tsignature(
 def classic_signature(
     net: Network,
     m_mode: str = "exact-subset",
-    max_links: int = DEFAULT_CLASSIC_CAP,
     workers: int = 1,
 ) -> TSignature:
     """Classic signature over the n! single-link permutations: counts[i-1]
@@ -459,13 +473,8 @@ def classic_signature(
 
     Both m-modes give the same counts: a one-link fatal block lies on every
     remaining terminal path, so the greedy count is 1 as well.  Both run the
-    frontier DP."""
+    frontier DP, refused above `MEMORY_BUDGET`."""
     _check_m_mode(net, m_mode)
-    if net.n > max_links:
-        raise EnumerationCapError(
-            f"{net.n} links is above the classic-signature cap of {max_links}; "
-            f"raise max_links to opt in"
-        )
     counts = _run_histogram(net, workers, _cut_dp, True)
     return TSignature(
         n=net.n,

@@ -25,6 +25,6 @@ class UnsupportedModeError(RuntimeError):
 
 
 class EnumerationCapError(RuntimeError):
-    """Exact computation refused because the network is above the link cap
-    (raise it explicitly) or the frontier program outgrew its state guard;
-    either way sampling still applies."""
+    """Exact computation refused because the frontier program would pass its
+    memory budget, or the paper-greedy t-signature its link limit; sampling
+    still applies."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ._bitgraph import BitGraph
 from ._record import Record
-from .errors import ContractError, GraphParseError, NetworkValidationError, UnsupportedModeError
+from .errors import GraphParseError, NetworkValidationError, UnsupportedModeError
 
 LinkSet = frozenset[int]
 Path = tuple[int, ...]
@@ -172,11 +172,8 @@ def min_failed_subset_size(net: Network, removed: LinkSet, block: LinkSet) -> in
     Preconditions (caller contract): removed keeps the terminals
     connected, removed + block disconnects them, and the sets are disjoint.
     """
-    removed = net.link_set(removed)
-    block = net.link_set(block)
-    if removed & block:
-        raise ContractError("removed and block must be disjoint")
-    return BitGraph(net).min_subset_size(_mask(net, removed), tuple(sorted(block)))
+    removed_mask = _mask(net, removed)
+    return BitGraph(net).min_subset_size(removed_mask, tuple(sorted(net.link_set(block))))
 
 
 def greedy_failed_count(net: Network, removed: LinkSet, block: LinkSet) -> int:
@@ -191,10 +188,6 @@ def greedy_failed_count(net: Network, removed: LinkSet, block: LinkSet) -> int:
         raise UnsupportedModeError(
             "greedy counting is two-terminal only; use the exact-subset mode"
         )
-    removed = net.link_set(removed)
-    block = net.link_set(block)
-    if removed & block:
-        raise ContractError("removed and block must be disjoint")
     return BitGraph(net).greedy_count(_mask(net, removed), _mask(net, block))
 
 

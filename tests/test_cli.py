@@ -73,23 +73,38 @@ class TestExact:
         artifact = load_artifact(out)
         assert sum(int(c) for c in artifact["counts"]) == int(artifact["total"])
 
-    def test_cap_refusal_exit_code(self, capsys):
-        code, _, err = run_cli(
-            capsys, "exact", str(fixture_path("bridge")), "--max-n", "3"
-        )
-        assert code == 4
-        assert "sampling" in err
-
-    def test_state_guard_exit_code(self, capsys, monkeypatch):
-        # The default guard refuses the EON t-signature after about 3 s at
-        # link 17; a guard of 1,000 states refuses it at link 7.
-        monkeypatch.setattr(engine, "MAX_DP_STATES", 1_000)
-        code, out, err = run_cli(
-            capsys, "exact", str(fixture_path("eon_par_cop")), "--max-n", "26"
-        )
+    def test_cap_refusal_exit_code(self, tmp_path, capsys):
+        # The paper-greedy t-signature visits 3^n pairs: refused above 12 links.
+        graph = tmp_path / "parallel13.graph"
+        graph.write_text("terminals s t\n" + "edge s t\n" * 13)
+        code, out, err = run_cli(capsys, "exact", str(graph), "--m-mode", "greedy")
         assert code == 4 and out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert "1,000 states at link" in err and "of 26" in err and "use sampling" in err
+        assert err == "error: 13 links is above the paper-greedy limit of 12 links; use sampling\n"
+
+    @pytest.mark.parametrize("command", ["exact", "signature", "reliability"])
+    def test_schedule_refusal_exit_code(self, tmp_path, capsys, command):
+        # 40 terminals: the first step's tables alone would pass the memory
+        # budget, so the refusal comes before anything is built.
+        graph = tmp_path / "star40.graph"
+        graph.write_text("terminals " + " ".join(f"t{i}" for i in range(40)) + "\n"
+                         + "".join(f"edge hub t{i}\n" for i in range(40)))
+        code, out, err = run_cli(capsys, command, str(graph))
+        assert code == 4 and out == ""
+        assert err.startswith("error: the frontier program needs more than ")
+        assert err.endswith(" bytes at link 1 of 40; use sampling\n")
+
+    def test_state_guard_exit_code(self, tmp_path, capsys, monkeypatch):
+        # The 12-terminal star's states hold a 4,096-entry φ each.  The default
+        # budget refuses it at link 9 after ~20 s; 8 MiB, of which the tables
+        # take 6, refuses it at link 4.
+        monkeypatch.setattr(engine, "MEMORY_BUDGET", 8 << 20)
+        graph = tmp_path / "star12.graph"
+        graph.write_text("terminals " + " ".join(f"t{i}" for i in range(12)) + "\n"
+                         + "".join(f"edge hub t{i}\n" for i in range(12)))
+        code, out, err = run_cli(capsys, "exact", str(graph))
+        assert code == 4 and out == ""
+        assert err == ("error: the frontier program needs more than 8,388,608 bytes "
+                       "at link 4 of 12; use sampling\n")
 
     def test_bad_graph_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.graph"

@@ -26,7 +26,7 @@ from netsig.engine import (
 )
 from netsig.errors import EnumerationCapError, UnsupportedModeError
 from netsig.fixtures import FIXTURE_NAMES, load_fixture
-from netsig.graph import Network
+from netsig.graph import Network, parse_network
 
 from conftest import OracleNet, oracle_histogram, random_connected_network
 
@@ -101,6 +101,25 @@ def _cut_shuffle_order(rng, n):
     rng.shuffle(links)
     cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
     return tuple(tuple(sorted(links[a:b])) for a, b in zip([0] + cuts, cuts + [n]))
+
+
+def _star(leaves):
+    """A star whose `leaves` leaves are all terminals."""
+    nodes = ("hub",) + tuple(f"t{i}" for i in range(leaves))
+    links = tuple((i, "hub", leaf) for i, leaf in enumerate(nodes[1:], start=1))
+    return Network(nodes=nodes, links=links, terminals=frozenset(nodes[1:]))
+
+
+def _relabelled(net, rng):
+    """`net` written as a graph file with its links, their ends, the node
+    declarations and the terminals shuffled, and parsed back: the same
+    network, but other schedule tie-breaks and another pinned terminal."""
+    links = [rng.sample(link[1:], 2) for link in net.links]
+    nodes, terminals = list(net.nodes), sorted(net.terminals)
+    for items in (links, nodes, terminals):
+        rng.shuffle(items)
+    text = "".join(f"node {x}\n" for x in nodes) + f"terminals {' '.join(terminals)}\n"
+    return parse_network(text + "".join(f"edge {a} {b}\n" for a, b in links))
 
 
 def _grid(rows, cols):
@@ -322,22 +341,39 @@ class TestExactTSignature:
         assert all(sig.values[i] == 0 for i in range(cut - 1))
 
     def test_cap_refusal(self):
-        net = load_fixture("bridge")
-        with pytest.raises(EnumerationCapError):
-            exact_tsignature(net, max_links=4)
+        # The paper-greedy pairs are refused by link count, 3^n of them; the
+        # frontier DP and the order stream are not.
+        n = engine.GREEDY_MAX_LINKS + 1
+        net = Network(nodes=("s", "t"), links=tuple((i, "s", "t") for i in range(1, n + 1)),
+                      terminals=frozenset("st"))
+        with pytest.raises(EnumerationCapError, match=f"{n} links .* paper-greedy limit of 12"):
+            exact_tsignature(net, m_mode="paper-greedy")
+        assert exact_tsignature(net, m_mode="paper-greedy", order_limit=10).counts[-1] == 10
+        assert exact_tsignature(net).counts[-1] == n_star(n)
 
     def test_state_guard_admits_a_3x5_grid(self, monkeypatch):
-        # 22 links, 3,074 states at the peak: admitted by the default guard
-        # and by a guard of exactly that many, refused by one a state lower.
+        # 22 links, 11,879,400 bytes at the peak by the DP's bounds (3,074
+        # states and their parents): admitted by the default budget and by
+        # one of exactly that many bytes, refused by one a byte lower.
         grid = _grid(3, 5)
-        assert engine.MAX_DP_STATES >= 3_074
-        monkeypatch.setattr(engine, "MAX_DP_STATES", 3_074)
-        sig = exact_tsignature(grid, max_links=22)
+        assert engine.MEMORY_BUDGET >= 11_879_400
+        monkeypatch.setattr(engine, "MEMORY_BUDGET", 11_879_400)
+        sig = exact_tsignature(grid)
         assert sig.total == n_star(22)
         assert sig.counts[0] == 0 and sig.counts[1] > 0  # corner terminals
-        monkeypatch.setattr(engine, "MAX_DP_STATES", 3_073)
-        with pytest.raises(EnumerationCapError, match="3,073 states at link .* of 22; use sampling"):
-            exact_tsignature(grid, max_links=22)
+        monkeypatch.setattr(engine, "MEMORY_BUDGET", 11_879_399)
+        with pytest.raises(EnumerationCapError,
+                           match="11,879,399 bytes at link .* of 22; use sampling"):
+            exact_tsignature(grid)
+
+    @settings(max_examples=30, deadline=None)
+    @given(net=terminal_networks, rng=st.randoms(use_true_random=False))
+    @example(net=load_fixture("figure2"), rng=random.Random(0))
+    @example(net=load_fixture("zigzag"), rng=random.Random(0))
+    def test_counts_do_not_depend_on_the_link_order(self, net, rng):
+        other = _relabelled(net, rng)
+        assert exact_tsignature(other).counts == exact_tsignature(net).counts
+        assert classic_signature(other).counts == classic_signature(net).counts
 
     @pytest.mark.parametrize(
         "name", ["series2", "series3", "parallel2", "bridge", "triangle",
@@ -473,9 +509,9 @@ class TestClassicSignature:
         assert classic_signature(net, m_mode="paper-greedy").counts == tuple(counts)
         assert classic_signature(net).counts == tuple(counts)
 
-    def test_eon_beyond_the_default_cap(self):
+    def test_eon_classic_signature(self):
         # 26 links: the DP's cost follows the frontier width, not 2^26.
-        sig = classic_signature(load_fixture("eon_par_cop"), max_links=26)
+        sig = classic_signature(load_fixture("eon_par_cop"))
         assert sig.total == math.factorial(26)
         # COP has degree 4, and the last link alone never disconnects.
         assert [sig.counts[i - 1] for i in (1, 2, 3, 26)] == [0, 0, 0, 0]
@@ -489,8 +525,10 @@ class TestClassicSignature:
         assert classic_signature(net, m_mode=m_mode).counts == expected
 
     def test_cap_refusal(self):
-        with pytest.raises(EnumerationCapError):
-            classic_signature(load_fixture("eon_par_cop"))
+        # 39 terminals beside the pinned one: the first step's tables alone
+        # would pass the budget, so nothing is built.
+        with pytest.raises(EnumerationCapError, match="bytes at link 1 of 40; use sampling"):
+            classic_signature(_star(40))
 
 
 class TestParallelDeterminism:

@@ -130,7 +130,7 @@ def cmd_signature(args) -> int:
         )
         sig = approx_tsignature(net, plan)
     else:
-        sig = classic_signature(net, m_mode=m_mode, workers=args.workers)
+        sig = classic_signature(net, m_mode=m_mode)
     payload = {
         "manifest": _manifest(args.command, digest, args, started),
         "n": sig.n,
@@ -158,7 +158,7 @@ def _artifact_int(value) -> int:
     return int(value)
 
 
-def _load_signature_input(path: str, args):
+def _load_signature_input(path: str):
     """Accept either a graph file (exact signature is computed) or a
     previously emitted signature artifact."""
     text, digest, name = _read_input(path)
@@ -178,7 +178,7 @@ def _load_signature_input(path: str, args):
             ) from None
         return sig, digest
     net = parse_network(text, name=name)
-    return exact_tsignature(net, workers=args.workers), digest
+    return exact_tsignature(net), digest
 
 
 def _time_grid(tmax: float, steps: int) -> list[float]:
@@ -193,7 +193,7 @@ def _time_grid(tmax: float, steps: int) -> list[float]:
 
 def cmd_reliability(args) -> int:
     started = time.time()
-    sig, digest = _load_signature_input(args.input, args)
+    sig, digest = _load_signature_input(args.input)
     if args.process == "poisson":
         model = poisson_model(args.rate)
     else:
@@ -235,11 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_nstar)
 
-    def common(p, samples=False):
+    def common(p, workers=True):
         p.add_argument("--m-mode", choices=("exact", "greedy"), default="exact",
                        help="fatal-block counting: exact minimum subset or the "
                             "two-terminal greedy path count")
-        p.add_argument("--workers", type=int, default=1)
+        if workers:
+            p.add_argument("--workers", type=int, default=1)
         p.add_argument("--output", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write the artifact to a file instead of stdout")
 
@@ -257,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("signature", help="classic single-failure signature")
     p.add_argument("graph")
-    common(p)
+    common(p, workers=False)
     p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("reliability", help="survival curve from a signature mixture")
@@ -266,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--tmax", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_reliability)

@@ -32,8 +32,9 @@ from .errors import EnumerationCapError, UnsupportedModeError
 from .graph import Network
 
 # Bytes the frontier DP's tables and two steps of states may hold, counted by
-# upper bounds, per process.  The 10-terminal star fits: its RSS grows by 514
-# MiB, beyond its bound, as freed tuples fragment the heap (README).
+# upper bounds.  No measured run's RSS grows by much more than half its bound:
+# the 20-terminal star, whose bound peaks at 444 MiB (mostly tables), grows by
+# 220 MiB and fits with room (README).
 MEMORY_BUDGET = 576 << 20
 # The paper-greedy t-signature visits up to 3^n (R, B) pairs.
 GREEDY_MAX_LINKS = 12
@@ -174,11 +175,13 @@ def _cut_schedule(net: Network, inf: int):
     """The frontier DP's first state and its steps, one per link.
 
     Links are taken in a greedy order: each step takes the link that opens
-    the fewest non-terminal nodes net of those it closes (a node is open
-    from its first link to its last), then the one that opens the fewest,
-    then the first.  The frontier lists the open nodes and every terminal
-    but one, which is pinned to side 0; bit p of a side assignment σ is the
-    side of the node at position p.  A step holds the factor by which the
+    the fewest non-terminal nodes net of those it closes, then the one that
+    opens the fewest, then the first.  One terminal is pinned to side 0.
+    The frontier lists the open nodes: every other terminal from the start,
+    so that σ = 0 (all terminals on the pinned one's side) is held at ∞,
+    and any other node from its first link.  Every node but the pinned one
+    closes after its last link.  Bit p of a side assignment σ is the side
+    of the node at position p.  A step holds the factor by which the
     link's new nodes repeat φ (they take the top positions), its crossing
     row (1 where σ puts its ends on different sides), its ∞ row, and one
     (σ with the bit 0, σ with the bit 1) getter pair per node it closes.
@@ -217,12 +220,17 @@ def _cut_schedule(net: Network, inf: int):
         closes = []
         for x in links[i]:
             left[x] -= 1
-            if not left[x] and x not in terminals:
+            if not left[x] and x != pinned:
                 p = frontier.index(x)
                 frontier.remove(x)
-                low = (1 << p) - 1
-                zero = [s & low | (s & ~low) << 1 for s in range(1 << len(frontier))]
-                closes.append((itemgetter(*zero), itemgetter(*(s | 1 << p for s in zero))))
+                if p == len(frontier):
+                    # The top position: two halves, which stay tuples when
+                    # the last node closes.
+                    closes.append((itemgetter(slice(1 << p)), itemgetter(slice(1 << p, None))))
+                else:
+                    low = (1 << p) - 1
+                    zero = [s & low | (s & ~low) << 1 for s in range(1 << len(frontier))]
+                    closes.append((itemgetter(*zero), itemgetter(*(s | 1 << p for s in zero))))
         steps.append((1 << len(new), cross, tuple(inf * c for c in cross), closes))
     # σ = 0 keeps every terminal with the pinned one and never separates.
     start = (inf,) + (0,) * ((1 << len(terminals) - 1) - 1)
@@ -234,9 +242,10 @@ def _over_budget(link: int, n: int) -> EnumerationCapError:
                                f"{MEMORY_BUDGET:,} bytes at link {link} of {n}; use sampling")
 
 
-def _cut_dp(net: Network, worker_id: int, workers: int, counts: list, classic: bool) -> None:
-    """Add every order to the exact-subset M histogram through its (R, B)
-    pair, by a dynamic program over the links in frontier order.
+def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
+    """The exact-subset M histogram, every order counted through its (R, B)
+    pair by a dynamic program over the links in frontier order, in this
+    process.
 
     Each link is labelled R (in the surviving set, cut cost 0), B (in the
     fatal block, cost 1) or S (fails later, cost ∞).  Let c* be the least
@@ -251,8 +260,7 @@ def _cut_dp(net: Network, worker_id: int, workers: int, counts: list, classic: b
     polynomial in (r, b).  R keeps φ, B adds 1 and S sets ∞ where the link
     crosses, and closing a node takes the minimum over its side.  States
     with φ = ∞ everywhere never separate at finite cost and are dropped.
-    Worker w takes the labellings of the first links whose base-3 index
-    (R=0, B=1, S=2) is w modulo `workers`.
+    Once every node but the pinned one has closed, φ is the one value c*.
 
     A step is refused once its states and its parents', by `state_bytes`,
     and the tables would pass `MEMORY_BUDGET`.
@@ -290,17 +298,9 @@ def _cut_dp(net: Network, worker_id: int, workers: int, counts: list, classic: b
                 kid = tuple(map(min, zero(kid), one(kid)))
             yield kid, kid_poly
 
-    split = 0
-    while 3**split < workers and split < n:
-        split += 1
-    paths = [(start, 1)]
-    for step in steps[:split]:
-        paths = [kid for phi, poly in paths for kid in children(phi, poly, step)]
-    states: dict[tuple[int, ...], int] = {}
-    for phi, poly in paths[worker_id::workers]:
-        states[phi] = states.get(phi, 0) + poly
-    held_states = sum(state_bytes(split, len(phi)) for phi in states)
-    for link, step in enumerate(steps[split:], start=split + 1):
+    states = {start: 1}
+    held_states = state_bytes(0, len(start))
+    for link, step in enumerate(steps, start=1):
         size = state_bytes(link, len(step[1]) >> len(step[3]))
         limit = (MEMORY_BUDGET - held - held_states) // size
         merged: dict[tuple[int, ...], int] = {}
@@ -321,12 +321,14 @@ def _cut_dp(net: Network, worker_id: int, workers: int, counts: list, classic: b
             by_cut[c] = by_cut.get(c, 0) + poly
     arrangements = math.factorial if classic else n_star
     weight = [1] + [arrangements(k) for k in range(1, n + 1)]
+    counts = [0] * n
     for c, poly in by_cut.items():
         for r in range(n + 1):
             for b in range(most_b + 1):
                 coeff = poly >> r * r_shift >> b * width & slot
                 if coeff:
                     counts[r + c - 1] += coeff * weight[r] * weight[n - r - b]
+    return tuple(counts)
 
 
 def _subsets(mask: int):
@@ -414,8 +416,6 @@ def _run_histogram(net, workers, fill, *extra) -> tuple[int, ...]:
     """Run `fill(net, worker_id, workers, counts, *extra)` once per worker,
     in this process for one worker and in a process pool otherwise, and
     merge the per-worker histograms by integer addition."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     jobs = [(net, fill, worker_id, workers, extra) for worker_id in range(workers)]
     if workers == 1:
         results = [_histogram_worker(jobs[0])]
@@ -438,15 +438,18 @@ def exact_tsignature(
 ) -> TSignature:
     """Exact batch-failure signature over all n* failure orders.
 
-    Deterministic and independent of `workers` (per-worker histograms merge
-    by exact integer addition).  The full run sums over (surviving set,
-    fatal block) pairs instead of visiting orders: by the frontier DP for
-    exact-subset M, pair by pair for paper-greedy M.  `order_limit` instead
+    The full run sums over (surviving set, fatal block) pairs instead of
+    visiting orders: by the frontier DP for exact-subset M, in this
+    process, and pair by pair for paper-greedy M.  `order_limit` instead
     scores the first orders of the canonical enumeration stream (partial
     histogram, used for consistency checks), each base partition summed
-    over its (later blocks, fatal block) pairs.
+    over its (later blocks, fatal block) pairs.  `workers` splits the
+    paper-greedy pairs and the stream's partitions; the result does not
+    depend on it (per-worker histograms merge by exact integer addition).
     """
     _check_m_mode(net, m_mode)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if order_limit is not None and order_limit < 1:
         raise ValueError(f"order_limit must be >= 1, got {order_limit}")
     total = n_star(net.n)
@@ -459,26 +462,21 @@ def exact_tsignature(
                                       f"limit of {GREEDY_MAX_LINKS} links; use sampling")
         counts = _run_histogram(net, workers, _count_pairs)
     else:
-        counts = _run_histogram(net, workers, _cut_dp, False)
+        counts = _cut_dp(net, False)
     return TSignature(n=net.n, counts=counts, total=total, mode="exact", m_mode=m_mode)
 
 
-def classic_signature(
-    net: Network,
-    m_mode: str = "exact-subset",
-    workers: int = 1,
-) -> TSignature:
+def classic_signature(net: Network, m_mode: str = "exact-subset") -> TSignature:
     """Classic signature over the n! single-link permutations: counts[i-1]
     is the number of permutations whose i-th failure downs the network.
 
     Both m-modes give the same counts: a one-link fatal block lies on every
     remaining terminal path, so the greedy count is 1 as well.  Both run the
-    frontier DP, refused above `MEMORY_BUDGET`."""
+    frontier DP in this process, refused above `MEMORY_BUDGET`."""
     _check_m_mode(net, m_mode)
-    counts = _run_histogram(net, workers, _cut_dp, True)
     return TSignature(
         n=net.n,
-        counts=counts,
+        counts=_cut_dp(net, True),
         total=math.factorial(net.n),
         mode="classic",
         m_mode=m_mode,

@@ -94,17 +94,18 @@ class TestExact:
         assert err.endswith(" bytes at link 1 of 40; use sampling\n")
 
     def test_state_guard_exit_code(self, tmp_path, capsys, monkeypatch):
-        # The 12-terminal star's states hold a 4,096-entry φ each.  The default
-        # budget refuses it at link 9 after ~20 s; 8 MiB, of which the tables
-        # take 6, refuses it at link 4.
-        monkeypatch.setattr(engine, "MEMORY_BUDGET", 8 << 20)
-        graph = tmp_path / "star12.graph"
-        graph.write_text("terminals " + " ".join(f"t{i}" for i in range(12)) + "\n"
-                         + "".join(f"edge hub t{i}\n" for i in range(12)))
+        # The 3x5 grid with corner terminals peaks at 11,879,400 bytes by the
+        # DP's bounds (test_engine.py): a budget one byte lower lets its
+        # tables and first 17 steps through and refuses the 18th.
+        monkeypatch.setattr(engine, "MEMORY_BUDGET", 11_879_399)
+        graph = tmp_path / "grid3x5.graph"
+        edges = [f"edge v{r}_{c} v{r + dr}_{c + dc}\n" for r in range(3) for c in range(5)
+                 for dr, dc in ((0, 1), (1, 0)) if r + dr < 3 and c + dc < 5]
+        graph.write_text("terminals v0_0 v2_4\n" + "".join(edges))
         code, out, err = run_cli(capsys, "exact", str(graph))
         assert code == 4 and out == ""
-        assert err == ("error: the frontier program needs more than 8,388,608 bytes "
-                       "at link 4 of 12; use sampling\n")
+        assert err == ("error: the frontier program needs more than 11,879,399 bytes "
+                       "at link 18 of 22; use sampling\n")
 
     def test_bad_graph_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.graph"
@@ -228,6 +229,14 @@ class TestSignature:
     def test_series3(self, capsys):
         _, out, _ = run_cli(capsys, "signature", str(fixture_path("series3")))
         assert load_artifact(out)["values"] == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("command", ["signature", "reliability"])
+    def test_workers_is_a_usage_error(self, capsys, command):
+        # The frontier program runs in one process: only `exact` (for the
+        # paper-greedy pairs) and `approx` take --workers.
+        with pytest.raises(SystemExit) as err:
+            main([command, str(fixture_path("bridge")), "--workers", "2"])
+        assert err.value.code == 2
 
 
 class TestReliability:

@@ -38,6 +38,8 @@ class BitGraph:
             self.adj[ib].append((bit, ia))
             self.ends.append((ia, ib))
             self.bits.append(bit)
+        # Every node its own root: the union-find passes start from a copy.
+        self.singletons = list(range(len(self.adj)))
         self.terminal_indices = sorted(self._node_index[t] for t in net.terminals)
         self.start = self.terminal_indices[0]
         self.terminal_node_mask = 0
@@ -138,7 +140,7 @@ class BitGraph:
         for link in block:
             block_mask |= 1 << (link - 1)
         self._check_fatal_block(removed_mask, block_mask)
-        parent = list(range(len(self.adj)))
+        parent = self.singletons.copy()
         ends = self.ends
         skip = removed_mask | block_mask
         for link in range(1, self.n + 1):
@@ -153,31 +155,37 @@ class BitGraph:
         fail after the block (compressed in place).
 
         The block's links are unit-capacity edges between those links'
-        components (a link inside one component is left out).  The answer
-        is the least max-flow (Ford & Fulkerson, 1956) from the pinned
-        terminal's component to another terminal's, each flow stopping at
-        the best value so far.  Cutting every edge of one terminal's
-        component separates it, so the best value starts at the least such
-        degree; the block is fatal, so the answer is at least 1, and a
-        least degree of 1 is the answer with no flow.
+        components (a link inside one component is left out).  Cutting
+        every edge of one terminal's component separates it, and the block
+        is fatal, so the answer lies between 1 and the least such degree,
+        counted first: a least degree of 1 is returned before any flow
+        network is built.  Otherwise the answer is the least max-flow (Ford
+        & Fulkerson, 1956) from the pinned terminal's component to another
+        terminal's, each flow stopping at the best value so far.
         """
         ends = self.ends
-        tails = []  # arc 2e runs tails[2e] -> tails[2e+1], arc 2e+1 back
-        out: dict[int, list[tuple[int, int]]] = {}
+        # tails[2e], tails[2e+1]: the roots of a link's ends; arc 2e runs
+        # from the first to the second, arc 2e+1 back.
+        tails = []
         for link in block:
             a, b = ends[link]
-            a, b = _find(parent, a), _find(parent, b)
+            while a != parent[a]:
+                parent[a] = a = parent[parent[a]]
+            while b != parent[b]:
+                parent[b] = b = parent[parent[b]]
             if a != b:
-                arc = len(tails)
                 tails += (a, b)
-                out.setdefault(a, []).append((arc, b))
-                out.setdefault(b, []).append((arc + 1, a))
-        source = _find(parent, self.start)
-        sinks = {_find(parent, t) for t in self.terminal_indices}
-        sinks.discard(source)
-        best = min(len(out[c]) for c in (source, *sinks))
+        roots = [_find(parent, t) for t in self.terminal_indices]
+        best = min(map(tails.count, roots))
         if best == 1:
             return 1
+        source = roots[0]
+        sinks = set(roots) - {source}
+        out: dict[int, list[tuple[int, int]]] = {}
+        for arc in range(0, len(tails), 2):
+            a, b = tails[arc], tails[arc + 1]
+            out.setdefault(a, []).append((arc, b))
+            out.setdefault(b, []).append((arc + 1, a))
         for sink in sinks:
             cap = [1] * len(tails)
             flow = 0

@@ -38,6 +38,8 @@ from .graph import Network
 MEMORY_BUDGET = 576 << 20
 # The paper-greedy t-signature visits up to 3^n (R, B) pairs.
 GREEDY_MAX_LINKS = 12
+# A run builds one job per worker before any work starts.
+MAX_WORKERS = 1024
 
 M_MODES = ("exact-subset", "paper-greedy")
 SIGNATURE_MODES = ("exact", "classic", "sampled")
@@ -96,6 +98,11 @@ def _check_m_mode(net: Network, m_mode: str) -> None:
         )
 
 
+def _check_workers(workers: int) -> None:
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be >= 1 and <= {MAX_WORKERS}, got {workers}")
+
+
 def _order_m(bg: BitGraph, blocks: list, perm: int, m_mode: str) -> int:
     """M for one failure order: full sizes of the surviving prefix blocks
     plus the minimum (or greedy) count inside the first fatal block.
@@ -112,28 +119,30 @@ def _order_m(bg: BitGraph, blocks: list, perm: int, m_mode: str) -> int:
     indices, with no connectivity query.  The blocks before it are the
     removed links, which keep the terminals connected, while removing the
     fatal block too disconnects them.  These are the fatal-block
-    preconditions, so the block is scored by the unchecked cores: a
-    one-link block scores 1, a larger one the min cut `_block_cut` finds on
-    the union-find forest as it stood before the block's own unions; the
-    greedy count takes the removal masks, built from the final positions.
+    preconditions, so the block is scored by the unchecked cores.  The pass
+    is the same for both m-modes: it counts the links kept and copies the
+    forest before each multi-link block's unions, and the m-mode is read
+    once, at the fatal block.  A one-link block scores 1, a larger one the
+    min cut `_block_cut` finds on the copied forest; the greedy count takes
+    the removal masks, built from the final positions.
     """
-    parent = list(range(len(bg.adj)))
+    parent = bg.singletons.copy()
     has_terminal = bg.is_terminal.copy()
     parts = len(bg.terminal_indices)  # components holding a terminal
     if parts < 2:
         raise AssertionError("removing every link must disconnect a valid network")
     ends = bg.ends
-    cut = m_mode == "exact-subset"  # scored from `before`
-    kept = 0  # links kept, counted on the `cut` path only
-    for i in range(len(blocks) - 1, -1, -1):
-        perm, j = divmod(perm, i + 1)
+    kept = 0  # links of the blocks at positions i and later
+    i = len(blocks)
+    while i:
+        perm, j = divmod(perm, i)
+        i -= 1
         block = blocks[j]
         blocks[j], blocks[i] = blocks[i], block
-        if cut:
-            size = len(block)
-            kept += size
-            if size > 1:
-                before = parent[:]
+        size = len(block)
+        kept += size
+        if size > 1:
+            before = parent[:]
         for link in block:
             a, b = ends[link]
             while a != parent[a]:
@@ -151,15 +160,13 @@ def _order_m(bg: BitGraph, blocks: list, perm: int, m_mode: str) -> int:
             break
     else:
         raise AssertionError("the links of every block must join the terminals")
-    if cut:
-        if size == 1:
-            return bg.n - kept + 1
-        return bg.n - kept + bg._block_cut(before, block)
+    if m_mode == "exact-subset":
+        return bg.n - kept + (1 if size == 1 else bg._block_cut(before, block))
     # Positions 0..i-1 hold the removed blocks, in some order.
     bits = bg.bits
     block_mask = sum(bits[link] for link in block)
     removed_mask = sum(bits[link] for t in range(i) for link in blocks[t])
-    return removed_mask.bit_count() + bg._greedy_count(removed_mask, block_mask)
+    return bg.n - kept + bg._greedy_count(removed_mask, block_mask)
 
 
 def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset") -> MResult:
@@ -448,8 +455,7 @@ def exact_tsignature(
     depend on it (per-worker histograms merge by exact integer addition).
     """
     _check_m_mode(net, m_mode)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_workers(workers)
     if order_limit is not None and order_limit < 1:
         raise ValueError(f"order_limit must be >= 1, got {order_limit}")
     total = n_star(net.n)

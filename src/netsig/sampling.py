@@ -30,7 +30,7 @@ from ._record import Record
 from .combinatorics import _unrank_partition, build_stratum_table
 # Not called here; perfbench/layers.py wraps this name for its trace.
 from .combinatorics import random_order  # noqa: F401
-from .engine import SampledTSignature, _check_m_mode, _order_m, _run_histogram
+from .engine import SampledTSignature, _check_m_mode, _check_workers, _order_m, _run_histogram
 from .graph import Network
 
 _DIGEST_BITS = 512
@@ -44,12 +44,11 @@ class SamplingPlan(Record):
     m_mode: str = "exact-subset"
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        if not 1 <= self.sample_count <= 2**64:
+            raise ValueError(f"sample_count must lie in [1, 2**64], got {self.sample_count}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        _check_workers(self.workers)
 
 
 class _SampleStream:
@@ -100,8 +99,8 @@ def _draw_orders(net, worker_id, workers, counts, m_mode, seed, sample_count) ->
     keyed = _seed_hash(seed)
     n_star = table.n_star
     for j in range(worker_id, sample_count, workers):
-        u = _SampleStream(keyed, j).randrange(n_star)
-        counts[_order_m(bg, *_unrank_partition(table, u), m_mode) - 1] += 1
+        blocks, perm = _unrank_partition(table, _SampleStream(keyed, j).randrange(n_star))
+        counts[_order_m(bg, blocks, perm, m_mode) - 1] += 1
 
 
 def approx_tsignature(net: Network, plan: SamplingPlan) -> SampledTSignature:

@@ -196,6 +196,14 @@ class TestApprox:
         b.pop("manifest")
         assert a == b
 
+    def test_workers_above_ceiling_exit_code(self, capsys):
+        code, out, err = run_cli(
+            capsys, "approx", str(fixture_path("bridge")), "--samples", "10",
+            "--workers", str(engine.MAX_WORKERS + 1),
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: workers") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_64_bits_exit_code(self, capsys, seed):
         # Masked to 64 bits, -1 would draw what 2**64 - 1 draws, and 2**64

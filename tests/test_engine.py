@@ -559,6 +559,11 @@ class TestParallelDeterminism:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             exact_tsignature(load_fixture("bridge"), workers=0)
 
+    def test_workers_above_ceiling(self):
+        # Checked even where the frontier program ignores the worker count.
+        with pytest.raises(ValueError, match="workers must be >= 1 and <= 1024"):
+            exact_tsignature(load_fixture("bridge"), workers=engine.MAX_WORKERS + 1)
+
     def test_full_run_worker_counts_agree(self):
         net = load_fixture("bridge")
         base = exact_tsignature(net)

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from netsig._bitgraph import BitGraph
 from netsig.errors import (
     ContractError,
     GraphParseError,
@@ -58,6 +59,24 @@ _CUT_CASES = [
      "terminals s t w x\nedge s t\nedge s t\nedge t w\nedge t w\nedge w s\nedge w s\n"
      "edge w x",
      (), tuple(range(1, 8)), 1),
+]
+
+# BitGraph._block_cut on hand-built forests: (case, graph, later links,
+# (node, parent) pointers joining their ends, block, block-link degree of
+# each terminal's component, the pinned terminal first, cut).
+_FOREST_CASES = [
+    # link 5 (a-b) fails later; t's only block link is a-t
+    ("least degree 1", "terminals s t\nedge s a\nedge s a\nedge s a\nedge a t\nedge a b",
+     (5,), (("b", "a"),), (1, 2, 3, 4), (3, 1), 1),
+    # S=X twice, X-U-V later (a chain of two pointers), V-Y once, Y=T twice:
+    # the middle link cuts below the least degree
+    ("middle link below least degree 2",
+     "terminals s t\nedge s x\nedge s x\nedge x u\nedge u v\nedge v y\nedge y t\nedge y t",
+     (3, 4), (("u", "x"), ("v", "u")), (1, 2, 5, 6, 7), (2, 2), 1),
+    # t=s twice, t-v once and v-w later: only the sink w has degree 1
+    ("three terminals, one sink of degree 1",
+     "terminals s t w\nedge s t\nedge s t\nedge t v\nedge v w",
+     (4,), (("w", "v"),), (1, 2, 3), (2, 3, 1), 1),
 ]
 
 
@@ -295,6 +314,30 @@ class TestMinFailedSubsetSize:
         rest = tuple(x for x in range(1, net.n + 1) if x not in set(removed) | set(block))
         order = tuple(b for b in (tuple(removed), tuple(block), rest) if b)
         assert calculate_m(net, order).M == len(removed) + m == oracle.order_m(order)
+
+    @pytest.mark.parametrize("case, text, later, forest, block, degrees, m", _FOREST_CASES,
+                             ids=[c[0] for c in _FOREST_CASES])
+    def test_block_cut_on_forest(self, case, text, later, forest, block, degrees, m):
+        # The cut core on a forest built by hand: `forest` sets node ->
+        # parent pointers that join the ends of the `later` links.
+        net = parse_network(text)
+        bg = BitGraph(net)
+        parent = bg.singletons.copy()
+        for child, root in forest:
+            parent[bg._node_index[child]] = bg._node_index[root]
+
+        def root(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        ends = [(root(a), root(b)) for a, b in (bg.ends[x] for x in block)]
+        assert degrees == tuple(
+            sum((a == r) != (b == r) for a, b in ends)
+            for r in map(root, bg.terminal_indices)
+        )
+        removed = set(range(1, net.n + 1)) - set(block) - set(later)
+        assert bg._block_cut(parent, block) == m == OracleNet(net).min_subset_size(removed, block)
 
     def test_thirty_parallel_links(self):
         # 2**30 subsets for a scan by size; 30 augmenting paths for the cut.

@@ -5,7 +5,7 @@ import pytest
 
 from netsig import sampling
 from netsig._bitgraph import BitGraph
-from netsig.engine import exact_tsignature
+from netsig.engine import MAX_WORKERS, exact_tsignature
 from netsig.fixtures import load_fixture
 from netsig.sampling import SamplingPlan, _SampleStream, _seed_hash, approx_tsignature
 
@@ -28,6 +28,19 @@ class TestSamplingPlan:
     def test_accepts_64_bit_seed_range(self):
         for seed in (0, 2**64 - 1):
             assert SamplingPlan(sample_count=1, seed=seed).seed == seed
+
+    def test_sample_indices_below_64_bits(self):
+        # The stream packs sample index j into the low 64 bits of
+        # counter * 2**64 + j, so indices stop at 2**64 - 1.
+        assert SamplingPlan(sample_count=2**64).sample_count == 2**64
+        with pytest.raises(ValueError, match="sample_count"):
+            SamplingPlan(sample_count=2**64 + 1)
+
+    def test_rejects_workers_above_ceiling(self):
+        # One job per worker is built before any work starts.
+        assert SamplingPlan(sample_count=1, workers=MAX_WORKERS).workers == MAX_WORKERS
+        with pytest.raises(ValueError, match="workers"):
+            SamplingPlan(sample_count=1, workers=MAX_WORKERS + 1)
 
 
 class TestSampleStream:

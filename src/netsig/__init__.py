@@ -7,7 +7,6 @@ from .combinatorics import (
     enumerate_orders,
     n_star,
     random_order,
-    random_partition_with_k_blocks,
     stirling2,
     unrank_order,
 )
@@ -27,14 +26,7 @@ from .errors import (
     UnsupportedModeError,
 )
 from .fixtures import fixture_path, load_fixture
-from .graph import (
-    Network,
-    find_path,
-    greedy_failed_count,
-    is_terminal_connected,
-    min_failed_subset_size,
-    parse_network,
-)
+from .graph import Network, parse_network
 from .reliability import (
     CountingModel,
     ReliabilityCurve,
@@ -54,7 +46,6 @@ __all__ = [
     "enumerate_orders",
     "n_star",
     "random_order",
-    "random_partition_with_k_blocks",
     "stirling2",
     "unrank_order",
     "MResult",
@@ -71,10 +62,6 @@ __all__ = [
     "fixture_path",
     "load_fixture",
     "Network",
-    "find_path",
-    "greedy_failed_count",
-    "is_terminal_connected",
-    "min_failed_subset_size",
     "parse_network",
     "CountingModel",
     "ReliabilityCurve",

@@ -1,5 +1,5 @@
-"""Bitmask connectivity engine shared by the public graph API and the
-enumeration/sampling pipelines.
+"""Bitmask connectivity engine of the network model, the order scorer and
+the sampler.
 
 Link subsets are encoded as integers (bit i-1 set means link i is removed),
 which keeps the hot loops allocation-free.  On request a small network
@@ -120,7 +120,8 @@ class BitGraph:
         return dist
 
     def _check_fatal_block(self, removed_mask: int, block_mask: int) -> None:
-        """Preconditions of min_subset_size and greedy_count: the block is
+        """Preconditions of min_subset_size, and of `_block_cut` and
+        `_greedy_count`, which leave them to their caller: the block is
         disjoint from the removed links, the terminals are connected under
         `removed_mask` and disconnected once the whole block is removed."""
         if removed_mask & block_mask:
@@ -209,20 +210,16 @@ class BitGraph:
             best = flow
         return best
 
-    def greedy_count(self, removed_mask: int, block_mask: int) -> int:
+    def _greedy_count(self, removed_mask: int, block_mask: int) -> int:
         """Path-destruction count of the greedy two-terminal strategy:
         repeatedly take the deterministic shortest path, delete its block
         links, and count iterations until the terminals disconnect.
 
-        Preconditions as _check_fatal_block.  The result never exceeds the true
-        minimum subset size but can undercount it when one path carries
-        several links of a minimum disconnecting subset.
+        Preconditions as _check_fatal_block, left to the caller.  The result
+        never exceeds the true minimum subset size but can undercount it
+        when one path carries several links of a minimum disconnecting
+        subset.
         """
-        self._check_fatal_block(removed_mask, block_mask)
-        return self._greedy_count(removed_mask, block_mask)
-
-    def _greedy_count(self, removed_mask: int, block_mask: int) -> int:
-        """greedy_count for a caller that has established the preconditions."""
         src, dst = self.terminal_indices[0], self.terminal_indices[-1]
         count = 0
         mask = removed_mask

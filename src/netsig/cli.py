@@ -165,9 +165,12 @@ def _load_signature_input(path: str):
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
+            counts = data["counts"]
+            if type(counts) is not list:
+                raise TypeError(f"counts must be a list, got {type(counts).__name__}")
             sig = TSignature(
                 n=_artifact_int(data["n"]),
-                counts=tuple(map(_artifact_int, data["counts"])),
+                counts=tuple(map(_artifact_int, counts)),
                 total=_artifact_int(data["total"]),
                 mode=data["mode"],
                 m_mode=data["m_mode"],

@@ -156,21 +156,6 @@ def enumerate_orders(n: int) -> Iterator[FailureOrder]:
             yield from permutations(blocks)
 
 
-def random_partition_with_k_blocks(
-    n: int, k: int, rng: "random.Random"
-) -> tuple[Block, ...]:
-    """Draw a uniform random partition of {1..n} into exactly k blocks: the
-    partition whose rank is `rng.randrange(S(n, k))`, placed by the walk of
-    `_unrank_partition`, so each of the S(n,k) partitions is equally likely."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    table = build_stratum_table(n)
-    stratum = table.cumulative[k - 2] if k > 1 else 0
-    r = rng.randrange(stirling2(n, k))
-    blocks, _ = _unrank_partition(table, stratum + r * math.factorial(k))
-    return tuple(tuple(reversed(block)) for block in blocks)
-
-
 def _unrank_partition(table: StratumTable, u: int) -> tuple[list[list[int]], int]:
     """The base partition and the block-permutation rank of the failure
     order of rank u, for 0 <= u < n*: `(blocks, perm)`, the blocks ordered

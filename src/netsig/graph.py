@@ -9,10 +9,7 @@ from __future__ import annotations
 
 from ._bitgraph import BitGraph
 from ._record import Record
-from .errors import GraphParseError, NetworkValidationError, UnsupportedModeError
-
-LinkSet = frozenset[int]
-Path = tuple[int, ...]
+from .errors import GraphParseError, NetworkValidationError
 
 
 class Network(Record):
@@ -54,14 +51,6 @@ class Network(Record):
     def n(self) -> int:
         """Number of links."""
         return len(self.links)
-
-    def link_set(self, links) -> LinkSet:
-        """Validated subset of this network's link ids."""
-        result = frozenset(links)
-        bad = [x for x in result if not 1 <= x <= self.n]
-        if bad:
-            raise NetworkValidationError(f"invalid link id(s): {sorted(bad)}")
-        return result
 
 
 def parse_network(text: str, name: str = "") -> Network:
@@ -139,60 +128,3 @@ def parse_network(text: str, name: str = "") -> Network:
         )
     except NetworkValidationError as exc:
         raise GraphParseError(str(exc), line=terminals_line) from exc
-
-
-def is_terminal_connected(net: Network, removed: LinkSet = frozenset()) -> bool:
-    """True iff all terminals are in one component of the network with the
-    links in `removed` deleted.  Breadth-first from the lowest-indexed
-    terminal; pure, does not mutate net."""
-    return BitGraph(net).connected(_mask(net, removed))
-
-
-def find_path(
-    net: Network, endpoints: tuple[str, str], removed: LinkSet = frozenset()
-) -> Path | None:
-    """Shortest path by link count between the endpoints, avoiding `removed`.
-
-    Deterministic: among equal-length paths the lexicographically smallest
-    link-id sequence wins.  Returns None iff the endpoints are disconnected.
-    """
-    for label in endpoints:
-        if label not in net.nodes:
-            raise NetworkValidationError(f"unknown node {label!r}")
-    src, dst = sorted(net.nodes.index(label) for label in endpoints)
-    return BitGraph(net).shortest_path(_mask(net, removed), src, dst)
-
-
-def min_failed_subset_size(net: Network, removed: LinkSet, block: LinkSet) -> int:
-    """Smallest cardinality of a subset of `block` whose removal on top of
-    `removed` disconnects the terminals.
-
-    A min cut, polynomial in |block|: the least max-flow between terminal
-    components once the links outside `removed` and `block` are contracted.
-    Preconditions (caller contract): removed keeps the terminals
-    connected, removed + block disconnects them, and the sets are disjoint.
-    """
-    removed_mask = _mask(net, removed)
-    return BitGraph(net).min_subset_size(removed_mask, tuple(sorted(net.link_set(block))))
-
-
-def greedy_failed_count(net: Network, removed: LinkSet, block: LinkSet) -> int:
-    """Greedy two-terminal count: repeatedly find the deterministic shortest
-    path, delete its `block` links, count iterations until disconnection.
-
-    Always <= min_failed_subset_size, but path-order dependent and can
-    undercount when one path carries several links of a minimum
-    disconnecting subset; provided for fidelity comparisons.
-    """
-    if len(net.terminals) != 2:
-        raise UnsupportedModeError(
-            "greedy counting is two-terminal only; use the exact-subset mode"
-        )
-    return BitGraph(net).greedy_count(_mask(net, removed), _mask(net, block))
-
-
-def _mask(net: Network, links) -> int:
-    mask = 0
-    for link in net.link_set(links):
-        mask |= 1 << (link - 1)
-    return mask

@@ -28,7 +28,8 @@ import math
 from ._bitgraph import BitGraph
 from ._record import Record
 from .combinatorics import _unrank_partition, build_stratum_table
-# Not called here; perfbench/layers.py wraps this name for its trace.
+# Not called here: it stays until perfbench/layers.py drops its trace wrapper
+# of this name.
 from .combinatorics import random_order  # noqa: F401
 from .engine import SampledTSignature, _check_m_mode, _check_workers, _order_m, _run_histogram
 from .graph import Network

@@ -7,7 +7,6 @@ terminal-summary hook prints after the run, one line per criterion.
 import functools
 import math
 import os
-import random
 import time
 from fractions import Fraction
 
@@ -17,13 +16,13 @@ from netsig.combinatorics import (
     build_stratum_table,
     enumerate_orders,
     n_star,
-    random_order,
+    unrank_order,
 )
 from netsig.engine import calculate_m, classic_signature, exact_tsignature
 from netsig.errors import UnsupportedModeError
 from netsig.fixtures import load_fixture
 from netsig.reliability import poisson_model, survival_mixture
-from netsig.sampling import SamplingPlan, approx_tsignature
+from netsig.sampling import SamplingPlan, _SampleStream, _seed_hash, approx_tsignature
 
 from conftest import oracle_histogram, random_connected_network
 
@@ -202,11 +201,14 @@ def test_criterion_07_mode_ordering(rng):
         load_fixture(name)
         for name in ("single_edge", "series2", "parallel2", "series3", "triangle", "bridge", "counterexample", "zigzag")
     ] + [random_connected_network(rng, rng.randint(4, 5)) for _ in range(25)]
+    # Orders from the sampler's stream: sample j of seed 7007, with j
+    # running on across the corpus.
+    keyed = _seed_hash(7_007)
     strict_seen = False
-    for net in corpus:
+    for i, net in enumerate(corpus):
         table = build_stratum_table(net.n)
-        for _ in range(10_000):
-            order = random_order(table, rng)
+        for j in range(10_000 * i, 10_000 * (i + 1)):
+            order = unrank_order(table, _SampleStream(keyed, j).randrange(table.n_star))
             exact = calculate_m(net, order, "exact-subset").M
             greedy = calculate_m(net, order, "paper-greedy").M
             assert greedy <= exact
@@ -226,10 +228,11 @@ def test_criterion_08_sampler_uniformity():
         index = {order: i for i, order in enumerate(enumerate_orders(n))}
         assert len(index) == n_star(n)
         table = build_stratum_table(n)
-        rng = random.Random(5_000 + n)
+        keyed = _seed_hash(5_000 + n)  # the sampler's stream
         observed = [0] * len(index)
-        for _ in range(draws):
-            observed[index[random_order(table, rng)]] += 1
+        for j in range(draws):
+            u = _SampleStream(keyed, j).randrange(table.n_star)
+            observed[index[unrank_order(table, u)]] += 1
         result = scipy_stats.chisquare(observed)
         assert result.pvalue > 0.001
 

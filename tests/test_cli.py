@@ -318,9 +318,16 @@ class TestReliability:
             main(["reliability", str(fixture_path("bridge")), "--steps", "0"])
         assert err.value.code == 2
 
-    def test_malformed_artifact_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        '{"n": 2}',
+        # counts must be a JSON list, not a string or an object to iterate
+        '{"n": 3, "counts": "123", "total": "6", "mode": "exact", "m_mode": "exact-subset"}',
+        '{"n": 2, "counts": {"1": 0, "2": 0}, "total": "3", "mode": "exact", '
+        '"m_mode": "exact-subset"}',
+    ], ids=["missing fields", "counts a string", "counts an object"])
+    def test_malformed_artifact_exit_code(self, tmp_path, capsys, text):
         artifact_file = tmp_path / "sig.json"
-        artifact_file.write_text('{"n": 2}')
+        artifact_file.write_text(text)
         code, _, err = run_cli(capsys, "reliability", str(artifact_file))
         assert code == 3
         assert "not a signature artifact" in err and len(err.splitlines()) == 1

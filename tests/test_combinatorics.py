@@ -9,10 +9,8 @@ from netsig.combinatorics import (
     build_stratum_table,
     check_failure_order,
     enumerate_orders,
-    iter_base_partitions,
     n_star,
     random_order,
-    random_partition_with_k_blocks,
     stirling2,
     unrank_order,
 )
@@ -150,57 +148,6 @@ class TestEnumerateOrders:
             check_failure_order(order, n)
             seen.add(order)
         assert len(seen) == n_star(n)
-
-
-class TestRandomPartition:
-    def test_all_singletons(self, rng):
-        assert random_partition_with_k_blocks(4, 4, rng) == ((1,), (2,), (3,), (4,))
-
-    def test_single_block(self, rng):
-        assert random_partition_with_k_blocks(5, 1, rng) == ((1, 2, 3, 4, 5),)
-
-    def test_out_of_range(self, rng):
-        with pytest.raises(ValueError):
-            random_partition_with_k_blocks(3, 4, rng)
-
-    def test_uniform_n4_k2(self):
-        from scipy.stats import chisquare
-
-        rng = random.Random(7)
-        draws = 70_000
-        freq = Counter(
-            random_partition_with_k_blocks(4, 2, rng) for _ in range(draws)
-        )
-        assert len(freq) == 7  # S(4,2)
-        _, p = chisquare(list(freq.values()))
-        assert p > 0.001
-
-    # Draws and the next rng.random() recorded from the unranking sampler,
-    # which takes one rng.randrange(S(n, k)) per partition.
-    @pytest.mark.parametrize("n, k, seed, blocks, after", [
-        (10, 4, 2, ((1, 2, 3, 5), (4, 7, 10), (6, 8), (9,)), 0.09158478740507359),
-        (26, 13, 5, ((1, 10), (2, 8, 9, 12), (3, 26), (4,), (5, 17), (6, 23), (7, 13, 15),
-                     (11, 19, 24), (14, 22), (16, 21), (18,), (20,), (25,)),
-         0.7417869892607294),
-    ])
-    def test_pinned_draws(self, n, k, seed, blocks, after):
-        rng = random.Random(seed)
-        assert random_partition_with_k_blocks(n, k, rng) == blocks
-        assert rng.random() == after
-
-    def test_unranking_is_a_bijection(self):
-        # Every rank below S(n, k) gives a different k-block partition, so
-        # the ranks cover each partition of {1..n} exactly once.
-        for n in range(1, 9):
-            for k in range(1, n + 1):
-                drawn = []
-                for r in range(stirling2(n, k)):
-                    rng = FixedDraw(r)
-                    drawn.append(random_partition_with_k_blocks(n, k, rng))
-                    assert rng.bounds == [stirling2(n, k)]
-                expected = [part for part in iter_base_partitions(n) if len(part) == k]
-                assert len(set(drawn)) == len(drawn), (n, k)
-                assert set(drawn) == set(expected), (n, k)
 
 
 class TestRandomOrder:

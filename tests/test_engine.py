@@ -243,7 +243,8 @@ class TestCalculateM:
 
 def _oracle_m(net, order, m_mode):
     """M of `order` with the fatal block found by the oracle's forward
-    scan; the greedy count is the checked `BitGraph.greedy_count`."""
+    scan; the greedy count is `BitGraph._greedy_count`, its preconditions
+    checked."""
     oracle = OracleNet(net)
     if m_mode == "exact-subset":
         return oracle.order_m(order)
@@ -251,7 +252,9 @@ def _oracle_m(net, order, m_mode):
     for block in order:
         if not oracle.connected(set(removed + block)):
             masks = [sum(1 << (x - 1) for x in links) for links in (removed, block)]
-            return len(removed) + BitGraph(net).greedy_count(*masks)
+            bg = BitGraph(net)
+            bg._check_fatal_block(*masks)
+            return len(removed) + bg._greedy_count(*masks)
         removed += block
     raise AssertionError("removing all links must disconnect")
 
@@ -334,11 +337,9 @@ class TestExactTSignature:
         assert abs(sum(sig.values) - 1.0) < 1e-12
 
     def test_zero_below_min_cut(self):
-        from netsig.graph import min_failed_subset_size
-
         net = load_fixture("figure1")
         sig = exact_tsignature(net)
-        cut = min_failed_subset_size(net, frozenset(), frozenset(range(1, net.n + 1)))
+        cut = BitGraph(net).min_subset_size(0, tuple(range(1, net.n + 1)))
         assert all(sig.values[i] == 0 for i in range(cut - 1))
 
     def test_cap_refusal(self):
@@ -519,7 +520,8 @@ class TestClassicSignature:
             for link in range(n):
                 bit = 1 << link
                 if not bit & surviving and not bg.connected(surviving | bit):
-                    f = bg.greedy_count(surviving, bit)
+                    bg._check_fatal_block(surviving, bit)
+                    f = bg._greedy_count(surviving, bit)
                     counts[r + f - 1] += math.factorial(r) * math.factorial(n - r - 1)
         assert classic_signature(net, m_mode="paper-greedy").counts == tuple(counts)
         assert classic_signature(net).counts == tuple(counts)

@@ -7,19 +7,11 @@ from netsig._bitgraph import BitGraph
 from netsig.errors import (
     ContractError,
     GraphParseError,
-    NetworkValidationError,
     UnsupportedModeError,
 )
 from netsig.engine import calculate_m
 from netsig.fixtures import load_fixture
-from netsig.graph import (
-    Network,
-    find_path,
-    greedy_failed_count,
-    is_terminal_connected,
-    min_failed_subset_size,
-    parse_network,
-)
+from netsig.graph import parse_network
 
 from conftest import OracleNet, random_connected_network, uf_connected
 
@@ -137,118 +129,133 @@ class TestParseNetwork:
         assert err.value.line == 3
 
 
+def _bits(links):
+    """The removal mask of some link ids: bit i-1 for link i."""
+    return sum(1 << (x - 1) for x in links)
+
+
 class TestIsTerminalConnected:
+    """`BitGraph.connected` on removal masks."""
+
     def test_intact_bridge(self):
-        assert is_terminal_connected(load_fixture("bridge"), frozenset())
+        assert BitGraph(load_fixture("bridge")).connected(0)
 
     def test_source_isolated(self):
-        assert not is_terminal_connected(load_fixture("bridge"), frozenset({1, 2}))
+        assert not BitGraph(load_fixture("bridge")).connected(_bits({1, 2}))
 
     def test_figure1_residual(self):
         # removing the three links at node a still joins b, c, d via e, g, f
         net = load_fixture("figure1")
-        removed = frozenset({1, 3, 4})  # a-b, a-d, a-c
-        assert is_terminal_connected(net, removed)
-        oracle = OracleNet(net)
-        assert oracle.connected(set(removed))
+        removed = {1, 3, 4}  # a-b, a-d, a-c
+        assert BitGraph(net).connected(_bits(removed))
+        assert OracleNet(net).connected(removed)
 
     def test_monotone_under_supersets(self, rng):
         net = load_fixture("figure1")
+        bg = BitGraph(net)
         for _ in range(200):
             removed = frozenset(
                 link for link in range(1, net.n + 1) if rng.random() < 0.5
             )
-            if is_terminal_connected(net, removed):
+            if bg.connected(_bits(removed)):
                 continue
             rest = [x for x in range(1, net.n + 1) if x not in removed]
             extra = frozenset(rng.sample(rest, rng.randint(0, len(rest))))
-            assert not is_terminal_connected(net, removed | extra)
+            assert not bg.connected(_bits(removed | extra))
 
     def test_matches_union_find_on_random_graphs(self, rng):
+        # by breadth-first search, and by the table of all 2^n masks
         for _ in range(25):
             net = random_connected_network(rng, rng.randint(4, 7))
             oracle = OracleNet(net)
+            searched, tabled = BitGraph(net), BitGraph(net, build_table=True)
             for _ in range(30):
                 removed = frozenset(
                     link for link in range(1, net.n + 1) if rng.random() < 0.4
                 )
-                assert is_terminal_connected(net, removed) == oracle.connected(
+                mask = _bits(removed)
+                assert searched.connected(mask) == tabled.connected(mask) == oracle.connected(
                     set(removed)
                 )
 
 
 class TestFindPath:
+    """`BitGraph.shortest_path`, the paper-greedy path rule."""
+
     def test_bridge_shortest(self):
-        assert find_path(load_fixture("bridge"), ("s", "t")) == (1, 4)
+        bg = BitGraph(load_fixture("bridge"))
+        assert bg.shortest_path(0, *bg.terminal_indices) == (1, 4)
 
     def test_bridge_disconnected(self):
-        assert find_path(load_fixture("bridge"), ("s", "t"), frozenset({1, 2})) is None
+        bg = BitGraph(load_fixture("bridge"))
+        assert bg.shortest_path(_bits({1, 2}), *bg.terminal_indices) is None
 
     def test_single_edge(self):
-        assert find_path(load_fixture("single_edge"), ("s", "t")) == (1,)
+        bg = BitGraph(load_fixture("single_edge"))
+        assert bg.shortest_path(0, *bg.terminal_indices) == (1,)
 
     def test_none_iff_disconnected(self, rng):
-        net = load_fixture("figure2")
-        pair = ("a", "d")
+        net = load_fixture("figure2")  # terminals a and d
+        bg = BitGraph(net)
+        src, dst = bg.terminal_indices
         for _ in range(100):
             removed = frozenset(
                 link for link in range(1, net.n + 1) if rng.random() < 0.5
             )
-            path = find_path(net, pair, removed)
-            connected = is_terminal_connected(
-                Network(nodes=net.nodes, links=net.links, terminals=frozenset(pair)),
-                removed,
-            )
-            assert (path is None) == (not connected)
+            path = bg.shortest_path(_bits(removed), src, dst)
+            assert (path is None) == (not bg.connected(_bits(removed)))
             if path is not None:
                 # path uses live links and joins the endpoints
                 assert not set(path) & removed
-
-    def test_unknown_endpoint(self):
-        with pytest.raises(NetworkValidationError):
-            find_path(load_fixture("bridge"), ("s", "zz"))
+                node = src
+                for link in path:
+                    a, b = bg.ends[link]
+                    assert node in (a, b)
+                    node = a + b - node
+                assert node == dst
 
 
 class TestMinFailedSubsetSize:
+    """`BitGraph.min_subset_size`: the fatal-block minimum, checked."""
+
     def test_bridge(self):
-        net = load_fixture("bridge")
-        assert min_failed_subset_size(net, frozenset({3}), frozenset({1, 2, 4, 5})) == 2
+        bg = BitGraph(load_fixture("bridge"))
+        assert bg.min_subset_size(_bits({3}), (1, 2, 4, 5)) == 2
 
     def test_parallel(self):
-        net = load_fixture("parallel2")
-        assert min_failed_subset_size(net, frozenset(), frozenset({1, 2})) == 2
+        assert BitGraph(load_fixture("parallel2")).min_subset_size(0, (1, 2)) == 2
 
     def test_counterexample_needs_three(self):
-        net = load_fixture("counterexample")
-        assert min_failed_subset_size(net, frozenset(), frozenset({1, 2, 3})) == 3
+        assert BitGraph(load_fixture("counterexample")).min_subset_size(0, (1, 2, 3)) == 3
 
     def test_contract_violations(self):
-        net = load_fixture("bridge")
+        bg = BitGraph(load_fixture("bridge"))
         with pytest.raises(ContractError):
             # removing the block does not disconnect
-            min_failed_subset_size(net, frozenset(), frozenset({3}))
+            bg.min_subset_size(0, (3,))
         with pytest.raises(ContractError):
             # already disconnected before the block
-            min_failed_subset_size(net, frozenset({1, 2}), frozenset({4, 5}))
+            bg.min_subset_size(_bits({1, 2}), (4, 5))
         with pytest.raises(ContractError):
-            min_failed_subset_size(net, frozenset({1}), frozenset({1, 2}))
+            bg.min_subset_size(_bits({1}), (1, 2))
 
     def test_result_is_minimal_by_reenumeration(self, rng):
         import itertools
 
         for _ in range(10):
             net = random_connected_network(rng, 5)
-            block = frozenset(range(1, net.n + 1))
-            m = min_failed_subset_size(net, frozenset(), block)
+            bg = BitGraph(net)
+            block = tuple(range(1, net.n + 1))
+            m = bg.min_subset_size(0, block)
             assert 1 <= m <= net.n
             hit = any(
-                not is_terminal_connected(net, frozenset(sub))
-                for sub in itertools.combinations(sorted(block), m)
+                not bg.connected(_bits(sub))
+                for sub in itertools.combinations(block, m)
             )
             assert hit
             for r in range(1, m):
-                for sub in itertools.combinations(sorted(block), r):
-                    assert is_terminal_connected(net, frozenset(sub))
+                for sub in itertools.combinations(block, r):
+                    assert bg.connected(_bits(sub))
 
     def test_cut_equals_subset_scan_oracle(self):
         # Random (removed, block) pairs that meet the fatal-block
@@ -272,7 +279,7 @@ class TestMinFailedSubsetSize:
                     continue
                 if oracle.connected(removed | block):
                     continue
-                m = min_failed_subset_size(net, removed, block)
+                m = BitGraph(net).min_subset_size(_bits(removed), tuple(sorted(block)))
                 assert m == oracle.min_subset_size(removed, block), (net, removed, block)
                 later = [x for x in links if x not in removed | block]
                 inside = any(
@@ -310,7 +317,7 @@ class TestMinFailedSubsetSize:
             assert cut == degree > 1
         else:
             assert cut < degree
-        assert min_failed_subset_size(net, frozenset(removed), frozenset(block)) == m
+        assert BitGraph(net).min_subset_size(_bits(removed), block) == m
         rest = tuple(x for x in range(1, net.n + 1) if x not in set(removed) | set(block))
         order = tuple(b for b in (tuple(removed), tuple(block), rest) if b)
         assert calculate_m(net, order).M == len(removed) + m == oracle.order_m(order)
@@ -342,49 +349,50 @@ class TestMinFailedSubsetSize:
     def test_thirty_parallel_links(self):
         # 2**30 subsets for a scan by size; 30 augmenting paths for the cut.
         net = parse_network("terminals s t\n" + "edge s t\n" * 30)
-        assert min_failed_subset_size(net, frozenset(), frozenset(range(1, 31))) == 30
+        assert BitGraph(net).min_subset_size(0, tuple(range(1, 31))) == 30
         assert calculate_m(net, (tuple(range(1, 31)),)).M == 30
 
 
 class TestGreedyFailedCount:
+    """`BitGraph._greedy_count`, the paper-greedy fatal-block score."""
+
     def test_parallel(self):
-        net = load_fixture("parallel2")
-        assert greedy_failed_count(net, frozenset(), frozenset({1, 2})) == 2
+        assert BitGraph(load_fixture("parallel2"))._greedy_count(0, _bits({1, 2})) == 2
 
     def test_bridge(self):
-        net = load_fixture("bridge")
-        assert greedy_failed_count(net, frozenset({3}), frozenset({1, 2, 4, 5})) == 2
+        bg = BitGraph(load_fixture("bridge"))
+        assert bg._greedy_count(_bits({3}), _bits({1, 2, 4, 5})) == 2
 
     def test_counterexample_order_dependence(self):
         # shortest-path search needs all three links; a longest-path-first
         # strategy would take the s-a-b-t walk and count a single iteration
-        net = load_fixture("counterexample")
-        assert greedy_failed_count(net, frozenset(), frozenset({1, 2, 3})) == 3
+        bg = BitGraph(load_fixture("counterexample"))
+        assert bg._greedy_count(0, _bits({1, 2, 3})) == 3
 
     def test_zigzag_undercounts(self):
         # the shortest path carries the whole three-link cut
-        net = load_fixture("zigzag")
-        block = frozenset({1, 2, 3})
-        assert greedy_failed_count(net, frozenset(), block) == 1
-        assert min_failed_subset_size(net, frozenset(), block) == 3
+        bg = BitGraph(load_fixture("zigzag"))
+        assert bg._greedy_count(0, _bits({1, 2, 3})) == 1
+        assert bg.min_subset_size(0, (1, 2, 3)) == 3
 
     def test_k_terminal_rejected(self):
         net = load_fixture("figure1")
         with pytest.raises(UnsupportedModeError):
-            greedy_failed_count(net, frozenset(), frozenset(range(1, 10)))
+            calculate_m(net, (tuple(range(1, 10)),), "paper-greedy")
 
     def test_never_exceeds_exact(self, rng):
         for _ in range(20):
             net = random_connected_network(rng, rng.randint(4, 6))
+            bg = BitGraph(net)
             for _ in range(20):
                 removed = frozenset(
                     link for link in range(1, net.n + 1) if rng.random() < 0.3
                 )
-                if not is_terminal_connected(net, removed):
+                if not bg.connected(_bits(removed)):
                     continue
                 block = frozenset(range(1, net.n + 1)) - removed
-                if not block or is_terminal_connected(net, removed | block):
+                if not block or bg.connected(_bits(removed | block)):
                     continue
-                greedy = greedy_failed_count(net, removed, block)
-                exact = min_failed_subset_size(net, removed, block)
+                greedy = bg._greedy_count(_bits(removed), _bits(block))
+                exact = bg.min_subset_size(_bits(removed), tuple(sorted(block)))
                 assert greedy <= exact

@@ -5,7 +5,8 @@ import pytest
 
 from netsig import sampling
 from netsig._bitgraph import BitGraph
-from netsig.engine import MAX_WORKERS, exact_tsignature
+from netsig.combinatorics import build_stratum_table, unrank_order
+from netsig.engine import MAX_WORKERS, calculate_m, exact_tsignature
 from netsig.fixtures import load_fixture
 from netsig.sampling import SamplingPlan, _SampleStream, _seed_hash, approx_tsignature
 
@@ -166,6 +167,24 @@ class TestApproxTSignature:
         net = load_fixture("eon_par_cop")
         sig = approx_tsignature(net, SamplingPlan(sample_count=300, seed=1))
         assert calls == {"_unrank_partition": 300, "_order_m": 300} and sig.total == 300
+
+    @pytest.mark.parametrize("name, m_mode, seed", [
+        ("bridge", "exact-subset", 21),
+        ("bridge", "paper-greedy", 22),
+        ("figure1", "exact-subset", 23),
+    ])
+    def test_counts_are_the_stream_orders_scored(self, name, m_mode, seed):
+        # Sample j is the order unranked from the j-th draw of the stream:
+        # the draws that the acceptance criteria check are the product's.
+        net = load_fixture(name)
+        table = build_stratum_table(net.n)
+        keyed = _seed_hash(seed)
+        expected = [0] * net.n
+        for j in range(2_000):
+            order = unrank_order(table, _SampleStream(keyed, j).randrange(table.n_star))
+            expected[calculate_m(net, order, m_mode).M - 1] += 1
+        plan = SamplingPlan(sample_count=2_000, seed=seed, m_mode=m_mode)
+        assert approx_tsignature(net, plan).counts == tuple(expected)
 
     def test_seed_changes_draws(self):
         net = load_fixture("bridge")

@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 output pipe closed by the reader (nothing is
 written to stderr), 2 usage, 3 input validation (an unreadable path, a
 malformed graph or artifact, a non-finite rate or time, a seed outside
 [0, 2**64), an m-mode the network does not support, or a non-finite number
-in a JSON artifact), 4 an exact program refused (memory budget, link limit).
+in a JSON artifact), 4 an exact program refused (memory budget, link limit)
+or a run out of memory.
 """
 
 from __future__ import annotations
@@ -298,8 +299,8 @@ def main(argv=None) -> int:
             NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EnumerationCapError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAP
 
 

@@ -31,10 +31,10 @@ from .combinatorics import (
 from .errors import EnumerationCapError, UnsupportedModeError
 from .graph import Network
 
-# Bytes the frontier DP's tables and two steps of states may hold, counted by
-# upper bounds.  No measured run's RSS grows by much more than half its bound:
-# the 20-terminal star, whose bound peaks at 444 MiB (mostly tables), grows by
-# 220 MiB and fits with room (README).
+# Bytes the frontier DP's tables for one step and two steps of states may
+# hold, counted by upper bounds.  No measured run's RSS grows by more than
+# 0.8 of its bound: the 20-terminal star, whose bound peaks at 188 MiB, grows
+# by 144 MiB and fits with room (README).
 MEMORY_BUDGET = 576 << 20
 # The paper-greedy t-signature visits up to 3^n (R, B) pairs.
 GREEDY_MAX_LINKS = 12
@@ -178,72 +178,6 @@ def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset")
     return MResult(order=order, M=_order_m(bg, list(order), identity, m_mode))
 
 
-def _cut_schedule(net: Network, inf: int):
-    """The frontier DP's first state and its steps, one per link.
-
-    Links are taken in a greedy order: each step takes the link that opens
-    the fewest non-terminal nodes net of those it closes, then the one that
-    opens the fewest, then the first.  One terminal is pinned to side 0.
-    The frontier lists the open nodes: every other terminal from the start,
-    so that σ = 0 (all terminals on the pinned one's side) is held at ∞,
-    and any other node from its first link.  Every node but the pinned one
-    closes after its last link.  Bit p of a side assignment σ is the side
-    of the node at position p.  A step holds the factor by which the
-    link's new nodes repeat φ (they take the top positions), its crossing
-    row (1 where σ puts its ends on different sides), its ∞ row, and one
-    (σ with the bit 0, σ with the bit 1) getter pair per node it closes.
-    A step's tables hold up to 128 bytes per σ (8 per row entry, 32 per ∞
-    int, 40 per getter index for two closed nodes): `held`, checked first.
-    """
-    index = {label: i for i, label in enumerate(net.nodes)}
-    links = [(index[a], index[b]) for _, a, b in net.links]
-    pinned, *frontier = sorted(index[t] for t in net.terminals)
-    terminals = {pinned, *frontier}
-    left = [0] * len(net.nodes)
-    for a, b in links:
-        left[a] += 1
-        left[b] += 1
-
-    def cost(i):
-        ends = [x for x in links[i] if x not in terminals]
-        opened = sum(x not in frontier for x in ends)
-        return opened - sum(left[x] == 1 for x in ends), opened, i
-
-    steps = []
-    held = 0
-    todo = set(range(len(links)))
-    while todo:
-        i = min(todo, key=cost)
-        todo.remove(i)
-        new = [x for x in links[i] if x != pinned and x not in frontier]
-        frontier += new
-        held += 128 << len(frontier)
-        if held > MEMORY_BUDGET:
-            raise _over_budget(len(steps) + 1, len(links))
-        bits = [0 if x == pinned else 1 << frontier.index(x) for x in links[i]]
-        cross = tuple(
-            (s & bits[0] > 0) ^ (s & bits[1] > 0) for s in range(1 << len(frontier))
-        )
-        closes = []
-        for x in links[i]:
-            left[x] -= 1
-            if not left[x] and x != pinned:
-                p = frontier.index(x)
-                frontier.remove(x)
-                if p == len(frontier):
-                    # The top position: two halves, which stay tuples when
-                    # the last node closes.
-                    closes.append((itemgetter(slice(1 << p)), itemgetter(slice(1 << p, None))))
-                else:
-                    low = (1 << p) - 1
-                    zero = [s & low | (s & ~low) << 1 for s in range(1 << len(frontier))]
-                    closes.append((itemgetter(*zero), itemgetter(*(s | 1 << p for s in zero))))
-        steps.append((1 << len(new), cross, tuple(inf * c for c in cross), closes))
-    # σ = 0 keeps every terminal with the pinned one and never separates.
-    start = (inf,) + (0,) * ((1 << len(terminals) - 1) - 1)
-    return start, steps, held
-
-
 def _over_budget(link: int, n: int) -> EnumerationCapError:
     return EnumerationCapError(f"the frontier program needs more than "
                                f"{MEMORY_BUDGET:,} bytes at link {link} of {n}; use sampling")
@@ -269,12 +203,27 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
     with φ = ∞ everywhere never separate at finite cost and are dropped.
     Once every node but the pinned one has closed, φ is the one value c*.
 
-    A step is refused once its states and its parents', by `state_bytes`,
-    and the tables would pass `MEMORY_BUDGET`.
+    Links are taken in a greedy order: each step takes the link that opens
+    the fewest non-terminal nodes net of those it closes, then the one that
+    opens the fewest, then the first.  One terminal is pinned to side 0.
+    The frontier lists the open nodes: every other terminal from the start,
+    so that σ = 0 (all terminals on the pinned one's side) is held at ∞,
+    and any other node from its first link.  Every node but the pinned one
+    closes after its last link.  Bit p of a side assignment σ is the side
+    of the node at position p.  A step builds the factor by which the
+    link's new nodes repeat φ (they take the top positions), its crossing
+    row (1 where σ puts its ends on different sides), its ∞ row, and one
+    (σ with the bit 0, σ with the bit 1) getter pair per node it closes.
+    It drops them once its states are built.
+
+    A step is refused once its tables (up to 128 bytes per σ: 8 per row
+    entry, 32 per ∞ int, 40 per getter index for two closed nodes), its
+    parents' states and its own, by `state_bytes`, would pass
+    `MEMORY_BUDGET`: before it allocates anything, and as its states grow.
+    The first step's parents are the start state, not yet built.
     """
     n = net.n
     inf = n + 1
-    start, steps, held = _cut_schedule(net, inf)
     # A polynomial is one integer: the number of labellings with r R-links
     # and b B-links sits in bits [width * (r * (most_b + 1) + b), +width).
     # No coefficient reaches 3^n, the count of all labellings.
@@ -305,11 +254,56 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
                 kid = tuple(map(min, zero(kid), one(kid)))
             yield kid, kid_poly
 
-    states = {start: 1}
-    held_states = state_bytes(0, len(start))
-    for link, step in enumerate(steps, start=1):
-        size = state_bytes(link, len(step[1]) >> len(step[3]))
-        limit = (MEMORY_BUDGET - held - held_states) // size
+    index = {label: i for i, label in enumerate(net.nodes)}
+    links = [(index[a], index[b]) for _, a, b in net.links]
+    pinned, *frontier = sorted(index[t] for t in net.terminals)
+    terminals = {pinned, *frontier}
+    left = [0] * len(net.nodes)
+    for a, b in links:
+        left[a] += 1
+        left[b] += 1
+
+    def cost(i):
+        ends = [x for x in links[i] if x not in terminals]
+        opened = sum(x not in frontier for x in ends)
+        return opened - sum(left[x] == 1 for x in ends), opened, i
+
+    todo = set(range(len(links)))
+    held = state_bytes(0, 1 << len(frontier))  # the parents' states
+    for link in range(1, n + 1):
+        i = min(todo, key=cost)
+        todo.remove(i)
+        new = [x for x in links[i] if x != pinned and x not in frontier]
+        frontier += new
+        closing = [x for x in links[i] if x != pinned and left[x] == 1]
+        for x in links[i]:
+            left[x] -= 1
+        size = state_bytes(link, 1 << len(frontier) - len(closing))
+        limit = (MEMORY_BUDGET - (128 << len(frontier)) - held) // size
+        if limit < 0:
+            raise _over_budget(link, n)
+        if link == 1:
+            # σ = 0 keeps every terminal with the pinned one and never separates.
+            states = {(inf,) + (0,) * ((1 << len(terminals) - 1) - 1): 1}
+        bits = [0 if x == pinned else 1 << frontier.index(x) for x in links[i]]
+        cross = tuple(
+            (s & bits[0] > 0) ^ (s & bits[1] > 0) for s in range(1 << len(frontier))
+        )
+        closes = []
+        for x in closing:
+            p = frontier.index(x)
+            frontier.remove(x)
+            if p == len(frontier):
+                # The top position: two halves, which stay tuples when the
+                # last node closes.
+                closes.append((itemgetter(slice(1 << p)), itemgetter(slice(1 << p, None))))
+            else:
+                low = (1 << p) - 1
+                closes.append(tuple(
+                    itemgetter(*(s & low | (s & ~low) << 1 | bit for s in range(1 << len(frontier))))
+                    for bit in (0, 1 << p)
+                ))
+        step = (1 << len(new), cross, tuple(inf * c for c in cross), closes)
         merged: dict[tuple[int, ...], int] = {}
         get = merged.get
         for phi, poly in states.items():
@@ -318,8 +312,9 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
                     merged[kid] = get(kid, 0) + kid_poly
             if len(merged) > limit:
                 raise _over_budget(link, n)
+        del step, cross, closes  # the next link builds its own tables
         states = merged
-        held_states = len(states) * size
+        held = len(states) * size
 
     by_cut: dict[int, int] = {}
     for phi, poly in states.items():

@@ -94,17 +94,17 @@ class TestExact:
         assert err.endswith(" bytes at link 1 of 40; use sampling\n")
 
     def test_state_guard_exit_code(self, tmp_path, capsys, monkeypatch):
-        # The 3x5 grid with corner terminals peaks at 11,879,400 bytes by the
+        # The 3x5 grid with corner terminals peaks at 11,823,080 bytes by the
         # DP's bounds (test_engine.py): a budget one byte lower lets its
-        # tables and first 17 steps through and refuses the 18th.
-        monkeypatch.setattr(engine, "MEMORY_BUDGET", 11_879_399)
+        # first 17 steps through and refuses the 18th.
+        monkeypatch.setattr(engine, "MEMORY_BUDGET", 11_823_079)
         graph = tmp_path / "grid3x5.graph"
         edges = [f"edge v{r}_{c} v{r + dr}_{c + dc}\n" for r in range(3) for c in range(5)
                  for dr, dc in ((0, 1), (1, 0)) if r + dr < 3 and c + dc < 5]
         graph.write_text("terminals v0_0 v2_4\n" + "".join(edges))
         code, out, err = run_cli(capsys, "exact", str(graph))
         assert code == 4 and out == ""
-        assert err == ("error: the frontier program needs more than 11,879,399 bytes "
+        assert err == ("error: the frontier program needs more than 11,823,079 bytes "
                        "at link 18 of 22; use sampling\n")
 
     def test_bad_graph_exit_code(self, tmp_path, capsys):
@@ -312,6 +312,16 @@ class TestReliability:
         code, out, err = run_cli(capsys, "reliability", str(fixture_path("bridge")))
         assert code == 3 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_out_of_memory_exit_code(self, capsys, monkeypatch):
+        # A MemoryError (a huge --steps grid) ends in one line and exit 4,
+        # not in a traceback and exit 1, which means the pipe was closed.
+        def grid(tmax, steps):
+            raise MemoryError
+        monkeypatch.setattr(cli, "_time_grid", grid)
+        code, out, err = run_cli(capsys, "reliability", str(fixture_path("figure1")))
+        assert code == 4 and out == ""
+        assert err == "error: out of memory\n"
 
     def test_zero_steps_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -354,19 +354,36 @@ class TestExactTSignature:
         assert exact_tsignature(net).counts[-1] == n_star(n)
 
     def test_state_guard_admits_a_3x5_grid(self, monkeypatch):
-        # 22 links, 11,879,400 bytes at the peak by the DP's bounds (3,074
-        # states and their parents): admitted by the default budget and by
-        # one of exactly that many bytes, refused by one a byte lower.
+        # 22 links, 11,823,080 bytes at the peak by the DP's bounds (one
+        # step's tables, 3,074 states and their parents): admitted by the
+        # default budget and by one of exactly that many bytes, refused by
+        # one a byte lower.
         grid = _grid(3, 5)
-        assert engine.MEMORY_BUDGET >= 11_879_400
-        monkeypatch.setattr(engine, "MEMORY_BUDGET", 11_879_400)
+        assert engine.MEMORY_BUDGET >= 11_823_080
+        monkeypatch.setattr(engine, "MEMORY_BUDGET", 11_823_080)
         sig = exact_tsignature(grid)
         assert sig.total == n_star(22)
         assert sig.counts[0] == 0 and sig.counts[1] > 0  # corner terminals
-        monkeypatch.setattr(engine, "MEMORY_BUDGET", 11_879_399)
+        monkeypatch.setattr(engine, "MEMORY_BUDGET", 11_823_079)
         with pytest.raises(EnumerationCapError,
-                           match="11,879,399 bytes at link .* of 22; use sampling"):
+                           match="11,823,079 bytes at link .* of 22; use sampling"):
             exact_tsignature(grid)
+
+    @pytest.mark.parametrize("signature, least", [(exact_tsignature, 773_216),
+                                                  (classic_signature, 756_016)])
+    def test_state_guard_counts_one_step_of_tables(self, monkeypatch, signature, least):
+        # The 12-leaf star's first step repeats φ over the hub and 11
+        # terminals; each later step closes a terminal and halves it.  Only
+        # the step that runs holds tables, so its peak is the second step's
+        # tables with the first step's states and its own.
+        star = _star(12)
+        monkeypatch.setattr(engine, "MEMORY_BUDGET", least)
+        sig = signature(star)
+        assert sig.counts[0] == sig.total
+        monkeypatch.setattr(engine, "MEMORY_BUDGET", least - 1)
+        with pytest.raises(EnumerationCapError,
+                           match=f"{least - 1:,} bytes at link 2 of 12; use sampling"):
+            signature(star)
 
     @pytest.mark.parametrize("k", [10, 12])
     def test_star(self, k):

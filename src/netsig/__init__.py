@@ -2,7 +2,6 @@
 
 from .combinatorics import (
     StratumTable,
-    binomial,
     build_stratum_table,
     enumerate_orders,
     n_star,
@@ -41,7 +40,6 @@ __version__ = "0.2.0"
 
 __all__ = [
     "StratumTable",
-    "binomial",
     "build_stratum_table",
     "enumerate_orders",
     "n_star",

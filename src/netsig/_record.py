@@ -4,19 +4,17 @@
 A subclass of `Record` declares its fields as annotations, after those of
 its bases, and a default as a class attribute of the same name.  A record
 takes positional or keyword arguments, is checked by `__post_init__`,
-refuses assignment, and compares and hashes by the fields in `_compare`
-(all of them unless the class names fewer).  The values given live in the
-instance `__dict__`, so reads are plain and pickling needs no hook.
+refuses assignment, and compares and hashes by its fields.  The values
+given live in the instance `__dict__`, so reads are plain and pickling
+needs no hook.
 """
 
 
 class Record:
-    _fields = _compare = ()
+    _fields = ()
 
     def __init_subclass__(cls):
         cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
-        if "_compare" not in cls.__dict__:
-            cls._compare = cls._fields
 
     def __init__(self, *args, **kwargs):
         fields, name = self._fields, type(self).__name__
@@ -38,7 +36,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, field) for field in self._compare)
+        return tuple(getattr(self, field) for field in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -52,14 +52,17 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_CAP = 4
 
+# The time grid and its curve are built whole before anything is written, so
+# `reliability --steps` is bounded before they are: a million steps already
+# take about 250 MB of memory and 38 MB of JSON (figure1, 3.7 s).
+MAX_STEPS = 10**6
 
-def _read_input(path: str) -> tuple[str, str, str]:
-    """The text of a file, its SHA-256 and its name without the last suffix
-    (as `pathlib.Path.stem` gives it)."""
+
+def _read_input(path: str) -> tuple[str, str]:
+    """The text of a file and its SHA-256."""
     with open(path) as f:
         text = f.read()
-    stem = os.path.splitext(os.path.basename(path))[0]
-    return text, sha256(text.encode()).hexdigest(), stem
+    return text, sha256(text.encode()).hexdigest()
 
 
 def _manifest(command: str, digest: str | None, args: argparse.Namespace, started: float) -> dict:
@@ -120,8 +123,8 @@ def cmd_signature(args) -> int:
     """exact, approx and signature: one network in, one signature artifact
     out."""
     started = time.time()
-    text, digest, name = _read_input(args.graph)
-    net = parse_network(text, name=name)
+    text, digest = _read_input(args.graph)
+    net = parse_network(text)
     m_mode = "paper-greedy" if args.m_mode == "greedy" else "exact-subset"
     if args.command == "exact":
         sig = exact_tsignature(net, m_mode=m_mode, workers=args.workers)
@@ -162,7 +165,7 @@ def _artifact_int(value) -> int:
 def _load_signature_input(path: str):
     """Accept either a graph file (exact signature is computed) or a
     previously emitted signature artifact."""
-    text, digest, name = _read_input(path)
+    text, digest = _read_input(path)
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
@@ -181,7 +184,7 @@ def _load_signature_input(path: str):
                 f"{path}: not a signature artifact ({type(exc).__name__}: {exc})"
             ) from None
         return sig, digest
-    net = parse_network(text, name=name)
+    net = parse_network(text)
     return exact_tsignature(net), digest
 
 
@@ -282,8 +285,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "nstar" and args.n < 2:
         parser.error("N must be >= 2")
-    if args.command == "reliability" and args.steps < 1:
-        parser.error("--steps must be >= 1")
+    if args.command == "reliability" and not 1 <= args.steps <= MAX_STEPS:
+        parser.error(f"--steps must lie in [1, {MAX_STEPS}]")
     try:
         code = args.func(args)
         sys.stdout.flush()

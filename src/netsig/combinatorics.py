@@ -1,11 +1,14 @@
 """Exact combinatorics of link-failure orders.
 
 A failure order is an ordered set partition of the link ids {1..n}: links in
-the same block fail together, blocks fail left to right.  This module counts
-those orders (binomials, Stirling numbers of the second kind, Fubini numbers),
-enumerates them lazily in a fixed canonical order, and unranks them: every
-integer below n* names one order, stratified by the block count, so one
-uniform integer below n* is one uniform order.
+the same block fail together, blocks fail left to right.  One cached table
+of Stirling numbers of the second kind S(n, k) drives the module: it counts
+the orders (n*, the Fubini number, is the sum of k!*S(n, k) over the block
+count k), and it unranks them: every integer below n* names one order,
+stratified by the block count, so one uniform integer below n* is one
+uniform order.  The module also enumerates the orders lazily in a fixed
+canonical order, walking the set partitions block by block and permuting
+the blocks of each.
 
 All counts are exact Python integers; the order count for n=26 has 31 digits.
 """
@@ -23,13 +26,6 @@ from ._record import Record
 # disjoint nonempty blocks covering {1..n}.
 Block = tuple[int, ...]
 FailureOrder = tuple[Block, ...]
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) as an exact integer."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")
-    return math.comb(n, k)
 
 
 # _stirling_rows[m-1][k-1] = S(m, k); rows are appended on demand.
@@ -57,18 +53,11 @@ def stirling2(n: int, k: int) -> int:
 
 def n_star(n: int) -> int:
     """The number of failure orders of n links (the ordered Bell / Fubini
-    number), computed from the inclusion-exclusion double sum and cross-checked
-    against the stratum identity sum_k k!*S(n,k)."""
+    number): the sum over the block count k of k!*S(n,k), the k!
+    orderings of each k-block partition."""
     if n < 1:
         raise ValueError(f"n_star requires n >= 1, got {n}")
-    total = sum(
-        math.comb(j, k) * (-1) ** k * (j - k) ** n
-        for j in range(1, n + 1)
-        for k in range(0, j + 1)
-    )
-    by_strata = sum(math.factorial(k) * stirling2(n, k) for k in range(1, n + 1))
-    assert total == by_strata, f"Fubini identity failed at n={n}"
-    return total
+    return sum(math.factorial(k) * stirling2(n, k) for k in range(1, n + 1))
 
 
 class StratumTable(Record):
@@ -98,62 +87,56 @@ def build_stratum_table(n: int) -> StratumTable:
     if n < 1:
         raise ValueError(f"build_stratum_table requires n >= 1, got {n}")
     m = tuple(math.factorial(k) * stirling2(n, k) for k in range(1, n + 1))
-    return StratumTable(n=n, m=m, n_star=n_star(n))
-
-
-def _rgs_iter(n: int) -> Iterator[list[int]]:
-    """Yield every restricted growth string of length n in lexicographic
-    order.  The yielded list is reused; callers must not keep references."""
-    a = [0] * n
-    b = [1] * n  # b[i] = 1 + max(a[0..i-1]); a[i] may range over 0..b[i]
-    while True:
-        yield a
-        i = n - 1
-        while i > 0 and a[i] >= b[i]:
-            a[i] = 0
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        nb = max(b[i], a[i] + 1)
-        for j in range(i + 1, n):
-            b[j] = nb
-
-
-def _blocks_from_rgs(rgs: list[int]) -> list[list[int]]:
-    """Group element indices by RGS label into blocks ordered by minimum
-    element (labels appear in order of first occurrence)."""
-    blocks: list[list[int]] = []
-    for idx, label in enumerate(rgs):
-        if label == len(blocks):
-            blocks.append([idx + 1])
-        else:
-            blocks[label].append(idx + 1)
-    return blocks
+    return StratumTable(n=n, m=m, n_star=sum(m))
 
 
 def iter_base_partitions(n: int) -> Iterator[tuple[Block, ...]]:
     """Yield every set partition of {1..n} exactly once, blocks sorted by
-    minimum element, in restricted-growth-string lexicographic order."""
+    minimum element, in the lexicographic order of the partitions'
+    restricted growth strings (each element labelled with its block's
+    index).
+
+    The walk starts from the one-block partition.  The next partition pops
+    elements from n downwards until one can move to the next block or open
+    a new one.  With every larger element popped, an element can unless it
+    is alone in its block; then it is the least element of the last block,
+    which is dropped.  The element that can move does, and every larger
+    element joins block 0.  The walk ends after the partition into n
+    singletons, where every element is alone.
+    """
     if n < 1:
         raise ValueError(f"iter_base_partitions requires n >= 1, got {n}")
-    for rgs in _rgs_iter(n):
-        yield tuple(tuple(block) for block in _blocks_from_rgs(rgs))
+    blocks = [list(range(1, n + 1))]
+    label = [0] * (n + 1)  # label[e]: the index of e's block
+    while True:
+        yield tuple(map(tuple, blocks))
+        e = n
+        while len(blocks[label[e]]) == 1:
+            blocks.pop()
+            if not blocks:
+                return
+            e -= 1
+        j = label[e]
+        blocks[j].pop()
+        j += 1
+        if j == len(blocks):
+            blocks.append([])
+        blocks[j].append(e)
+        label[e] = j
+        blocks[0].extend(range(e + 1, n + 1))
+        label[e + 1:] = [0] * (n - e)
 
 
 def enumerate_orders(n: int) -> Iterator[FailureOrder]:
     """Lazily yield every failure order of {1..n} exactly once.
 
-    Canonical stream order: base partitions in restricted-growth-string
-    lexicographic order; within a base partition, block permutations in
+    Canonical stream order: base partitions in the order of
+    `iter_base_partitions`; within a base partition, block permutations in
     lexicographic index order.  The stream has n_star(n) elements and never
     materializes the whole collection.
     """
     for blocks in iter_base_partitions(n):
-        if len(blocks) == 1:
-            yield blocks
-        else:
-            yield from permutations(blocks)
+        yield from permutations(blocks)
 
 
 def _unrank_partition(table: StratumTable, u: int) -> tuple[list[list[int]], int]:

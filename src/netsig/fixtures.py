@@ -31,4 +31,4 @@ def fixture_path(name: str) -> Path:
 
 def load_fixture(name: str) -> Network:
     path = fixture_path(name)
-    return parse_network(path.read_text(), name=name)
+    return parse_network(path.read_text())

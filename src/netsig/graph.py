@@ -23,8 +23,6 @@ class Network(Record):
     nodes: tuple[str, ...]
     links: tuple[tuple[int, str, str], ...]
     terminals: frozenset[str]
-    name: str = ""
-    _compare = ("nodes", "links", "terminals")
 
     def __post_init__(self):
         if len(set(self.nodes)) != len(self.nodes):
@@ -53,7 +51,7 @@ class Network(Record):
         return len(self.links)
 
 
-def parse_network(text: str, name: str = "") -> Network:
+def parse_network(text: str) -> Network:
     """Parse the line-oriented edge-list format into a Network.
 
     Format: '#' starts a comment; 'node LABEL' optionally pre-declares a
@@ -123,8 +121,6 @@ def parse_network(text: str, name: str = "") -> Network:
         raise GraphParseError("network has no edges")
     links = tuple((i, a, b) for i, (a, b, _) in enumerate(edges, start=1))
     try:
-        return Network(
-            nodes=tuple(nodes), links=links, terminals=frozenset(terminals), name=name
-        )
+        return Network(nodes=tuple(nodes), links=links, terminals=frozenset(terminals))
     except NetworkValidationError as exc:
         raise GraphParseError(str(exc), line=terminals_line) from exc

@@ -52,31 +52,23 @@ class SamplingPlan(Record):
         _check_workers(self.workers)
 
 
-class _SampleStream:
-    """The random stream of sample `index`: `randrange` over the digests of
-    `keyed` (the seed-keyed BLAKE2b of `_seed_hash`) updated with the 16
+def _sample_rank(keyed, index: int, x: int) -> int:
+    """The uniform integer below x of sample `index`, drawn from the digests
+    of `keyed` (the seed-keyed BLAKE2b of `_seed_hash`) updated with the 16
     bytes of counter * 2**64 + index, as the module docstring sets out."""
-
-    __slots__ = ("_keyed", "_index", "_counter")
-
-    def __init__(self, keyed, index: int):
-        self._keyed = keyed
-        self._index = index
-        self._counter = 0
-
-    def randrange(self, x: int) -> int:
-        bits = x.bit_length()
-        digests = -(-bits // _DIGEST_BITS)
-        while True:
-            u = 0
-            for _ in range(digests):
-                h = self._keyed.copy()
-                h.update((self._counter << 64 | self._index).to_bytes(16, "little"))
-                self._counter += 1
-                u = u << _DIGEST_BITS | int.from_bytes(h.digest(), "big")
-            u >>= digests * _DIGEST_BITS - bits
-            if u < x:
-                return u
+    bits = x.bit_length()
+    digests = -(-bits // _DIGEST_BITS)
+    counter = 0
+    while True:
+        u = 0
+        for _ in range(digests):
+            h = keyed.copy()
+            h.update((counter << 64 | index).to_bytes(16, "little"))
+            counter += 1
+            u = u << _DIGEST_BITS | int.from_bytes(h.digest(), "big")
+        u >>= digests * _DIGEST_BITS - bits
+        if u < x:
+            return u
 
 
 def _seed_hash(seed: int):
@@ -100,7 +92,7 @@ def _draw_orders(net, worker_id, workers, counts, m_mode, seed, sample_count) ->
     keyed = _seed_hash(seed)
     n_star = table.n_star
     for j in range(worker_id, sample_count, workers):
-        blocks, perm = _unrank_partition(table, _SampleStream(keyed, j).randrange(n_star))
+        blocks, perm = _unrank_partition(table, _sample_rank(keyed, j, n_star))
         counts[_order_m(bg, blocks, perm, m_mode) - 1] += 1
 
 

@@ -68,7 +68,7 @@ class OracleNet:
 
 def all_set_partitions(elements):
     """Every partition of `elements`, generated by recursive assignment
-    (independent of the package's restricted-growth-string stream)."""
+    (independent of the package's block-walk stream)."""
     if not elements:
         yield []
         return

@@ -22,7 +22,7 @@ from netsig.engine import calculate_m, classic_signature, exact_tsignature
 from netsig.errors import UnsupportedModeError
 from netsig.fixtures import load_fixture
 from netsig.reliability import poisson_model, survival_mixture
-from netsig.sampling import SamplingPlan, _SampleStream, _seed_hash, approx_tsignature
+from netsig.sampling import SamplingPlan, _sample_rank, _seed_hash, approx_tsignature
 
 from conftest import oracle_histogram, random_connected_network
 
@@ -208,7 +208,7 @@ def test_criterion_07_mode_ordering(rng):
     for i, net in enumerate(corpus):
         table = build_stratum_table(net.n)
         for j in range(10_000 * i, 10_000 * (i + 1)):
-            order = unrank_order(table, _SampleStream(keyed, j).randrange(table.n_star))
+            order = unrank_order(table, _sample_rank(keyed, j, table.n_star))
             exact = calculate_m(net, order, "exact-subset").M
             greedy = calculate_m(net, order, "paper-greedy").M
             assert greedy <= exact
@@ -231,7 +231,7 @@ def test_criterion_08_sampler_uniformity():
         keyed = _seed_hash(5_000 + n)  # the sampler's stream
         observed = [0] * len(index)
         for j in range(draws):
-            u = _SampleStream(keyed, j).randrange(table.n_star)
+            u = _sample_rank(keyed, j, table.n_star)
             observed[index[unrank_order(table, u)]] += 1
         result = scipy_stats.chisquare(observed)
         assert result.pvalue > 0.001

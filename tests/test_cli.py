@@ -314,8 +314,8 @@ class TestReliability:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_out_of_memory_exit_code(self, capsys, monkeypatch):
-        # A MemoryError (a huge --steps grid) ends in one line and exit 4,
-        # not in a traceback and exit 1, which means the pipe was closed.
+        # A MemoryError ends in one line and exit 4, not in a traceback and
+        # exit 1, which means the pipe was closed.
         def grid(tmax, steps):
             raise MemoryError
         monkeypatch.setattr(cli, "_time_grid", grid)
@@ -327,6 +327,24 @@ class TestReliability:
         with pytest.raises(SystemExit) as err:
             main(["reliability", str(fixture_path("bridge")), "--steps", "0"])
         assert err.value.code == 2
+
+    def test_steps_above_bound_usage_error(self, capsys, monkeypatch):
+        # More than MAX_STEPS is refused before any grid is built; MAX_STEPS
+        # itself reaches the grid (stubbed here, to build nothing).
+        built = []
+
+        def grid(tmax, steps):
+            built.append(steps)
+            raise MemoryError
+        monkeypatch.setattr(cli, "_time_grid", grid)
+        with pytest.raises(SystemExit) as err:
+            main(["reliability", str(fixture_path("bridge")), "--steps", str(cli.MAX_STEPS + 1)])
+        assert err.value.code == 2 and built == []
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1].endswith("error: --steps must lie in [1, 1000000]")
+        code, _, _ = run_cli(capsys, "reliability", str(fixture_path("bridge")),
+                             "--steps", str(cli.MAX_STEPS))
+        assert code == 4 and built == [10**6]
 
     @pytest.mark.parametrize("text", [
         '{"n": 2}',

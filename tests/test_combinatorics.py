@@ -5,10 +5,10 @@ from collections import Counter
 import pytest
 
 from netsig.combinatorics import (
-    binomial,
     build_stratum_table,
     check_failure_order,
     enumerate_orders,
+    iter_base_partitions,
     n_star,
     random_order,
     stirling2,
@@ -44,29 +44,6 @@ TABLE_N_STAR = {
     11: 1_622_632_573,
     12: 28_091_567_595,
 }
-
-
-def pascal_binomial(n, k):
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[k]
-
-
-class TestBinomial:
-    def test_small(self):
-        assert binomial(4, 2) == 6
-
-    def test_k_zero(self):
-        assert binomial(17, 0) == 1
-
-    def test_pascal_oracle(self):
-        assert binomial(26, 13) == pascal_binomial(26, 13) == 10_400_600
-
-    @pytest.mark.parametrize("n,k", [(-1, 0), (3, 4), (3, -1)])
-    def test_out_of_range(self, n, k):
-        with pytest.raises(ValueError):
-            binomial(n, k)
 
 
 class TestStirling2:
@@ -105,10 +82,13 @@ class TestNStar:
             n_star(0)
 
     def test_stratum_identity_up_to_30(self):
-        # inclusion-exclusion double sum vs sum_k k!*S(n,k), exact integers
+        # sum_k k!*S(n,k) vs the inclusion-exclusion double sum
+        # sum_j sum_i (-1)^i C(j,i) (j-i)^n, exact integers
         for n in range(1, 31):
             assert n_star(n) == sum(
-                math.factorial(k) * stirling2(n, k) for k in range(1, n + 1)
+                math.comb(j, i) * (-1) ** i * (j - i) ** n
+                for j in range(1, n + 1)
+                for i in range(j + 1)
             )
 
 
@@ -125,6 +105,39 @@ class TestStratumTable:
 
     def test_n2(self):
         assert build_stratum_table(2).m == (1, 2)
+
+
+def _labels(blocks, n):
+    """The restricted growth string of a partition: element e's block index."""
+    labels = [None] * n
+    for index, block in enumerate(blocks):
+        for e in block:
+            labels[e - 1] = index
+    return labels
+
+
+class TestBasePartitions:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_labels_increase_and_cover_every_partition(self, n):
+        stream = list(iter_base_partitions(n))
+        for blocks in stream:
+            assert all(list(block) == sorted(block) for block in blocks)
+            assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
+        labels = [_labels(blocks, n) for blocks in stream]
+        assert all(a < b for a, b in zip(labels, labels[1:]))
+        as_sets = {frozenset(map(frozenset, blocks)) for blocks in stream}
+        assert as_sets == {
+            frozenset(map(frozenset, part))
+            for part in all_set_partitions(list(range(1, n + 1)))
+        }
+
+    def test_first_partitions_of_5000_links(self):
+        # The walk is iterative: a recursion per link would overflow here.
+        stream = iter_base_partitions(5000)
+        links = tuple(range(1, 5001))
+        assert next(stream) == (links,)
+        assert next(stream) == (links[:-1], (5000,))
+        assert next(stream) == (links[:-2] + (5000,), (4999,))
 
 
 class TestEnumerateOrders:

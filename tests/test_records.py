@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from netsig import MResult, SampledTSignature, StratumTable, TSignature, load_fixture
-from netsig.graph import Network
+from netsig.graph import Network, parse_network
 from netsig.reliability import CountingModel, ReliabilityCurve
 from netsig.sampling import SamplingPlan
 
@@ -17,7 +17,7 @@ TERMINALS = frozenset({"a", "c"})
 # (class, positional arguments, field names, defaults left out of the arguments)
 RECORDS = [
     (StratumTable, (2, (1, 2), 3), ("n", "m", "n_star"), {}),
-    (Network, (NODES, LINKS, TERMINALS), ("nodes", "links", "terminals", "name"), {"name": ""}),
+    (Network, (NODES, LINKS, TERMINALS), ("nodes", "links", "terminals"), {}),
     (TSignature, (2, (1, 2), 3, "exact", "exact-subset"),
      ("n", "counts", "total", "mode", "m_mode"), {}),
     (SampledTSignature, (2, (1, 2), 3, "sampled", "exact-subset"),
@@ -81,17 +81,20 @@ class TestRecord:
 
 
 def test_network_name_is_not_compared():
-    a = Network(NODES, LINKS, TERMINALS, name="a")
-    b = Network(NODES, LINKS, TERMINALS, "b")
-    assert a == b and hash(a) == hash(b) and a.name == "a"
+    # A network is its nodes, links and terminals: it carries no name (such
+    # as the file it was read from) that could tell two equal networks apart.
+    a = Network(NODES, LINKS, TERMINALS)
+    b = parse_network("terminals c a\nedge a b\nedge b c\n")
+    assert a == b and hash(a) == hash(b)
     assert a != Network(NODES, LINKS[:1] + ((2, "a", "c"),), TERMINALS)
-    assert repr(a).endswith(", name='a')")
+    with pytest.raises(TypeError):
+        Network(NODES, LINKS, TERMINALS, name="a")
 
 
 def test_fixture_network_survives_pickling():
     net = load_fixture("figure1")
     copy = pickle.loads(pickle.dumps(net))
-    assert copy == net and copy.name == "figure1" and copy.n == 9
+    assert copy == net and copy.n == 9
 
 
 def test_stratum_table_cumulative_is_derived():

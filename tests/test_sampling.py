@@ -8,7 +8,7 @@ from netsig._bitgraph import BitGraph
 from netsig.combinatorics import build_stratum_table, unrank_order
 from netsig.engine import MAX_WORKERS, calculate_m, exact_tsignature
 from netsig.fixtures import load_fixture
-from netsig.sampling import SamplingPlan, _SampleStream, _seed_hash, approx_tsignature
+from netsig.sampling import SamplingPlan, _sample_rank, _seed_hash, approx_tsignature
 
 
 class TestSamplingPlan:
@@ -49,16 +49,16 @@ class TestSampleStream:
     def test_draws_below_bound(self, x):
         # 2**512 and up take more than one digest per draw.
         keyed = _seed_hash(9)
-        draws = [_SampleStream(keyed, j).randrange(x) for j in range(60)]
+        draws = [_sample_rank(keyed, j, x) for j in range(60)]
         assert all(0 <= u < x for u in draws)
         assert x == 1 or max(draws) >= x // 4
 
     def test_stream_depends_on_seed_and_index_alone(self):
         x = 10**30
-        first = [_SampleStream(_seed_hash(3), j).randrange(x) for j in range(5)]
-        assert first == [_SampleStream(_seed_hash(3), j).randrange(x) for j in range(5)]
+        first = [_sample_rank(_seed_hash(3), j, x) for j in range(5)]
+        assert first == [_sample_rank(_seed_hash(3), j, x) for j in range(5)]
         assert len(set(first)) == 5
-        assert first != [_SampleStream(_seed_hash(4), j).randrange(x) for j in range(5)]
+        assert first != [_sample_rank(_seed_hash(4), j, x) for j in range(5)]
 
     def test_uniform_with_rejections(self):
         # x = 5 rejects 3 of every 8 candidates; a redraw must come from the
@@ -66,7 +66,7 @@ class TestSampleStream:
         from scipy.stats import chisquare
 
         keyed = _seed_hash(1)
-        freq = Counter(_SampleStream(keyed, j).randrange(5) for j in range(40_000))
+        freq = Counter(_sample_rank(keyed, j, 5) for j in range(40_000))
         assert sorted(freq) == [0, 1, 2, 3, 4]
         _, p = chisquare(list(freq.values()))
         assert p > 0.001
@@ -181,7 +181,7 @@ class TestApproxTSignature:
         keyed = _seed_hash(seed)
         expected = [0] * net.n
         for j in range(2_000):
-            order = unrank_order(table, _SampleStream(keyed, j).randrange(table.n_star))
+            order = unrank_order(table, _sample_rank(keyed, j, table.n_star))
             expected[calculate_m(net, order, m_mode).M - 1] += 1
         plan = SamplingPlan(sample_count=2_000, seed=seed, m_mode=m_mode)
         assert approx_tsignature(net, plan).counts == tuple(expected)

@@ -10,8 +10,6 @@ from .combinatorics import (
     unrank_order,
 )
 from .engine import (
-    MResult,
-    SampledTSignature,
     TSignature,
     calculate_m,
     classic_signature,
@@ -28,13 +26,12 @@ from .fixtures import fixture_path, load_fixture
 from .graph import Network, parse_network
 from .reliability import (
     CountingModel,
-    ReliabilityCurve,
     binomial_model,
     count_cdf,
     poisson_model,
     survival_mixture,
 )
-from .sampling import SamplingPlan, approx_tsignature
+from .sampling import approx_tsignature
 
 __version__ = "0.2.0"
 
@@ -46,8 +43,6 @@ __all__ = [
     "random_order",
     "stirling2",
     "unrank_order",
-    "MResult",
-    "SampledTSignature",
     "TSignature",
     "calculate_m",
     "classic_signature",
@@ -62,12 +57,10 @@ __all__ = [
     "Network",
     "parse_network",
     "CountingModel",
-    "ReliabilityCurve",
     "binomial_model",
     "count_cdf",
     "poisson_model",
     "survival_mixture",
-    "SamplingPlan",
     "approx_tsignature",
     "__version__",
 ]

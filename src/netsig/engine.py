@@ -77,16 +77,10 @@ class TSignature(Record):
     def values(self) -> tuple[float, ...]:
         return tuple(c / self.total for c in self.counts)
 
-
-class SampledTSignature(TSignature):
-    """TSignature plus per-component binomial standard errors."""
-
-    std_error: tuple[float, ...] = ()
-
-
-class MResult(Record):
-    order: FailureOrder
-    M: int
+    @property
+    def std_error(self) -> tuple[float, ...]:
+        """Per-component binomial standard errors, for sampled counts."""
+        return tuple(math.sqrt(v * (1.0 - v) / self.total) for v in self.values)
 
 
 def _check_m_mode(net: Network, m_mode: str) -> None:
@@ -169,13 +163,13 @@ def _order_m(bg: BitGraph, blocks: list, perm: int, m_mode: str) -> int:
     return bg.n - kept + bg._greedy_count(removed_mask, block_mask)
 
 
-def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset") -> MResult:
-    """Score one failure order against the network."""
+def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset") -> int:
+    """M of one failure order on the network."""
     check_failure_order(order, net.n)
     _check_m_mode(net, m_mode)
     bg = BitGraph(net, build_table=False)
     identity = math.factorial(len(order)) - 1  # see _order_m
-    return MResult(order=order, M=_order_m(bg, list(order), identity, m_mode))
+    return _order_m(bg, list(order), identity, m_mode)
 
 
 def _over_budget(link: int, n: int) -> EnumerationCapError:
@@ -205,7 +199,8 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
 
     Links are taken in a greedy order: each step takes the link that opens
     the fewest non-terminal nodes net of those it closes, then the one that
-    opens the fewest, then the first.  One terminal is pinned to side 0.
+    opens the fewest, then the first.  The first terminal in `BitGraph`'s
+    node numbering is pinned to side 0.
     The frontier lists the open nodes: every other terminal from the start,
     so that σ = 0 (all terminals on the pinned one's side) is held at ∞,
     and any other node from its first link.  Every node but the pinned one
@@ -254,14 +249,11 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
                 kid = tuple(map(min, zero(kid), one(kid)))
             yield kid, kid_poly
 
-    index = {label: i for i, label in enumerate(net.nodes)}
-    links = [(index[a], index[b]) for _, a, b in net.links]
-    pinned, *frontier = sorted(index[t] for t in net.terminals)
+    bg = BitGraph(net)
+    links = bg.ends[1:]
+    pinned, *frontier = bg.terminal_indices
     terminals = {pinned, *frontier}
-    left = [0] * len(net.nodes)
-    for a, b in links:
-        left[a] += 1
-        left[b] += 1
+    left = [len(adjacent) for adjacent in bg.adj]  # links not yet taken, per node
 
     def cost(i):
         ends = [x for x in links[i] if x not in terminals]

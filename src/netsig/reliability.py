@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import islice
 
 from ._record import Record
 from .engine import TSignature
@@ -51,6 +52,8 @@ def count_cdf(model: CountingModel, j: int, t: float) -> float:
     result clamped into [0, 1]."""
     if j < 0:
         raise ValueError("j must be >= 0")
+    if t < 0:
+        raise ValueError("t must be >= 0")
     return _mixture(model, (0,) * j + (1,), 1, (t,))[0]
 
 
@@ -73,8 +76,6 @@ def _mixture(model: CountingModel, weights, divisor: int, times) -> list[float]:
         head = ws[0]
         steps = list(enumerate(ws[1:], start=1))
         for t in times:
-            if t < 0:
-                raise ValueError("t must be >= 0")
             mean = rate * t
             if mean == math.inf:
                 append(0.0)
@@ -93,8 +94,6 @@ def _mixture(model: CountingModel, weights, divisor: int, times) -> list[float]:
         steps = [(math.comb(n, r), r, n - r, c) for r, c in enumerate(ws[:n])]
         beyond_n = [c for c in ws[n:] if c]
         for t in times:
-            if t < 0:
-                raise ValueError("t must be >= 0")
             p = -math.expm1(-rate * t)
             q = 1.0 - p
             s = acc = 0.0
@@ -108,27 +107,9 @@ def _mixture(model: CountingModel, weights, divisor: int, times) -> list[float]:
     return survival
 
 
-class ReliabilityCurve(Record):
-    """Survival probabilities P(T > t) on an ascending time grid."""
-
-    times: tuple[float, ...]
-    survival: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.times) != len(self.survival):
-            raise ValueError("times and survival must have equal length")
-        if not all(map(math.isfinite, self.times)):
-            raise ValueError("time grid must be finite")
-        if any(map(operator.gt, self.times, self.times[1:])):
-            raise ValueError("time grid must be ascending")
-        if self.times and self.times[0] < 0:
-            raise ValueError("time grid must be nonnegative")
-
-
-def survival_mixture(
-    sig: TSignature, model: CountingModel, grid
-) -> ReliabilityCurve:
-    """Mixture curve: P(T > t) = sum_i values[i] * P(N(t) <= i-1).
+def survival_mixture(sig: TSignature, model: CountingModel, grid) -> list[float]:
+    """Mixture curve: P(T > t) = sum_i values[i] * P(N(t) <= i-1) for each t
+    of `grid`, a finite, ascending and nonnegative sequence of times.
 
     With a classic signature and the binomial model this is the i.i.d.
     order-statistic representation; with a batch-failure signature and a
@@ -141,6 +122,10 @@ def survival_mixture(
         raise ValueError(
             f"binomial model n={model.n} does not match signature length {sig.n}"
         )
-    times = tuple(map(float, grid))
-    survival = _mixture(model, sig.counts, sig.total, times)
-    return ReliabilityCurve(times=times, survival=tuple(survival))
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("time grid must be finite")
+    if any(map(operator.gt, grid, islice(grid, 1, None))):
+        raise ValueError("time grid must be ascending")
+    if grid and grid[0] < 0:
+        raise ValueError("time grid must be nonnegative")
+    return _mixture(model, sig.counts, sig.total, grid)

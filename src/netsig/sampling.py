@@ -23,33 +23,16 @@ Seeds lie in [0, 2**64) and sample indices below 2**64.
 
 from __future__ import annotations
 
-import math
-
 from ._bitgraph import BitGraph
-from ._record import Record
 from .combinatorics import _unrank_partition, build_stratum_table
 # Not called here: it stays until perfbench/layers.py drops its trace wrapper
 # of this name.
 from .combinatorics import random_order  # noqa: F401
-from .engine import SampledTSignature, _check_m_mode, _check_workers, _order_m, _run_histogram
+from .engine import TSignature, _check_m_mode, _check_workers, _order_m, _run_histogram
 from .graph import Network
 
 _DIGEST_BITS = 512
 _ORDER_STREAM = b"netsig order"
-
-
-class SamplingPlan(Record):
-    sample_count: int
-    seed: int = 0
-    workers: int = 1
-    m_mode: str = "exact-subset"
-
-    def __post_init__(self):
-        if not 1 <= self.sample_count <= 2**64:
-            raise ValueError(f"sample_count must lie in [1, 2**64], got {self.sample_count}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        _check_workers(self.workers)
 
 
 def _sample_rank(keyed, index: int, x: int) -> int:
@@ -96,22 +79,23 @@ def _draw_orders(net, worker_id, workers, counts, m_mode, seed, sample_count) ->
         counts[_order_m(bg, blocks, perm, m_mode) - 1] += 1
 
 
-def approx_tsignature(net: Network, plan: SamplingPlan) -> SampledTSignature:
-    """Sampled signature with per-component binomial standard errors."""
-    _check_m_mode(net, plan.m_mode)
-    n_samples = plan.sample_count
-    counts = _run_histogram(
-        net, plan.workers, _draw_orders, plan.m_mode, plan.seed, n_samples
-    )
-    values = [c / n_samples for c in counts]
-    std_error = tuple(
-        math.sqrt(v * (1.0 - v) / n_samples) for v in values
-    )
-    return SampledTSignature(
-        n=net.n,
-        counts=counts,
-        total=n_samples,
-        mode="sampled",
-        m_mode=plan.m_mode,
-        std_error=std_error,
+def approx_tsignature(
+    net: Network,
+    sample_count: int,
+    seed: int = 0,
+    workers: int = 1,
+    m_mode: str = "exact-subset",
+) -> TSignature:
+    """Sampled signature of `sample_count` orders drawn from the stream of
+    `seed`; its `std_error` gives the per-component binomial standard
+    errors."""
+    if not 1 <= sample_count <= 2**64:
+        raise ValueError(f"sample_count must lie in [1, 2**64], got {sample_count}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    _check_workers(workers)
+    _check_m_mode(net, m_mode)
+    counts = _run_histogram(net, workers, _draw_orders, m_mode, seed, sample_count)
+    return TSignature(
+        n=net.n, counts=counts, total=sample_count, mode="sampled", m_mode=m_mode
     )

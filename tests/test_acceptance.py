@@ -22,7 +22,7 @@ from netsig.engine import calculate_m, classic_signature, exact_tsignature
 from netsig.errors import UnsupportedModeError
 from netsig.fixtures import load_fixture
 from netsig.reliability import poisson_model, survival_mixture
-from netsig.sampling import SamplingPlan, _sample_rank, _seed_hash, approx_tsignature
+from netsig.sampling import _sample_rank, _seed_hash, approx_tsignature
 
 from conftest import oracle_histogram, random_connected_network
 
@@ -123,7 +123,7 @@ def test_criterion_02_bench7_published_vector():
     # links 1, 3, 4 (ab, ad, ac) alone keep b, c and d connected, so this
     # order scores M = 7, where the published vector has no mass
     witness = ((2, 5, 6, 7, 8, 9), (1, 3, 4))
-    assert calculate_m(net, witness).M == 7 and BENCH7_PUBLISHED[6] == 0.0, (
+    assert calculate_m(net, witness) == 7 and BENCH7_PUBLISHED[6] == 0.0, (
         "the recorded discrepancy no longer holds; see README, "
         "'Criterion 2 and the published 7-node vector'"
     )
@@ -152,7 +152,7 @@ def test_criterion_03_bench11_exact_nightly():
 def test_criterion_04_sampling_self_consistency():
     net = load_fixture("figure2")
     start = time.perf_counter()
-    sig = approx_tsignature(net, SamplingPlan(sample_count=1_000_000, seed=20240824, workers=WORKERS))
+    sig = approx_tsignature(net, 1_000_000, seed=20240824, workers=WORKERS)
     assert time.perf_counter() - start < 900
     for value, expect, se in zip(sig.values, BENCH11_EXACT, sig.std_error):
         assert abs(value - expect) <= max(0.005, 4 * se)
@@ -162,7 +162,7 @@ def test_criterion_04_sampling_self_consistency():
 def test_criterion_05_eon_band():
     net = load_fixture("eon_par_cop")
     runs = [
-        approx_tsignature(net, SamplingPlan(sample_count=100_000, seed=seed, workers=WORKERS))
+        approx_tsignature(net, 100_000, seed=seed, workers=WORKERS)
         for seed in (11, 22, 33)
     ]
     for sig in runs:
@@ -209,15 +209,15 @@ def test_criterion_07_mode_ordering(rng):
         table = build_stratum_table(net.n)
         for j in range(10_000 * i, 10_000 * (i + 1)):
             order = unrank_order(table, _sample_rank(keyed, j, table.n_star))
-            exact = calculate_m(net, order, "exact-subset").M
-            greedy = calculate_m(net, order, "paper-greedy").M
+            exact = calculate_m(net, order, "exact-subset")
+            greedy = calculate_m(net, order, "paper-greedy")
             assert greedy <= exact
             strict_seen = strict_seen or greedy < exact
     # one shortest path of the zigzag network carries a whole 3-link cut
     net = load_fixture("zigzag")
     order = ((1, 2, 3), (4,), (5,), (6,), (7,))
-    assert calculate_m(net, order, "exact-subset").M == 3
-    assert calculate_m(net, order, "paper-greedy").M == 1
+    assert calculate_m(net, order, "exact-subset") == 3
+    assert calculate_m(net, order, "paper-greedy") == 1
     assert strict_seen
 
 
@@ -242,14 +242,14 @@ def test_criterion_09_reliability_closed_forms():
     grid = [i * 4 / 99 for i in range(100)]
     series = survival_mixture(exact_tsignature(load_fixture("series2")), poisson_model(1.0), grid)
     parallel = survival_mixture(exact_tsignature(load_fixture("parallel2")), poisson_model(1.0), grid)
-    for t, s in zip(series.times, series.survival):
+    for t, s in zip(grid, series):
         assert abs(s - math.exp(-t)) <= 1e-12
-    for t, s in zip(parallel.times, parallel.survival):
+    for t, s in zip(grid, parallel):
         assert abs(s - math.exp(-t) * (1 + t)) <= 1e-12
     for name in ("single_edge", "series2", "parallel2", "series3", "triangle", "bridge", "counterexample", "zigzag", "figure1"):
         curve = survival_mixture(exact_tsignature(load_fixture(name)), poisson_model(1.0), grid)
-        assert curve.survival[0] == 1.0
-        for a, b in zip(curve.survival, curve.survival[1:]):
+        assert curve[0] == 1.0
+        for a, b in zip(curve, curve[1:]):
             assert b <= a + 1e-15
 
 

@@ -11,7 +11,6 @@ import pytest
 import netsig
 from netsig import cli, engine
 from netsig.cli import main
-from netsig.reliability import ReliabilityCurve
 from netsig.fixtures import fixture_path
 
 
@@ -307,11 +306,20 @@ class TestReliability:
 
     def test_non_finite_survival_exit_code(self, capsys, monkeypatch):
         # A non-finite value ends in the one-line input error, not in NaN.
-        curve = ReliabilityCurve(times=(0.0, 1.0), survival=(1.0, math.nan))
-        monkeypatch.setattr(cli, "survival_mixture", lambda sig, model, grid: curve)
+        survival = [1.0] + [math.nan] * 100
+        monkeypatch.setattr(cli, "survival_mixture", lambda sig, model, grid: survival)
         code, out, err = run_cli(capsys, "reliability", str(fixture_path("bridge")))
         assert code == 3 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_non_finite_survival_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        # The JSON is encoded whole before the file is opened.
+        survival = [1.0] + [math.nan] * 100
+        monkeypatch.setattr(cli, "survival_mixture", lambda sig, model, grid: survival)
+        target = tmp_path / "curve.json"
+        code, _, _ = run_cli(capsys, "reliability", str(fixture_path("bridge")),
+                             "--out", str(target))
+        assert code == 3 and not target.exists()
 
     def test_out_of_memory_exit_code(self, capsys, monkeypatch):
         # A MemoryError ends in one line and exit 4, not in a traceback and
@@ -461,6 +469,18 @@ class TestArtifactFiles:
         artifact = load_artifact(out)
         again = json.loads(json.dumps(artifact))
         assert again == artifact
+
+    def test_sampled_std_error_round_trips(self, tmp_path, capsys):
+        # A sampled artifact read back gives, float for float, the std_error
+        # it was written with: both come from its counts by one expression.
+        target = tmp_path / "sig.json"
+        code, _, _ = run_cli(capsys, "approx", str(fixture_path("figure1")),
+                             "--samples", "1000", "--seed", "3", "--out", str(target))
+        assert code == 0
+        written = json.loads(target.read_text())["std_error"]
+        sig, _ = cli._load_signature_input(str(target))
+        assert sig.mode == "sampled" and 0.0 < max(written)
+        assert [se.hex() for se in sig.std_error] == [se.hex() for se in written]
 
 
 class TestEmit:

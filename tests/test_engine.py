@@ -36,7 +36,7 @@ def _m_histogram(net, orders, m_mode):
     """Per-order scoring: the histogram of calculate_m over `orders`."""
     counts = [0] * net.n
     for order in orders:
-        counts[calculate_m(net, order, m_mode).M - 1] += 1
+        counts[calculate_m(net, order, m_mode) - 1] += 1
     return tuple(counts)
 
 
@@ -172,15 +172,15 @@ class TestTSignatureType:
 class TestCalculateM:
     def test_series_first_failure_kills(self):
         net = load_fixture("series2")
-        assert calculate_m(net, ((1,), (2,))).M == 1
+        assert calculate_m(net, ((1,), (2,))) == 1
 
     def test_parallel_single_block(self):
         net = load_fixture("parallel2")
-        assert calculate_m(net, ((1, 2),)).M == 2
+        assert calculate_m(net, ((1, 2),)) == 2
 
     def test_bridge_two_blocks(self):
         net = load_fixture("bridge")
-        assert calculate_m(net, ((3,), (1, 2, 4, 5))).M == 3
+        assert calculate_m(net, ((3,), (1, 2, 4, 5))) == 3
 
     def test_rejects_mismatched_order(self):
         net = load_fixture("bridge")
@@ -213,7 +213,7 @@ class TestCalculateM:
         first = (tuple(sorted(sum(order[: fatal + 1], ()))),) + order[fatal + 1 :]
         last = order[:fatal] + (tuple(sorted(sum(order[fatal:], ()))),)
         for scored in (order, first, last):
-            assert calculate_m(net, scored, "exact-subset").M == oracle.order_m(scored)
+            assert calculate_m(net, scored, "exact-subset") == oracle.order_m(scored)
 
     @pytest.mark.parametrize("net, order, m", [
         # bridge (s-u, s-v, u-v, u-t, v-t): the first block cuts s off
@@ -227,7 +227,7 @@ class TestCalculateM:
         (_RING, ((4,), (1,), (3,), (2, 5, 6, 7, 8)), 5),
     ])
     def test_first_or_only_last_block_fatal(self, net, order, m):
-        assert calculate_m(net, order).M == m == OracleNet(net).order_m(order)
+        assert calculate_m(net, order) == m == OracleNet(net).order_m(order)
 
     def test_bounds_and_mode_ordering(self, rng):
         # 1 <= M <= n and greedy M never exceeds exact M
@@ -236,8 +236,8 @@ class TestCalculateM:
             table = build_stratum_table(net.n)
             for _ in range(50):
                 order = random_order(table, rng)
-                exact = calculate_m(net, order, "exact-subset").M
-                greedy = calculate_m(net, order, "paper-greedy").M
+                exact = calculate_m(net, order, "exact-subset")
+                greedy = calculate_m(net, order, "paper-greedy")
                 assert 1 <= greedy <= exact <= net.n
 
 

@@ -1,0 +1,29 @@
+"""The package's public names: a stale entry in `netsig.__all__` fails here
+rather than in a user's import."""
+
+from types import ModuleType
+
+import netsig
+
+
+def test_every_export_resolves():
+    assert len(netsig.__all__) == len(set(netsig.__all__))
+    missing = [name for name in netsig.__all__ if not hasattr(netsig, name)]
+    assert missing == []
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from netsig import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(netsig.__all__)
+
+
+def test_public_names_are_exported():
+    # Every public class, function and constant the package binds is in
+    # `__all__`; only its submodules are left out.
+    public = {
+        name for name, value in vars(netsig).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert public == set(netsig.__all__) - {"__version__"}

@@ -320,7 +320,7 @@ class TestMinFailedSubsetSize:
         assert BitGraph(net).min_subset_size(_bits(removed), block) == m
         rest = tuple(x for x in range(1, net.n + 1) if x not in set(removed) | set(block))
         order = tuple(b for b in (tuple(removed), tuple(block), rest) if b)
-        assert calculate_m(net, order).M == len(removed) + m == oracle.order_m(order)
+        assert calculate_m(net, order) == len(removed) + m == oracle.order_m(order)
 
     @pytest.mark.parametrize("case, text, later, forest, block, degrees, m", _FOREST_CASES,
                              ids=[c[0] for c in _FOREST_CASES])
@@ -350,7 +350,7 @@ class TestMinFailedSubsetSize:
         # 2**30 subsets for a scan by size; 30 augmenting paths for the cut.
         net = parse_network("terminals s t\n" + "edge s t\n" * 30)
         assert BitGraph(net).min_subset_size(0, tuple(range(1, 31))) == 30
-        assert calculate_m(net, (tuple(range(1, 31)),)).M == 30
+        assert calculate_m(net, (tuple(range(1, 31)),)) == 30
 
 
 class TestGreedyFailedCount:

@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from netsig import reliability
 from netsig.engine import TSignature, exact_tsignature
 from netsig.fixtures import load_fixture
 from netsig.reliability import (
-    ReliabilityCurve,
     binomial_model,
     count_cdf,
     poisson_model,
@@ -67,8 +67,8 @@ class TestCountCdf:
         ]
         sig = exact_tsignature(load_fixture("bridge"))
         curve = survival_mixture(sig, poisson_model(1e300), [0.0, 1e-300, 1e10])
-        assert curve.survival[0] == 1.0 and curve.survival[2] == 0.0
-        assert all(map(math.isfinite, curve.survival))
+        assert curve[0] == 1.0 and curve[2] == 0.0
+        assert all(map(math.isfinite, curve))
 
     @pytest.mark.parametrize("rate", [math.inf, math.nan])
     def test_rejects_non_finite_rate(self, rate):
@@ -87,24 +87,24 @@ class TestSurvivalMixture:
     def test_series_poisson_closed_form(self):
         sig = exact_tsignature(load_fixture("series2"))
         curve = survival_mixture(sig, poisson_model(1.0), GRID)
-        for t, s in zip(curve.times, curve.survival):
+        for t, s in zip(GRID, curve):
             assert abs(s - math.exp(-t)) < 1e-12
 
     def test_parallel_poisson_closed_form(self):
         sig = exact_tsignature(load_fixture("parallel2"))
         curve = survival_mixture(sig, poisson_model(1.0), GRID)
-        for t, s in zip(curve.times, curve.survival):
+        for t, s in zip(GRID, curve):
             assert abs(s - math.exp(-t) * (1 + t)) < 1e-12
 
     def test_starts_at_one(self):
         for name in ("series2", "parallel2", "bridge", "triangle"):
             sig = exact_tsignature(load_fixture(name))
             curve = survival_mixture(sig, poisson_model(1.0), GRID)
-            assert curve.survival[0] == 1.0
+            assert curve[0] == 1.0
         # ten counts of 1: the float sum of ten values 0.1 is 1 - 2**-53
         sig = self._sig((1,) * 10, 10)
         for model in (poisson_model(1.0), binomial_model(10, 1.0)):
-            assert survival_mixture(sig, model, GRID).survival[0] == 1.0
+            assert survival_mixture(sig, model, GRID)[0] == 1.0
 
     def test_equals_per_count_sums_exactly(self):
         # Each P(N(t) <= j) re-summed from r = 0 in the same term order as
@@ -129,7 +129,7 @@ class TestSurvivalMixture:
             sig = exact_tsignature(load_fixture(name))
             for model in (poisson_model(1.7), binomial_model(sig.n, 0.9)):
                 curve = survival_mixture(sig, model, grid)
-                for t, s in zip(curve.times, curve.survival):
+                for t, s in zip(grid, curve):
                     expected = sum(
                         float(c) * cdf(model, i, t) for i, c in enumerate(sig.counts) if c
                     ) / sig.total
@@ -159,7 +159,7 @@ class TestSurvivalMixture:
         model = binomial_model(n, rate) if binomial else poisson_model(rate)
         grid = sorted({0.0, 800.0, *times})
         curve = survival_mixture(sig, model, grid)
-        for t, s in zip(curve.times, curve.survival):
+        for t, s in zip(grid, curve):
             assert s.hex() == oracle_survival(counts, total, model, t).hex(), t
             for j in range(n + 3):
                 assert count_cdf(model, j, t).hex() == oracle_count_cdf(model, j, t).hex(), (j, t)
@@ -168,7 +168,7 @@ class TestSurvivalMixture:
         sig = exact_tsignature(load_fixture("bridge"))
         for model in (poisson_model(1.3), binomial_model(5, 0.8)):
             curve = survival_mixture(sig, model, GRID)
-            for a, b in zip(curve.survival, curve.survival[1:]):
+            for a, b in zip(curve, curve[1:]):
                 assert b <= a + 1e-15
 
     def test_length_mismatch_rejected(self):
@@ -207,23 +207,31 @@ class TestSurvivalMixture:
         for i, t in enumerate(checkpoints):
             est = alive[i] / reps
             se = math.sqrt(max(est * (1 - est), 1e-12) / reps)
-            assert abs(est - curve.survival[i]) < 3 * se + 1e-9
+            assert abs(est - curve[i]) < 3 * se + 1e-9
 
 
 class TestReliabilityCurve:
+    """The time grid of a curve, checked by `survival_mixture` before the
+    mixture pass."""
+
+    @pytest.fixture(autouse=True)
+    def no_mixture(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("mixture pass ran on a rejected grid")
+
+        monkeypatch.setattr(reliability, "_mixture", fail)
+
+    def _reject(self, grid, message):
+        sig = exact_tsignature(load_fixture("bridge"))
+        with pytest.raises(ValueError, match=message):
+            survival_mixture(sig, poisson_model(1.0), grid)
+
     def test_rejects_descending_grid(self):
-        with pytest.raises(ValueError):
-            ReliabilityCurve(times=(1.0, 0.5), survival=(1.0, 1.0))
+        self._reject([1.0, 0.5], "time grid must be ascending")
 
     def test_rejects_negative_times(self):
-        with pytest.raises(ValueError):
-            ReliabilityCurve(times=(-1.0, 0.5), survival=(1.0, 1.0))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ReliabilityCurve(times=(0.0, 0.5), survival=(1.0,))
+        self._reject([-1.0, 0.5], "time grid must be nonnegative")
 
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_rejects_non_finite_times(self, t):
-        with pytest.raises(ValueError, match="finite"):
-            ReliabilityCurve(times=(0.0, t), survival=(1.0, 1.0))
+        self._reject([0.0, t], "time grid must be finite")

@@ -8,40 +8,72 @@ from netsig._bitgraph import BitGraph
 from netsig.combinatorics import build_stratum_table, unrank_order
 from netsig.engine import MAX_WORKERS, calculate_m, exact_tsignature
 from netsig.fixtures import load_fixture
-from netsig.sampling import SamplingPlan, _sample_rank, _seed_hash, approx_tsignature
+from netsig.sampling import _sample_rank, _seed_hash, approx_tsignature
+
+BRIDGE = load_fixture("bridge")
 
 
 class TestSamplingPlan:
+    """`approx_tsignature`'s checks of the sample count, seed and workers,
+    which run before any sample is drawn; the sampling is stubbed out."""
+
+    @pytest.fixture(autouse=True)
+    def runs(self, monkeypatch):
+        runs = []
+
+        def run(net, workers, fill, m_mode, seed, sample_count):
+            runs.append((sample_count, seed, workers))
+            return (sample_count,) + (0,) * (net.n - 1)
+
+        monkeypatch.setattr(sampling, "_run_histogram", run)
+        return runs
+
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
-            SamplingPlan(sample_count=0)
+            approx_tsignature(BRIDGE, 0)
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            SamplingPlan(sample_count=1, workers=0)
+            approx_tsignature(BRIDGE, 1, workers=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
     def test_rejects_seed_outside_64_bits(self, seed):
         # Masking seeds to 64 bits would alias -1 with 2**64 - 1.
-        with pytest.raises(ValueError, match="seed"):
-            SamplingPlan(sample_count=1, seed=seed)
+        with pytest.raises(ValueError, match="seed must lie"):
+            approx_tsignature(BRIDGE, 1, seed=seed)
 
-    def test_accepts_64_bit_seed_range(self):
+    def test_accepts_64_bit_seed_range(self, runs):
         for seed in (0, 2**64 - 1):
-            assert SamplingPlan(sample_count=1, seed=seed).seed == seed
+            approx_tsignature(BRIDGE, 1, seed=seed)
+        assert runs == [(1, 0, 1), (1, 2**64 - 1, 1)]
 
-    def test_sample_indices_below_64_bits(self):
+    def test_sample_indices_below_64_bits(self, runs):
         # The stream packs sample index j into the low 64 bits of
         # counter * 2**64 + j, so indices stop at 2**64 - 1.
-        assert SamplingPlan(sample_count=2**64).sample_count == 2**64
+        assert approx_tsignature(BRIDGE, 2**64).total == 2**64
         with pytest.raises(ValueError, match="sample_count"):
-            SamplingPlan(sample_count=2**64 + 1)
+            approx_tsignature(BRIDGE, 2**64 + 1)
+        assert runs == [(2**64, 0, 1)]
 
-    def test_rejects_workers_above_ceiling(self):
+    def test_rejects_workers_above_ceiling(self, runs):
         # One job per worker is built before any work starts.
-        assert SamplingPlan(sample_count=1, workers=MAX_WORKERS).workers == MAX_WORKERS
+        approx_tsignature(BRIDGE, 1, workers=MAX_WORKERS)
+        assert runs == [(1, 0, MAX_WORKERS)]
         with pytest.raises(ValueError, match="workers"):
-            SamplingPlan(sample_count=1, workers=MAX_WORKERS + 1)
+            approx_tsignature(BRIDGE, 1, workers=MAX_WORKERS + 1)
+
+    def test_checks_run_in_order(self, runs):
+        # sample count, seed, workers, then the m-mode: the first bad
+        # argument names itself.
+        for args, kwargs, message in (
+            ((0,), {"seed": -1, "workers": 0, "m_mode": "x"}, "sample_count"),
+            ((1,), {"seed": -1, "workers": 0, "m_mode": "x"}, "seed"),
+            ((1,), {"workers": 0, "m_mode": "x"}, "workers"),
+            ((1,), {"m_mode": "x"}, "m_mode"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                approx_tsignature(BRIDGE, *args, **kwargs)
+        assert runs == []
 
 
 class TestSampleStream:
@@ -75,19 +107,19 @@ class TestSampleStream:
 class TestApproxTSignature:
     def test_series_is_exact(self):
         net = load_fixture("series2")
-        sig = approx_tsignature(net, SamplingPlan(sample_count=500, seed=3))
+        sig = approx_tsignature(net, 500, seed=3)
         assert sig.values == (1.0, 0.0)
 
     def test_values_sum_to_one_exactly(self):
         net = load_fixture("bridge")
-        sig = approx_tsignature(net, SamplingPlan(sample_count=999, seed=1))
+        sig = approx_tsignature(net, 999, seed=1)
         assert sum(sig.counts) == 999
         assert math.isclose(sum(sig.values), 1.0, abs_tol=1e-12)
 
     def test_triangle_within_four_stderr(self):
         net = load_fixture("triangle")
         exact = exact_tsignature(net).values
-        sig = approx_tsignature(net, SamplingPlan(sample_count=100_000, seed=5))
+        sig = approx_tsignature(net, 100_000, seed=5)
         for value, expect, se in zip(sig.values, exact, sig.std_error):
             assert abs(value - expect) <= max(4 * se, 1e-9)
 
@@ -95,16 +127,16 @@ class TestApproxTSignature:
         net = load_fixture("bridge")
         # 3 samples over 5 workers leaves two workers without a sample
         for sample_count, worker_counts in ((4_000, (2, 3, 5)), (3, (5,))):
-            base = approx_tsignature(net, SamplingPlan(sample_count=sample_count, seed=42))
+            base = approx_tsignature(net, sample_count, seed=42)
             for workers in worker_counts:
-                plan = SamplingPlan(sample_count=sample_count, seed=42, workers=workers)
-                assert approx_tsignature(net, plan).counts == base.counts
+                sig = approx_tsignature(net, sample_count, seed=42, workers=workers)
+                assert sig.counts == base.counts
 
     def test_pinned_eon_counts(self):
         # Recorded from the keyed-hash stream with unranked orders; a faster
         # sampler must not change a single count.
         net = load_fixture("eon_par_cop")
-        sig = approx_tsignature(net, SamplingPlan(sample_count=2_000, seed=7))
+        sig = approx_tsignature(net, 2_000, seed=7)
         assert sig.counts == (0, 0, 0, 0, 1, 4, 1, 8, 11, 17, 17, 38, 68, 122, 161,
                               231, 306, 277, 236, 213, 136, 82, 43, 21, 7, 0)
 
@@ -118,8 +150,8 @@ class TestApproxTSignature:
         net = load_fixture("eon_par_cop")
         monkeypatch.setattr(BitGraph, "connected", fail)
         for workers in (1, 2):
-            plan = SamplingPlan(sample_count=2_000, seed=3, workers=workers, m_mode="paper-greedy")
-            assert approx_tsignature(net, plan).counts == (
+            sig = approx_tsignature(net, 2_000, seed=3, workers=workers, m_mode="paper-greedy")
+            assert sig.counts == (
                 0, 0, 0, 0, 1, 1, 4, 5, 8, 16, 39, 40, 72, 110, 163, 227, 275, 270,
                 247, 209, 155, 79, 41, 28, 10, 0)
 
@@ -132,7 +164,7 @@ class TestApproxTSignature:
         # Recorded with the subset-scan scorer; the min-cut scorer must give
         # the same M for every sampled order.
         net = load_fixture(name)
-        sig = approx_tsignature(net, SamplingPlan(sample_count=2_000, seed=7))
+        sig = approx_tsignature(net, 2_000, seed=7)
         assert sig.counts == counts
 
     def test_scoring_skips_fatal_block_rechecks(self, monkeypatch):
@@ -144,8 +176,7 @@ class TestApproxTSignature:
         monkeypatch.setattr(BitGraph, "_check_fatal_block", fail)
         net = load_fixture("eon_par_cop")
         for m_mode in ("exact-subset", "paper-greedy"):
-            plan = SamplingPlan(sample_count=200, seed=7, m_mode=m_mode)
-            assert sum(approx_tsignature(net, plan).counts) == 200
+            assert sum(approx_tsignature(net, 200, seed=7, m_mode=m_mode).counts) == 200
 
     def test_one_draw_and_one_score_per_sample(self, monkeypatch):
         # A per-layer trace counts samples by wrapping these two
@@ -165,7 +196,7 @@ class TestApproxTSignature:
         counted("_unrank_partition")
         counted("_order_m")
         net = load_fixture("eon_par_cop")
-        sig = approx_tsignature(net, SamplingPlan(sample_count=300, seed=1))
+        sig = approx_tsignature(net, 300, seed=1)
         assert calls == {"_unrank_partition": 300, "_order_m": 300} and sig.total == 300
 
     @pytest.mark.parametrize("name, m_mode, seed", [
@@ -182,19 +213,18 @@ class TestApproxTSignature:
         expected = [0] * net.n
         for j in range(2_000):
             order = unrank_order(table, _sample_rank(keyed, j, table.n_star))
-            expected[calculate_m(net, order, m_mode).M - 1] += 1
-        plan = SamplingPlan(sample_count=2_000, seed=seed, m_mode=m_mode)
-        assert approx_tsignature(net, plan).counts == tuple(expected)
+            expected[calculate_m(net, order, m_mode) - 1] += 1
+        assert approx_tsignature(net, 2_000, seed=seed, m_mode=m_mode).counts == tuple(expected)
 
     def test_seed_changes_draws(self):
         net = load_fixture("bridge")
-        a = approx_tsignature(net, SamplingPlan(sample_count=2_000, seed=1))
-        b = approx_tsignature(net, SamplingPlan(sample_count=2_000, seed=2))
+        a = approx_tsignature(net, 2_000, seed=1)
+        b = approx_tsignature(net, 2_000, seed=2)
         assert a.counts != b.counts
 
     def test_std_error_shape(self):
         net = load_fixture("bridge")
-        sig = approx_tsignature(net, SamplingPlan(sample_count=100, seed=0))
+        sig = approx_tsignature(net, 100, seed=0)
         assert len(sig.std_error) == net.n
         assert all(0.0 <= se <= 0.5 / math.sqrt(100) + 1e-12 for se in sig.std_error)
 
@@ -206,7 +236,7 @@ class TestApproxTSignature:
         per_run = 1_000
         sums = [0.0] * net.n
         for seed in range(runs):
-            sig = approx_tsignature(net, SamplingPlan(sample_count=per_run, seed=seed))
+            sig = approx_tsignature(net, per_run, seed=seed)
             for i, v in enumerate(sig.values):
                 sums[i] += v
         for i in range(net.n):

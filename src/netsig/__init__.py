@@ -33,7 +33,7 @@ from .reliability import (
 )
 from .sampling import approx_tsignature
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "StratumTable",

@@ -2,9 +2,10 @@
 
 Subcommands: nstar (order-count table), exact (exhaustive batch-failure
 signature), approx (Monte Carlo signature), signature (classic permutation
-signature), reliability (mixture survival curve).  Signature artifacts are
-JSON (or CSV) with an embedded run manifest; counts are string-encoded
-because they exceed 64-bit JSON-safe integers.
+signature), reliability (mixture survival curve).  exact and approx take
+`--m-mode` by the library's names (`engine.M_MODES`) and `--workers`.
+Signature artifacts are JSON (or CSV) with an embedded run manifest; counts
+are string-encoded because they exceed 64-bit JSON-safe integers.
 
 Exit codes: 0 success, 1 output pipe closed by the reader (nothing is
 written to stderr), 2 usage, 3 input validation (an unreadable path, a
@@ -36,7 +37,7 @@ except ImportError:
 
 from . import __version__
 from .combinatorics import n_star
-from .engine import TSignature, classic_signature, exact_tsignature
+from .engine import M_MODES, TSignature, classic_signature, exact_tsignature
 from .errors import EnumerationCapError, UnsupportedModeError
 from .graph import parse_network
 from .reliability import binomial_model, poisson_model, survival_mixture
@@ -125,15 +126,13 @@ def cmd_signature(args) -> int:
     started = time.time()
     text, digest = _read_input(args.graph)
     net = parse_network(text)
-    m_mode = "paper-greedy" if args.m_mode == "greedy" else "exact-subset"
     if args.command == "exact":
-        sig = exact_tsignature(net, m_mode=m_mode, workers=args.workers)
+        sig = exact_tsignature(net, m_mode=args.m_mode, workers=args.workers)
     elif args.command == "approx":
-        sig = approx_tsignature(
-            net, args.samples, seed=args.seed, workers=args.workers, m_mode=m_mode
-        )
+        sig = approx_tsignature(net, args.samples, seed=args.seed, workers=args.workers,
+                                m_mode=args.m_mode)
     else:
-        sig = classic_signature(net, m_mode=m_mode)
+        sig = classic_signature(net)
     payload = {
         "manifest": _manifest(args.command, digest, args, started),
         "n": sig.n,
@@ -243,30 +242,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_nstar)
 
-    def common(p, workers=True):
-        p.add_argument("--m-mode", choices=("exact", "greedy"), default="exact",
-                       help="fatal-block counting: exact minimum subset or the "
-                            "two-terminal greedy path count")
-        if workers:
-            p.add_argument("--workers", type=int, default=1)
+    def common(p):
         p.add_argument("--output", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write the artifact to a file instead of stdout")
+
+    def scoring(p):
+        p.add_argument("--m-mode", choices=M_MODES, default=M_MODES[0],
+                       help="fatal-block counting: exact minimum subset or the "
+                            "two-terminal greedy path count")
+        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("exact", help="exhaustive batch-failure signature")
     p.add_argument("graph")
     common(p)
+    scoring(p)
     p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("approx", help="Monte Carlo batch-failure signature")
     p.add_argument("graph")
     common(p)
+    scoring(p)
     p.add_argument("--samples", type=_sample_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("signature", help="classic single-failure signature")
     p.add_argument("graph")
-    common(p, workers=False)
+    common(p)
     p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("reliability", help="survival curve from a signature mixture")
@@ -275,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--tmax", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--output", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
+    common(p)
     p.set_defaults(func=cmd_reliability)
     return parser
 
@@ -288,6 +289,8 @@ def main(argv=None) -> int:
         parser.error("N must be >= 2")
     if args.command == "reliability" and not 1 <= args.steps <= MAX_STEPS:
         parser.error(f"--steps must lie in [1, {MAX_STEPS}]")
+    if args.command == "reliability" and -math.inf < args.tmax < 0:
+        parser.error("--tmax must not be negative")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -167,9 +167,8 @@ def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset")
     """M of one failure order on the network."""
     check_failure_order(order, net.n)
     _check_m_mode(net, m_mode)
-    bg = BitGraph(net, build_table=False)
     identity = math.factorial(len(order)) - 1  # see _order_m
-    return _order_m(bg, list(order), identity, m_mode)
+    return _order_m(net.bitgraph, list(order), identity, m_mode)
 
 
 def _over_budget(link: int, n: int) -> EnumerationCapError:
@@ -249,7 +248,7 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
                 kid = tuple(map(min, zero(kid), one(kid)))
             yield kid, kid_poly
 
-    bg = BitGraph(net)
+    bg = net.bitgraph
     links = bg.ends[1:]
     pinned, *frontier = bg.terminal_indices
     terminals = {pinned, *frontier}
@@ -459,18 +458,17 @@ def exact_tsignature(
     return TSignature(n=net.n, counts=counts, total=total, mode="exact", m_mode=m_mode)
 
 
-def classic_signature(net: Network, m_mode: str = "exact-subset") -> TSignature:
+def classic_signature(net: Network) -> TSignature:
     """Classic signature over the n! single-link permutations: counts[i-1]
     is the number of permutations whose i-th failure downs the network.
 
-    Both m-modes give the same counts: a one-link fatal block lies on every
-    remaining terminal path, so the greedy count is 1 as well.  Both run the
-    frontier DP in this process, refused above `MEMORY_BUDGET`."""
-    _check_m_mode(net, m_mode)
+    A one-link fatal block lies on every remaining terminal path, so both
+    m-modes score it 1 and the signature is recorded as exact-subset.  It
+    runs the frontier DP in this process, refused above `MEMORY_BUDGET`."""
     return TSignature(
         n=net.n,
         counts=_cut_dp(net, True),
         total=math.factorial(net.n),
         mode="classic",
-        m_mode=m_mode,
+        m_mode="exact-subset",
     )

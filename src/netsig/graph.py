@@ -23,6 +23,7 @@ class Network(Record):
     nodes: tuple[str, ...]
     links: tuple[tuple[int, str, str], ...]
     terminals: frozenset[str]
+    # Set by __post_init__, not a field: bitgraph, the BitGraph it is checked on.
 
     def __post_init__(self):
         if len(set(self.nodes)) != len(self.nodes):
@@ -42,8 +43,10 @@ class Network(Record):
         missing = self.terminals - node_set
         if missing:
             raise NetworkValidationError(f"unknown terminal(s): {sorted(missing)}")
-        if not self.links or not BitGraph(self).connected(0):
+        bitgraph = BitGraph(self)
+        if not bitgraph.connected(0):
             raise NetworkValidationError("intact network is not terminal-connected")
+        object.__setattr__(self, "bitgraph", bitgraph)
 
     @property
     def n(self) -> int:

@@ -76,7 +76,7 @@ class TestExact:
         # The paper-greedy t-signature visits 3^n pairs: refused above 12 links.
         graph = tmp_path / "parallel13.graph"
         graph.write_text("terminals s t\n" + "edge s t\n" * 13)
-        code, out, err = run_cli(capsys, "exact", str(graph), "--m-mode", "greedy")
+        code, out, err = run_cli(capsys, "exact", str(graph), "--m-mode", "paper-greedy")
         assert code == 4 and out == ""
         assert err == "error: 13 links is above the paper-greedy limit of 12 links; use sampling\n"
 
@@ -136,10 +136,36 @@ class TestExact:
     def test_unsupported_mode_exit_code(self, capsys):
         # figure1 has three terminals; the greedy count is two-terminal only
         code, _, err = run_cli(
-            capsys, "exact", str(fixture_path("figure1")), "--m-mode", "greedy"
+            capsys, "exact", str(fixture_path("figure1")), "--m-mode", "paper-greedy"
         )
         assert code == 3
         assert "two-terminal" in err and len(err.splitlines()) == 1
+        # The error names the mode to use by a value --m-mode accepts.
+        suggested = err.rstrip("\n").rsplit("; use ", 1)[1]
+        assert suggested in engine.M_MODES
+        assert run_cli(capsys, "exact", str(fixture_path("figure1")), "--m-mode", suggested)[0] == 0
+
+    @pytest.mark.parametrize("command", ["exact", "approx"])
+    def test_m_mode_choices_are_the_library_names(self, command):
+        parse = cli.build_parser().parse_args
+        extra = ["--samples", "1"] if command == "approx" else []
+        assert parse([command, "g", *extra]).m_mode == engine.M_MODES[0]
+        for m_mode in engine.M_MODES:
+            assert parse([command, "g", *extra, "--m-mode", m_mode]).m_mode == m_mode
+
+    @pytest.mark.parametrize("value", ["greedy", "exact"])
+    def test_old_m_mode_spelling_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            main(["exact", str(fixture_path("bridge")), "--m-mode", value])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["exact", "approx"])
+    @pytest.mark.parametrize("m_mode", engine.M_MODES)
+    def test_manifest_m_mode_is_the_payload_m_mode(self, capsys, command, m_mode):
+        argv = [command, str(fixture_path("bridge")), "--m-mode", m_mode]
+        code, out, _ = run_cli(capsys, *argv, *(["--samples", "50"] if command == "approx" else []))
+        artifact = load_artifact(out)
+        assert code == 0 and artifact["manifest"]["flags"]["m_mode"] == artifact["m_mode"] == m_mode
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(
@@ -244,6 +270,19 @@ class TestSignature:
         with pytest.raises(SystemExit) as err:
             main([command, str(fixture_path("bridge")), "--workers", "2"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["signature", "reliability"])
+    def test_m_mode_is_a_usage_error(self, capsys, command):
+        # A one-link fatal block scores 1 in both m-modes: the classic
+        # signature has nothing to select.
+        with pytest.raises(SystemExit) as err:
+            main([command, str(fixture_path("bridge")), "--m-mode", "paper-greedy"])
+        assert err.value.code == 2
+
+    def test_manifest_has_no_m_mode(self, capsys):
+        _, out, _ = run_cli(capsys, "signature", str(fixture_path("bridge")))
+        artifact = load_artifact(out)
+        assert artifact["manifest"]["flags"] == {} and artifact["m_mode"] == "exact-subset"
 
 
 class TestReliability:
@@ -429,14 +468,23 @@ class TestReliability:
         assert code == 0 and load_artifact(out)["survival"][0] == 1.0
 
     @pytest.mark.parametrize("flag, value", [
-        ("--rate", "inf"), ("--tmax", "inf"), ("--tmax", "nan"),
+        ("--rate", "inf"), ("--tmax", "inf"), ("--tmax", "nan"), ("--tmax", "-inf"),
     ])
     def test_non_finite_argument_exit_code(self, capsys, flag, value):
+        # `--tmax=-inf` in one word: argparse reads a separate `-inf` as an option.
         code, out, err = run_cli(
-            capsys, "reliability", str(fixture_path("bridge")), flag, value, "--steps", "2"
+            capsys, "reliability", str(fixture_path("bridge")), f"{flag}={value}", "--steps", "2"
         )
         assert code == 3 and out == ""
         assert "finite" in err and len(err.splitlines()) == 1
+
+    def test_negative_tmax_usage_error(self, capsys):
+        # Finite and negative: refused as a usage error that names the flag
+        # (a non-finite one fails the time grid's check, above).
+        with pytest.raises(SystemExit) as err:
+            main(["reliability", str(fixture_path("bridge")), "--tmax", "-1"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith("error: --tmax must not be negative\n")
 
     def test_closed_stdout_exits_quietly(self):
         proc = subprocess.Popen(

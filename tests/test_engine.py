@@ -192,6 +192,18 @@ class TestCalculateM:
         with pytest.raises(UnsupportedModeError):
             calculate_m(net, tuple((i,) for i in range(1, 10)), m_mode="paper-greedy")
 
+    def test_scores_on_the_network_graph(self, monkeypatch):
+        # The BitGraph that validated the network is the one M is scored on:
+        # neither calculate_m nor the frontier DP builds another.
+        net = load_fixture("bridge")
+
+        def build(*args, **kwargs):
+            raise AssertionError("a BitGraph was built")
+        monkeypatch.setattr(BitGraph, "__init__", build)
+        assert calculate_m(net, ((3,), (1, 2, 4, 5))) == 3
+        assert calculate_m(net, ((3,), (1, 2, 4, 5)), "paper-greedy") == 3
+        assert classic_signature(net).counts == (0, 24, 72, 24, 0)
+
     @settings(max_examples=120, deadline=None)
     @given(
         net=st.one_of(terminal_networks, parallel_networks),
@@ -497,6 +509,10 @@ class TestClassicSignature:
     def test_series(self):
         assert classic_signature(load_fixture("series2")).values == (1.0, 0.0)
 
+    def test_takes_no_m_mode(self):
+        with pytest.raises(TypeError):
+            classic_signature(load_fixture("bridge"), "paper-greedy")
+
     def test_single_link(self):
         assert classic_signature(load_fixture("single_edge")).values == (1.0,)
 
@@ -525,7 +541,7 @@ class TestClassicSignature:
         # A one-link fatal block lies on every remaining terminal path, so
         # the greedy count there is 1.  The greedy classic histogram, summed
         # here over (R, e) pairs with checked greedy counts, equals the DP's
-        # in both m-modes.  (figure1 has three terminals: no greedy mode.)
+        # exact-subset one.  (figure1 has three terminals: no greedy mode.)
         net = load_fixture(name)
         bg = BitGraph(net)
         n = net.n
@@ -540,7 +556,6 @@ class TestClassicSignature:
                     bg._check_fatal_block(surviving, bit)
                     f = bg._greedy_count(surviving, bit)
                     counts[r + f - 1] += math.factorial(r) * math.factorial(n - r - 1)
-        assert classic_signature(net, m_mode="paper-greedy").counts == tuple(counts)
         assert classic_signature(net).counts == tuple(counts)
 
     def test_eon_classic_signature(self):
@@ -555,8 +570,10 @@ class TestClassicSignature:
     @given(net=small_networks)
     def test_matches_per_order_scoring(self, m_mode, net):
         perms = itertools.permutations(range(1, net.n + 1))
+        # Both m-modes score the single-link orders alike.
         expected = _m_histogram(net, (tuple((x,) for x in p) for p in perms), m_mode)
-        assert classic_signature(net, m_mode=m_mode).counts == expected
+        sig = classic_signature(net)
+        assert sig.counts == expected and sig.m_mode == "exact-subset"
 
     def test_cap_refusal(self):
         # 39 terminals beside the pinned one: the first step's tables alone

@@ -1,7 +1,10 @@
 """The package's public names: a stale entry in `netsig.__all__` fails here
 rather than in a user's import."""
 
+from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import netsig
 
@@ -27,3 +30,9 @@ def test_public_names_are_exported():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert public == set(netsig.__all__) - {"__version__"}
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == netsig.__version__

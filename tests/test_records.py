@@ -100,6 +100,15 @@ def test_stratum_table_cumulative_is_derived():
         StratumTable(3, (1, 6, 6), 14)
 
 
+def test_network_bitgraph_is_derived():
+    net = Network(NODES, LINKS, TERMINALS)
+    assert net.bitgraph.ends == [(0, 0), (0, 1), (1, 2)]
+    assert "bitgraph" not in repr(net)
+    with pytest.raises(TypeError):
+        Network(NODES, LINKS, TERMINALS, bitgraph=net.bitgraph)
+    assert pickle.loads(pickle.dumps(net)).bitgraph.ends == net.bitgraph.ends
+
+
 def test_records_of_different_classes_differ():
     # A record compares equal only to a record of its own class, whatever
     # the fields hold.

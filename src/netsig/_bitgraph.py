@@ -4,7 +4,9 @@ the sampler.
 Link subsets are encoded as integers (bit i-1 set means link i is removed),
 which keeps the hot loops allocation-free.  On request a small network
 precomputes a full connectivity table over all 2^n removal sets, for the
-paper-greedy count and the order stream.  Each link's two node indices are
+paper-greedy count and the order stream.  The paper-greedy count runs the
+paper's BFS path loop itself: one breadth-first search per deleted path,
+stopped at the first terminal.  Each link's two node indices are
 kept too, for the union-find passes: the order scorer's, which finds an
 order's first fatal block without a connectivity query, and the fatal-block
 minimum, a min cut on the components of the later links.
@@ -77,47 +79,6 @@ class BitGraph:
                 seen |= 1 << w
                 queue.append(w)
         return seen & goal == goal
-
-    def shortest_path(
-        self, removed_mask: int, src: int, dst: int
-    ) -> tuple[int, ...] | None:
-        """Shortest path by link count from node index `src` to node index
-        `dst`, deterministic: among equal-length paths the lexicographically
-        smallest link-id sequence.
-
-        Returns the path as a tuple of link ids, or None if disconnected.
-        """
-        dist = self._bfs_distances(dst, removed_mask)
-        if dist[src] < 0:
-            return None
-        # Greedy per-position minimization: at each node take the smallest
-        # link id that still lies on some shortest path.
-        path = []
-        v = src
-        while v != dst:
-            for bit, w in self.adj[v]:
-                if bit & removed_mask:
-                    continue
-                if dist[w] == dist[v] - 1:
-                    path.append(bit.bit_length())
-                    v = w
-                    break
-        return tuple(path)
-
-    def _bfs_distances(self, source: int, removed_mask: int) -> list[int]:
-        dist = [-1] * len(self.adj)
-        dist[source] = 0
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for bit, w in self.adj[v]:
-                    if bit & removed_mask or dist[w] >= 0:
-                        continue
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-            frontier = nxt
-        return dist
 
     def _check_fatal_block(self, removed_mask: int, block_mask: int) -> None:
         """Preconditions of min_subset_size, and of `_block_cut` and
@@ -211,27 +172,49 @@ class BitGraph:
         return best
 
     def _greedy_count(self, removed_mask: int, block_mask: int) -> int:
-        """Path-destruction count of the greedy two-terminal strategy:
-        repeatedly take the deterministic shortest path, delete its block
-        links, and count iterations until the terminals disconnect.
+        """Path-destruction count of the paper's greedy two-terminal
+        strategy: take the deterministic shortest path, delete its block
+        links, and count the passes until the terminals disconnect.
 
-        Preconditions as _check_fatal_block, left to the caller.  The result
-        never exceeds the true minimum subset size but can undercount it
-        when one path carries several links of a minimum disconnecting
-        subset.
+        Each pass runs one breadth-first search from the last terminal,
+        stopped at the layer that reaches the first, and walks back from
+        the first terminal taking at each node the smallest link id one step
+        closer: among the shortest paths, the lexicographically smallest
+        link-id sequence.  Preconditions as _check_fatal_block, left to the
+        caller.  The result never exceeds the true minimum subset size but
+        can undercount it when one path carries several links of a minimum
+        disconnecting subset.
         """
+        adj = self.adj
         src, dst = self.terminal_indices[0], self.terminal_indices[-1]
         count = 0
         mask = removed_mask
         table = self._table  # if built, it answers the stop test without a search
         while table is None or table[mask]:
-            path = self.shortest_path(mask, src, dst)
-            if path is None:
+            dist = [-1] * len(adj)
+            dist[dst] = 0
+            frontier = [dst]
+            while frontier and dist[src] < 0:
+                nxt = []
+                for v in frontier:
+                    d = dist[v] + 1
+                    for bit, w in adj[v]:
+                        if dist[w] < 0 and not bit & mask:
+                            dist[w] = d
+                            nxt.append(w)
+                frontier = nxt
+            if dist[src] < 0:
                 break
-            for link in path:
-                bit = 1 << (link - 1)
-                if bit & block_mask:
-                    mask |= bit
+            crossed = 0
+            v = src
+            while v != dst:
+                d = dist[v] - 1
+                for bit, w in adj[v]:
+                    if dist[w] == d and not bit & mask:
+                        crossed |= bit
+                        v = w
+                        break
+            mask |= crossed & block_mask
             count += 1
         return count
 

@@ -8,11 +8,11 @@ Signature artifacts are JSON (or CSV) with an embedded run manifest; counts
 are string-encoded because they exceed 64-bit JSON-safe integers.
 
 Exit codes: 0 success, 1 output pipe closed by the reader (nothing is
-written to stderr), 2 usage, 3 input validation (an unreadable path, a
-malformed graph or artifact, a non-finite rate or time, a seed outside
-[0, 2**64), an m-mode the network does not support, or a non-finite number
-in a JSON artifact), 4 an exact program refused (memory budget, link limit)
-or a run out of memory.
+written to stderr), 2 usage, 3 input validation (an unreadable or
+unwritable path, a malformed graph or artifact, a non-finite rate or time,
+a seed outside [0, 2**64), an m-mode the network does not support, or a
+non-finite number in a JSON artifact), 4 an exact program refused (memory
+budget, link limit) or a run out of memory.
 """
 
 from __future__ import annotations
@@ -54,6 +54,10 @@ EXIT_CAP = 4
 # take about 165 MiB of memory for 38 MB of JSON (figure1, 2.2 s on a 2-core
 # x86-64 host; about 92 MiB as CSV).
 MAX_STEPS = 10**6
+# `nstar N` keeps N rows of Stirling numbers, so its time and memory grow
+# steeply: N = 500 takes about 0.65 s and 39 MiB (same host), 1,000 about
+# 6 s and 214 MiB.
+MAX_NSTAR = 500
 
 
 def _read_input(path: str) -> tuple[str, str]:
@@ -282,11 +286,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point stdout at devnull, so that the flush at interpreter exit writes
+    nothing and does not raise again (recipe from the `signal` module docs)."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "nstar" and args.n < 2:
-        parser.error("N must be >= 2")
+    if args.command == "nstar" and not 2 <= args.n <= MAX_NSTAR:
+        parser.error(f"N must lie in [2, {MAX_NSTAR}]")
     if args.command == "reliability" and not 1 <= args.steps <= MAX_STEPS:
         parser.error(f"--steps must lie in [1, {MAX_STEPS}]")
     if args.command == "reliability" and -math.inf < args.tmax < 0:
@@ -296,14 +306,14 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # The reader closed stdout: point it at devnull so that the flush at
-        # interpreter exit does not raise again (recipe from the `signal`
-        # module docs).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _drop_stdout()
         return EXIT_PIPE
-    # ValueError covers GraphParseError and NetworkValidationError.
-    except (ValueError, UnsupportedModeError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, PermissionError) as exc:
+    # ValueError covers GraphParseError and NetworkValidationError; OSError
+    # an unreadable input or an unwritable output (a full disk, a name too
+    # long).
+    except (ValueError, UnsupportedModeError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None and not getattr(args, "out", None):
+            _drop_stdout()  # the failed write was stdout's
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (EnumerationCapError, MemoryError) as exc:

@@ -69,8 +69,9 @@ def _seed_hash(seed: int):
 def _draw_orders(net, worker_id, workers, counts, m_mode, seed, sample_count) -> None:
     """Draw and score the samples with index % workers == worker_id: one
     rank per sample, decoded by the scorer up to the fatal block.  Only the
-    greedy count queries the connectivity table."""
-    bg = BitGraph(net, build_table=m_mode == "paper-greedy")
+    greedy count queries the connectivity table, so only it builds a graph
+    of its own; the minimum subset is scored on the network's."""
+    bg = BitGraph(net, build_table=True) if m_mode == "paper-greedy" else net.bitgraph
     table = build_stratum_table(net.n)
     keyed = _seed_hash(seed)
     n_star = table.n_star

@@ -56,6 +56,40 @@ class OracleNet:
                     return r
         raise AssertionError("removing the whole block must disconnect")
 
+    def greedy_count(self, removed, block):
+        """The paper-greedy count, path by path: while the terminals are
+        connected, delete the `block` links of the lexicographically
+        smallest shortest path (by link ids) from the first-declared
+        terminal to the last, and count the paths.  Each path is the first
+        one an iterative-deepening DFS finds over the live links in
+        ascending id order."""
+        src, dst = min(self.terminals), max(self.terminals)
+        dead = set(removed)
+
+        def first_path(v, depth, on_path):
+            if v == dst:
+                return []
+            if depth == 0:
+                return None
+            for lid, a, b in self.edges:
+                if lid in dead or v not in (a, b):
+                    continue
+                w = a + b - v
+                if w not in on_path:
+                    rest = first_path(w, depth - 1, on_path | {w})
+                    if rest is not None:
+                        return [lid] + rest
+            return None
+
+        count = 0
+        while self.connected(dead):
+            depth = 1
+            while (path := first_path(src, depth, {src})) is None:
+                depth += 1
+            dead |= set(path) & set(block)
+            count += 1
+        return count
+
     def order_m(self, order):
         """M by exhaustive subset search at the fatal block."""
         removed = set()

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import math
 import os
@@ -54,6 +55,13 @@ class TestNstar:
         with pytest.raises(SystemExit) as err:
             main(["nstar", "1"])
         assert err.value.code == 2
+
+    def test_usage_error_above_the_maximum(self, capsys):
+        # Refused before any row is computed: a large N would run out of memory.
+        with pytest.raises(SystemExit) as err:
+            main(["nstar", str(cli.MAX_NSTAR + 1)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: N must lie in [2, {cli.MAX_NSTAR}]\n")
 
 
 class TestExact:
@@ -497,6 +505,42 @@ class TestReliability:
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+
+class TestOSErrors:
+    """An output or input path the system refuses ends in one line and exit
+    3, in a CLI process."""
+
+    @staticmethod
+    def run(*argv, stdout=subprocess.DEVNULL):
+        # The process writes to stdout once more after `main` returns: after
+        # a failed write, stdout must point at devnull, or that write fails.
+        code = ("import sys; from netsig.cli import main; "
+                "code = main(sys.argv[1:]); print('more'); sys.exit(code)")
+        return subprocess.run([sys.executable, "-c", code, *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, env=package_env())
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv, stdout", [
+        (("exact", str(fixture_path("figure1")), "--out", "/dev/full"), os.devnull),
+        (("exact", str(fixture_path("figure1"))), "/dev/full"),
+        (("exact", str(fixture_path("figure1")), "--output", "csv"), "/dev/full"),
+        (("nstar", "20"), "/dev/full"),
+    ])
+    def test_full_device(self, argv, stdout):
+        with open(stdout, "w") as f:
+            proc = self.run(*argv, stdout=f)
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_name_too_long(self, tmp_path, out):
+        long = str(tmp_path / ("x" * 300))
+        graph = str(fixture_path("figure1"))
+        proc = self.run("exact", *((graph, "--out", long) if out else (long,)))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+        assert os.strerror(errno.ENAMETOOLONG) in proc.stderr
 
 
 class TestArtifactFiles:

@@ -255,18 +255,14 @@ class TestCalculateM:
 
 def _oracle_m(net, order, m_mode):
     """M of `order` with the fatal block found by the oracle's forward
-    scan; the greedy count is `BitGraph._greedy_count`, its preconditions
-    checked."""
+    scan and scored by the oracle's subset scan or greedy path count."""
     oracle = OracleNet(net)
     if m_mode == "exact-subset":
         return oracle.order_m(order)
     removed = ()
     for block in order:
         if not oracle.connected(set(removed + block)):
-            masks = [sum(1 << (x - 1) for x in links) for links in (removed, block)]
-            bg = BitGraph(net)
-            bg._check_fatal_block(*masks)
-            return len(removed) + bg._greedy_count(*masks)
+            return len(removed) + oracle.greedy_count(removed, block)
         removed += block
     raise AssertionError("removing all links must disconnect")
 

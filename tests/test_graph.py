@@ -179,42 +179,6 @@ class TestIsTerminalConnected:
                 )
 
 
-class TestFindPath:
-    """`BitGraph.shortest_path`, the paper-greedy path rule."""
-
-    def test_bridge_shortest(self):
-        bg = BitGraph(load_fixture("bridge"))
-        assert bg.shortest_path(0, *bg.terminal_indices) == (1, 4)
-
-    def test_bridge_disconnected(self):
-        bg = BitGraph(load_fixture("bridge"))
-        assert bg.shortest_path(_bits({1, 2}), *bg.terminal_indices) is None
-
-    def test_single_edge(self):
-        bg = BitGraph(load_fixture("single_edge"))
-        assert bg.shortest_path(0, *bg.terminal_indices) == (1,)
-
-    def test_none_iff_disconnected(self, rng):
-        net = load_fixture("figure2")  # terminals a and d
-        bg = BitGraph(net)
-        src, dst = bg.terminal_indices
-        for _ in range(100):
-            removed = frozenset(
-                link for link in range(1, net.n + 1) if rng.random() < 0.5
-            )
-            path = bg.shortest_path(_bits(removed), src, dst)
-            assert (path is None) == (not bg.connected(_bits(removed)))
-            if path is not None:
-                # path uses live links and joins the endpoints
-                assert not set(path) & removed
-                node = src
-                for link in path:
-                    a, b = bg.ends[link]
-                    assert node in (a, b)
-                    node = a + b - node
-                assert node == dst
-
-
 class TestMinFailedSubsetSize:
     """`BitGraph.min_subset_size`: the fatal-block minimum, checked."""
 
@@ -374,6 +338,47 @@ class TestGreedyFailedCount:
         bg = BitGraph(load_fixture("zigzag"))
         assert bg._greedy_count(0, _bits({1, 2, 3})) == 1
         assert bg.min_subset_size(0, (1, 2, 3)) == 3
+
+    def test_zigzag_takes_the_smallest_link_id(self):
+        # Three shortest paths: 1-2-3, 1-6-7 and 4-5-3.  The first carries
+        # the cut {1, 2, 3}; a walk that took the largest link id would
+        # delete only link 3 on 4-5-3, then 1 and 7 on 1-6-7, and score 2.
+        bg = BitGraph(load_fixture("zigzag"))
+        assert bg._greedy_count(0, _bits({1, 2, 3, 7})) == 1
+
+    @pytest.mark.parametrize("first, count", [("s", 2), ("t", 1)])
+    def test_path_starts_at_the_first_declared_terminal(self, first, count):
+        # Three shortest paths: 2-6-1, 5-3-1 and 5-4-7.  From s the walk
+        # takes 2-6-1 and 5-4-7 survives it; from t it takes 1-3-5, which
+        # leaves s and t apart.
+        other = "t" if first == "s" else "s"
+        net = parse_network(f"node {first}\nnode {other}\nnode a\nnode b\nnode c\nnode d\n"
+                            "terminals s t\nedge t b\nedge s a\nedge c b\nedge c d\n"
+                            "edge c s\nedge b a\nedge d t\n")
+        assert BitGraph(net)._greedy_count(0, _bits(range(1, 8))) == count
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng: random_connected_network(rng, rng.randint(2, 8)),
+        # Random networks this small seldom hold two shortest paths that
+        # score apart (about 1 in 400 of 8 links), zigzag often does.
+        lambda rng: load_fixture("zigzag"),
+    ], ids=["random", "zigzag"])
+    def test_matches_oracle(self, rng, draw):
+        # Random (removed, block) pairs, scored with and without the
+        # connectivity table.
+        cases = 0
+        while cases < 1200:
+            net = draw(rng)
+            oracle = OracleNet(net)
+            bg = BitGraph(net, build_table=rng.random() < 0.5)
+            for _ in range(10):
+                removed = {link for link in range(1, net.n + 1) if rng.random() < 0.3}
+                block = {link for link in range(1, net.n + 1) if rng.random() < 0.6} - removed
+                if not oracle.connected(removed) or oracle.connected(removed | block):
+                    continue
+                greedy = bg._greedy_count(_bits(removed), _bits(block))
+                assert greedy == oracle.greedy_count(removed, block), (net, removed, block)
+                cases += 1
 
     def test_k_terminal_rejected(self):
         net = load_fixture("figure1")

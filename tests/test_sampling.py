@@ -140,10 +140,22 @@ class TestApproxTSignature:
         assert sig.counts == (0, 0, 0, 0, 1, 4, 1, 8, 11, 17, 17, 38, 68, 122, 161,
                               231, 306, 277, 236, 213, 136, 82, 43, 21, 7, 0)
 
+    def test_exact_subset_scores_on_the_network_graph(self, monkeypatch):
+        # The BitGraph that validated the network is the one the minimum
+        # subset is scored on: a one-worker run builds no other.
+        net = load_fixture("eon_par_cop")
+
+        def build(*args, **kwargs):
+            raise AssertionError("a BitGraph was built")
+        monkeypatch.setattr(BitGraph, "__init__", build)
+        sig = approx_tsignature(net, 2_000, seed=7, m_mode="exact-subset")
+        assert sig.counts == (0, 0, 0, 0, 1, 4, 1, 8, 11, 17, 17, 38, 68, 122, 161,
+                              231, 306, 277, 236, 213, 136, 82, 43, 21, 7, 0)
+
     def test_pinned_eon_greedy_counts_with_one_search_per_step(self, monkeypatch):
         # Recorded when the greedy loop still tested `connected` before each
-        # shortest path.  With 26 links there is no table, and the shortest
-        # path's None alone must stop the loop.
+        # shortest path.  With 26 links there is no table, and a search that
+        # does not reach the first terminal alone must stop the loop.
         def fail(*args):
             raise AssertionError("greedy count queried connectivity")
 

@@ -1,7 +1,6 @@
 """Exact and Monte Carlo batch-failure signatures of two-state networks."""
 
 from .combinatorics import (
-    StratumTable,
     build_stratum_table,
     enumerate_orders,
     n_star,
@@ -24,19 +23,12 @@ from .errors import (
 )
 from .fixtures import fixture_path, load_fixture
 from .graph import Network, parse_network
-from .reliability import (
-    CountingModel,
-    binomial_model,
-    count_cdf,
-    poisson_model,
-    survival_mixture,
-)
+from .reliability import count_cdf, survival_mixture
 from .sampling import approx_tsignature
 
 __version__ = "0.3.0"
 
 __all__ = [
-    "StratumTable",
     "build_stratum_table",
     "enumerate_orders",
     "n_star",
@@ -56,10 +48,7 @@ __all__ = [
     "load_fixture",
     "Network",
     "parse_network",
-    "CountingModel",
-    "binomial_model",
     "count_cdf",
-    "poisson_model",
     "survival_mixture",
     "approx_tsignature",
     "__version__",

@@ -40,7 +40,7 @@ from .combinatorics import n_star
 from .engine import M_MODES, TSignature, classic_signature, exact_tsignature
 from .errors import EnumerationCapError, UnsupportedModeError
 from .graph import parse_network
-from .reliability import binomial_model, poisson_model, survival_mixture
+from .reliability import PROCESSES, survival_mixture
 from .sampling import approx_tsignature
 
 EXIT_OK = 0
@@ -175,18 +175,19 @@ def _load_signature_input(path: str):
             counts = data["counts"]
             if type(counts) is not list:
                 raise TypeError(f"counts must be a list, got {type(counts).__name__}")
-            sig = TSignature(
+            fields = dict(
                 n=_artifact_int(data["n"]),
                 counts=tuple(map(_artifact_int, counts)),
                 total=_artifact_int(data["total"]),
                 mode=data["mode"],
                 m_mode=data["m_mode"],
             )
-        except (KeyError, TypeError, RecursionError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(
                 f"{path}: not a signature artifact ({type(exc).__name__}: {exc})"
             ) from None
-        return sig, digest
+        # Outside the `try`: an invalid signature keeps TSignature's message.
+        return TSignature(**fields), digest
     net = parse_network(text)
     return exact_tsignature(net), digest
 
@@ -204,12 +205,8 @@ def _time_grid(tmax: float, steps: int) -> list[float]:
 def cmd_reliability(args) -> int:
     started = time.time()
     sig, digest = _load_signature_input(args.input)
-    if args.process == "poisson":
-        model = poisson_model(args.rate)
-    else:
-        model = binomial_model(sig.n, args.rate)
     times = _time_grid(args.tmax, args.steps)
-    survival = survival_mixture(sig, model, times)
+    survival = survival_mixture(sig, args.process, args.rate, times)
     payload = {
         "manifest": _manifest("reliability", digest, args, started),
         "n": sig.n,
@@ -277,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reliability", help="survival curve from a signature mixture")
     p.add_argument("input", help="graph file or signature JSON artifact")
-    p.add_argument("--process", choices=("poisson", "binomial"), default="poisson")
+    p.add_argument("--process", choices=PROCESSES, default=PROCESSES[0])
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--tmax", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=100)

@@ -20,8 +20,6 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import accumulate, permutations
 
-from ._record import Record
-
 # A block is an ascending tuple of link ids; a failure order is a sequence of
 # disjoint nonempty blocks covering {1..n}.
 Block = tuple[int, ...]
@@ -60,34 +58,15 @@ def n_star(n: int) -> int:
     return sum(math.factorial(k) * stirling2(n, k) for k in range(1, n + 1))
 
 
-class StratumTable(Record):
-    """Per-block-count order counts: m[k-1] = k!*S(n,k), summing to n*.
-
-    The stratum weights split the ranks of `unrank_order`: ranks below m_1
-    have one block, the next m_2 two blocks, and so on, so a uniform rank
-    picks the block count k with probability m_k/n*, then a uniform k-block
-    partition and a uniform block permutation.
-    """
-
-    n: int
-    m: tuple[int, ...]
-    n_star: int
-    # Set by __post_init__, not a field: cumulative[k-1] = m_1 + ... + m_k,
-    # for finding k by bisection.
-
-    def __post_init__(self):
-        if len(self.m) != self.n or any(mk <= 0 for mk in self.m):
-            raise ValueError("stratum table must have n positive entries")
-        if sum(self.m) != self.n_star:
-            raise ValueError("stratum weights do not sum to n_star")
-        object.__setattr__(self, "cumulative", tuple(accumulate(self.m)))
-
-
-def build_stratum_table(n: int) -> StratumTable:
+def build_stratum_table(n: int) -> tuple[int, ...]:
+    """The cumulative stratum weights of n links: entry k-1 counts the
+    orders of at most k blocks, so the last entry is n*.  They split the
+    ranks of `unrank_order` by block count, so a uniform rank picks k blocks
+    with probability k!*S(n,k)/n*, then a uniform k-block partition and a
+    uniform block permutation."""
     if n < 1:
         raise ValueError(f"build_stratum_table requires n >= 1, got {n}")
-    m = tuple(math.factorial(k) * stirling2(n, k) for k in range(1, n + 1))
-    return StratumTable(n=n, m=m, n_star=sum(m))
+    return tuple(accumulate(math.factorial(k) * stirling2(n, k) for k in range(1, n + 1)))
 
 
 def iter_base_partitions(n: int) -> Iterator[tuple[Block, ...]]:
@@ -139,15 +118,15 @@ def enumerate_orders(n: int) -> Iterator[FailureOrder]:
         yield from permutations(blocks)
 
 
-def _unrank_partition(table: StratumTable, u: int) -> tuple[list[list[int]], int]:
+def _unrank_partition(table: tuple[int, ...], u: int) -> tuple[list[list[int]], int]:
     """The base partition and the block-permutation rank of the failure
     order of rank u, for 0 <= u < n*: `(blocks, perm)`, the blocks ordered
     by least element, each a list of its links in descending order.
 
-    Bisecting the cumulative stratum weights gives the block count k and a
-    rank below k!*S(n,k); `divmod` by k! splits it into a partition rank r
-    and `perm`, whose mixed-radix digits are the swaps of a Fisher-Yates
-    shuffle of the blocks (see `unrank_order`).
+    Bisecting the cumulative stratum weights `table` gives the block count
+    k and a rank below k!*S(n,k); `divmod` by k! splits it into a partition
+    rank r and `perm`, whose mixed-radix digits are the swaps of a
+    Fisher-Yates shuffle of the blocks (see `unrank_order`).
 
     The partition of rank r is placed by the recurrence
     S(m,k) = S(m-1,k-1) + k*S(m-1,k): the first S(m-1,k-1) ranks make
@@ -159,16 +138,15 @@ def _unrank_partition(table: StratumTable, u: int) -> tuple[list[list[int]], int
     (k = m or k = 1, where the rank is 0).  Every rank gives a different
     partition (Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).
     """
-    cumulative = table.cumulative
-    if not 0 <= u < table.n_star:
-        raise ValueError(f"order rank must lie in [0, {table.n_star}), got {u}")
-    k = bisect_right(cumulative, u) + 1
+    if not 0 <= u < table[-1]:
+        raise ValueError(f"order rank must lie in [0, {table[-1]}), got {u}")
+    k = bisect_right(table, u) + 1
     if k > 1:
-        u -= cumulative[k - 2]
+        u -= table[k - 2]
     r, perm = divmod(u, math.factorial(k))
     rows = _stirling_rows
     blocks: list[list[int]] = [[] for _ in range(k)]
-    m = table.n
+    m = len(table)
     while 1 < k < m:
         singletons = rows[m - 2][k - 2]
         if r < singletons:
@@ -186,9 +164,10 @@ def _unrank_partition(table: StratumTable, u: int) -> tuple[list[list[int]], int
     return blocks, perm
 
 
-def unrank_order(table: StratumTable, u: int) -> FailureOrder:
+def unrank_order(table: tuple[int, ...], u: int) -> FailureOrder:
     """The failure order of rank u, for 0 <= u < n*: a bijection from
-    [0, n*) onto the failure orders of {1..table.n}.
+    [0, n*) onto the failure orders of {1..n}, for the stratum table
+    `build_stratum_table(n)`.
 
     `_unrank_partition` gives the base partition and the permutation rank
     `perm`; from the last position i = k-1 down to 1, `divmod(perm, i + 1)`
@@ -202,10 +181,10 @@ def unrank_order(table: StratumTable, u: int) -> FailureOrder:
     return tuple(tuple(reversed(block)) for block in blocks)
 
 
-def random_order(table: StratumTable, rng: "random.Random") -> FailureOrder:
+def random_order(table: tuple[int, ...], rng: "random.Random") -> FailureOrder:
     """Draw a failure order uniformly over all n* orders: the order whose
-    rank is `rng.randrange(table.n_star)`.  `rng` needs only `randrange`."""
-    return unrank_order(table, rng.randrange(table.n_star))
+    rank is `rng.randrange(table[-1])`.  `rng` needs only `randrange`."""
+    return unrank_order(table, rng.randrange(table[-1]))
 
 
 def check_failure_order(order: FailureOrder, n: int) -> None:

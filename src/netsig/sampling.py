@@ -1,8 +1,9 @@
 """Monte Carlo approximation of the batch-failure signature.
 
 Orders are drawn uniformly over the full order space: one uniform integer u
-below n* per sample, whose order is `combinatorics.unrank_order(table, u)`
-(stratified on the block count).  The sample is decoded lazily:
+below n* per sample, whose order is `combinatorics.unrank_order(table, u)`,
+`table` being the cumulative block-count weights of `build_stratum_table`
+(whose last entry is n*).  The sample is decoded lazily:
 `_unrank_partition` gives the base partition and the block-permutation
 rank, and the one M scorer, `engine._order_m`, does the rank's Fisher-Yates
 swaps from the last position down inside its union pass, so it places only
@@ -74,7 +75,7 @@ def _draw_orders(net, worker_id, workers, counts, m_mode, seed, sample_count) ->
     bg = BitGraph(net, build_table=True) if m_mode == "paper-greedy" else net.bitgraph
     table = build_stratum_table(net.n)
     keyed = _seed_hash(seed)
-    n_star = table.n_star
+    n_star = table[-1]
     for j in range(worker_id, sample_count, workers):
         blocks, perm = _unrank_partition(table, _sample_rank(keyed, j, n_star))
         counts[_order_m(bg, blocks, perm, m_mode) - 1] += 1

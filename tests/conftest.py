@@ -131,29 +131,31 @@ def oracle_histogram(net: Network):
     return tuple(counts), total
 
 
-def oracle_count_cdf(model, j, t):
+def oracle_count_cdf(process, rate, n, j, t):
     """P(N(t) <= j) re-summed from r = 0 for this one j, in the term order
     of the reliability kernel's running sum, so it must agree to the last
     bit (the per-count oracle of test_equals_per_count_sums_exactly)."""
     if t == 0:
         return 1.0
-    if model.variant == "poisson":
-        term = total = math.exp(-model.rate * t)
+    if process == "poisson":
+        term = total = math.exp(-rate * t)
         for r in range(1, j + 1):
-            term *= model.rate * t / r
+            term *= rate * t / r
             total += term
         return min(total, 1.0)
-    n, p = model.n, -math.expm1(-model.rate * t)
+    p = -math.expm1(-rate * t)
     q = 1.0 - p
     if j >= n or q == 0.0:
         return 1.0 if j >= n else 0.0
     return min(sum(math.comb(n, r) * p**r * q ** (n - r) for r in range(j + 1)), 1.0)
 
 
-def oracle_survival(counts, total, model, t):
+def oracle_survival(counts, total, process, rate, n, t):
     """The mixture sum_i counts[i] * P(N(t) <= i) / total from per-count
     CDFs, summed over the nonzero counts and divided once."""
-    return sum(float(c) * oracle_count_cdf(model, i, t) for i, c in enumerate(counts) if c) / total
+    return sum(
+        float(c) * oracle_count_cdf(process, rate, n, i, t) for i, c in enumerate(counts) if c
+    ) / total
 
 
 def random_connected_network(rng: random.Random, n_links: int, n_terminals: int = 2) -> Network:

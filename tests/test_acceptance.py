@@ -21,7 +21,7 @@ from netsig.combinatorics import (
 from netsig.engine import calculate_m, classic_signature, exact_tsignature
 from netsig.errors import UnsupportedModeError
 from netsig.fixtures import load_fixture
-from netsig.reliability import poisson_model, survival_mixture
+from netsig.reliability import survival_mixture
 from netsig.sampling import _sample_rank, _seed_hash, approx_tsignature
 
 from conftest import oracle_histogram, random_connected_network
@@ -208,7 +208,7 @@ def test_criterion_07_mode_ordering(rng):
     for i, net in enumerate(corpus):
         table = build_stratum_table(net.n)
         for j in range(10_000 * i, 10_000 * (i + 1)):
-            order = unrank_order(table, _sample_rank(keyed, j, table.n_star))
+            order = unrank_order(table, _sample_rank(keyed, j, table[-1]))
             exact = calculate_m(net, order, "exact-subset")
             greedy = calculate_m(net, order, "paper-greedy")
             assert greedy <= exact
@@ -231,7 +231,7 @@ def test_criterion_08_sampler_uniformity():
         keyed = _seed_hash(5_000 + n)  # the sampler's stream
         observed = [0] * len(index)
         for j in range(draws):
-            u = _sample_rank(keyed, j, table.n_star)
+            u = _sample_rank(keyed, j, table[-1])
             observed[index[unrank_order(table, u)]] += 1
         result = scipy_stats.chisquare(observed)
         assert result.pvalue > 0.001
@@ -240,14 +240,14 @@ def test_criterion_08_sampler_uniformity():
 @criterion(9, "reliability closed forms to 1e-12; curves monotone from 1")
 def test_criterion_09_reliability_closed_forms():
     grid = [i * 4 / 99 for i in range(100)]
-    series = survival_mixture(exact_tsignature(load_fixture("series2")), poisson_model(1.0), grid)
-    parallel = survival_mixture(exact_tsignature(load_fixture("parallel2")), poisson_model(1.0), grid)
+    series = survival_mixture(exact_tsignature(load_fixture("series2")), "poisson", 1.0, grid)
+    parallel = survival_mixture(exact_tsignature(load_fixture("parallel2")), "poisson", 1.0, grid)
     for t, s in zip(grid, series):
         assert abs(s - math.exp(-t)) <= 1e-12
     for t, s in zip(grid, parallel):
         assert abs(s - math.exp(-t) * (1 + t)) <= 1e-12
     for name in ("single_edge", "series2", "parallel2", "series3", "triangle", "bridge", "counterexample", "zigzag", "figure1"):
-        curve = survival_mixture(exact_tsignature(load_fixture(name)), poisson_model(1.0), grid)
+        curve = survival_mixture(exact_tsignature(load_fixture(name)), "poisson", 1.0, grid)
         assert curve[0] == 1.0
         for a, b in zip(curve, curve[1:]):
             assert b <= a + 1e-15

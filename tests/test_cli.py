@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import netsig
-from netsig import cli, engine
+from netsig import cli, engine, reliability
 from netsig.cli import main
 from netsig.fixtures import fixture_path
 
@@ -307,6 +307,15 @@ class TestReliability:
         assert artifact["survival"][0] == 1.0
         assert abs(artifact["survival"][-1] - math.exp(-1)) < 1e-12
 
+    def test_process_choices_are_the_library_names(self, capsys):
+        parse = cli.build_parser().parse_args
+        assert parse(["reliability", "g"]).process == reliability.PROCESSES[0]
+        for process in reliability.PROCESSES:
+            assert parse(["reliability", "g", "--process", process]).process == process
+        with pytest.raises(SystemExit):
+            parse(["reliability", "--help"])
+        assert "--process {%s}" % ",".join(reliability.PROCESSES) in capsys.readouterr().out
+
     def test_parallel_poisson_point(self, capsys):
         import math
 
@@ -354,7 +363,7 @@ class TestReliability:
     def test_non_finite_survival_exit_code(self, capsys, monkeypatch):
         # A non-finite value ends in the one-line input error, not in NaN.
         survival = [1.0] + [math.nan] * 100
-        monkeypatch.setattr(cli, "survival_mixture", lambda sig, model, grid: survival)
+        monkeypatch.setattr(cli, "survival_mixture", lambda sig, process, rate, grid: survival)
         code, out, err = run_cli(capsys, "reliability", str(fixture_path("bridge")))
         assert code == 3 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -362,7 +371,7 @@ class TestReliability:
     def test_non_finite_survival_writes_no_file(self, tmp_path, capsys, monkeypatch):
         # The JSON is encoded whole before the file is opened.
         survival = [1.0] + [math.nan] * 100
-        monkeypatch.setattr(cli, "survival_mixture", lambda sig, model, grid: survival)
+        monkeypatch.setattr(cli, "survival_mixture", lambda sig, process, rate, grid: survival)
         target = tmp_path / "curve.json"
         code, _, _ = run_cli(capsys, "reliability", str(fixture_path("bridge")),
                              "--out", str(target))
@@ -407,13 +416,17 @@ class TestReliability:
         '{"n": 3, "counts": "123", "total": "6", "mode": "exact", "m_mode": "exact-subset"}',
         '{"n": 2, "counts": {"1": 0, "2": 0}, "total": "3", "mode": "exact", '
         '"m_mode": "exact-subset"}',
-    ], ids=["missing fields", "counts a string", "counts an object"])
+        '{"n": 2',
+        '{"n": 2, "counts": ["1.5", "0"], "total": "1", "mode": "exact", "m_mode": "exact-subset"}',
+    ], ids=["missing fields", "counts a string", "counts an object", "truncated",
+            "count a decimal string"])
     def test_malformed_artifact_exit_code(self, tmp_path, capsys, text):
         artifact_file = tmp_path / "sig.json"
         artifact_file.write_text(text)
         code, _, err = run_cli(capsys, "reliability", str(artifact_file))
         assert code == 3
-        assert "not a signature artifact" in err and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {artifact_file}: not a signature artifact (")
+        assert len(err.splitlines()) == 1
 
     def test_deeply_nested_artifact_exit_code(self, tmp_path, capsys):
         # Nesting past the recursion limit is a malformed artifact: one line

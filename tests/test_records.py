@@ -5,9 +5,8 @@ import pickle
 
 import pytest
 
-from netsig import StratumTable, TSignature, load_fixture
+from netsig import TSignature, load_fixture
 from netsig.graph import Network, parse_network
-from netsig.reliability import CountingModel
 
 NODES = ("a", "b", "c")
 LINKS = ((1, "a", "b"), (2, "b", "c"))
@@ -15,11 +14,9 @@ TERMINALS = frozenset({"a", "c"})
 
 # (class, positional arguments, field names, defaults left out of the arguments)
 RECORDS = [
-    (StratumTable, (2, (1, 2), 3), ("n", "m", "n_star"), {}),
     (Network, (NODES, LINKS, TERMINALS), ("nodes", "links", "terminals"), {}),
     (TSignature, (2, (1, 2), 3, "exact", "exact-subset"),
      ("n", "counts", "total", "mode", "m_mode"), {}),
-    (CountingModel, ("poisson", 1.5), ("variant", "rate", "n"), {"n": None}),
 ]
 IDS = [cls.__name__ for cls, *_ in RECORDS]
 
@@ -90,16 +87,6 @@ def test_fixture_network_survives_pickling():
     assert copy == net and copy.n == 9
 
 
-def test_stratum_table_cumulative_is_derived():
-    table = StratumTable(n=3, m=(1, 6, 6), n_star=13)
-    assert table.cumulative == (1, 7, 13)
-    assert "cumulative" not in repr(table)
-    with pytest.raises(TypeError):
-        StratumTable(n=3, m=(1, 6, 6), n_star=13, cumulative=(1, 7, 13))
-    with pytest.raises(ValueError, match="do not sum to n_star"):
-        StratumTable(3, (1, 6, 6), 14)
-
-
 def test_network_bitgraph_is_derived():
     net = Network(NODES, LINKS, TERMINALS)
     assert net.bitgraph.ends == [(0, 0), (0, 1), (1, 2)]
@@ -112,14 +99,12 @@ def test_network_bitgraph_is_derived():
 def test_records_of_different_classes_differ():
     # A record compares equal only to a record of its own class, whatever
     # the fields hold.
-    table = StratumTable(2, (1, 2), 3)
+    net = Network(NODES, LINKS, TERMINALS)
     sig = TSignature(2, (1, 2), 3, "exact", "exact-subset")
-    assert table != sig and sig != table
-    assert table.__eq__(sig) is NotImplemented and sig.__eq__(table) is NotImplemented
+    assert net != sig and sig != net
+    assert net.__eq__(sig) is NotImplemented and sig.__eq__(net) is NotImplemented
 
 
 def test_validation_still_runs_on_keyword_construction():
     with pytest.raises(ValueError, match="counts must sum to total"):
         TSignature(n=2, counts=(1, 2), total=4, mode="exact", m_mode="exact-subset")
-    with pytest.raises(ValueError, match="requires the link count"):
-        CountingModel("binomial", 1.0)

@@ -224,7 +224,7 @@ class TestApproxTSignature:
         keyed = _seed_hash(seed)
         expected = [0] * net.n
         for j in range(2_000):
-            order = unrank_order(table, _sample_rank(keyed, j, table.n_star))
+            order = unrank_order(table, _sample_rank(keyed, j, table[-1]))
             expected[calculate_m(net, order, m_mode) - 1] += 1
         assert approx_tsignature(net, 2_000, seed=seed, m_mode=m_mode).counts == tuple(expected)
 

@@ -26,7 +26,7 @@ from .graph import Network, parse_network
 from .reliability import count_cdf, survival_mixture
 from .sampling import approx_tsignature
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "build_stratum_table",

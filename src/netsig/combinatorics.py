@@ -1,14 +1,14 @@
 """Exact combinatorics of link-failure orders.
 
 A failure order is an ordered set partition of the link ids {1..n}: links in
-the same block fail together, blocks fail left to right.  One cached table
-of Stirling numbers of the second kind S(n, k) drives the module: it counts
-the orders (n*, the Fubini number, is the sum of k!*S(n, k) over the block
-count k), and it unranks them: every integer below n* names one order,
-stratified by the block count, so one uniform integer below n* is one
-uniform order.  The module also enumerates the orders lazily in a fixed
-canonical order, walking the set partitions block by block and permuting
-the blocks of each.
+the same block fail together, blocks fail left to right.  A cached table
+of Stirling numbers of the second kind S(n, k) counts the orders (n*, the
+Fubini number, is the sum of k!*S(n, k) over the block count k).  A table of
+the orders by the size of their last block unranks them: every integer below
+n* names one order, decoded from its last block to its first, so one uniform
+integer below n* is one uniform order.  The module also enumerates the
+orders lazily in a fixed canonical order, walking the set partitions block
+by block and permuting the blocks of each.
 
 All counts are exact Python integers; the order count for n=26 has 31 digits.
 """
@@ -58,15 +58,21 @@ def n_star(n: int) -> int:
     return sum(math.factorial(k) * stirling2(n, k) for k in range(1, n + 1))
 
 
-def build_stratum_table(n: int) -> tuple[int, ...]:
-    """The cumulative stratum weights of n links: entry k-1 counts the
-    orders of at most k blocks, so the last entry is n*.  They split the
-    ranks of `unrank_order` by block count, so a uniform rank picks k blocks
-    with probability k!*S(n,k)/n*, then a uniform k-block partition and a
-    uniform block permutation."""
+def build_stratum_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rank table of n links.  Row m-1, for m = 1..n, holds the
+    cumulative weights C(m, s) * F(m - s) for s = 1..m, where F(k) is the
+    order count of k links and F(0) = 1: the orders of m links whose last
+    block has at most s links.  So row m-1 ends with F(m), the last entry
+    is n*, and `unrank_order` splits the ranks by the size of the last
+    block.  n = 3 gives ((1,), (2, 3), (9, 12, 13))."""
     if n < 1:
         raise ValueError(f"build_stratum_table requires n >= 1, got {n}")
-    return tuple(accumulate(math.factorial(k) * stirling2(n, k) for k in range(1, n + 1)))
+    fubini = [1]
+    rows = []
+    for m in range(1, n + 1):
+        rows.append(tuple(accumulate(math.comb(m, s) * fubini[m - s] for s in range(1, m + 1))))
+        fubini.append(rows[-1][-1])
+    return tuple(rows)
 
 
 def iter_base_partitions(n: int) -> Iterator[tuple[Block, ...]]:
@@ -118,73 +124,64 @@ def enumerate_orders(n: int) -> Iterator[FailureOrder]:
         yield from permutations(blocks)
 
 
-def _unrank_partition(table: tuple[int, ...], u: int) -> tuple[list[list[int]], int]:
-    """The base partition and the block-permutation rank of the failure
-    order of rank u, for 0 <= u < n*: `(blocks, perm)`, the blocks ordered
-    by least element, each a list of its links in descending order.
-
-    Bisecting the cumulative stratum weights `table` gives the block count
-    k and a rank below k!*S(n,k); `divmod` by k! splits it into a partition
-    rank r and `perm`, whose mixed-radix digits are the swaps of a
-    Fisher-Yates shuffle of the blocks (see `unrank_order`).
-
-    The partition of rank r is placed by the recurrence
-    S(m,k) = S(m-1,k-1) + k*S(m-1,k): the first S(m-1,k-1) ranks make
-    element m the least element of block k, and each later rank
-    r' = r - S(m-1,k-1) puts m into block r' % k of a partition of {1..m-1}
-    with rank r' // k.  Adding larger elements never changes which element
-    is a block's least, so the blocks are numbered as in the whole
-    partition, and the elements are placed from m = n down to a base case
-    (k = m or k = 1, where the rank is 0).  Every rank gives a different
-    partition (Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).
-    """
-    if not 0 <= u < table[-1]:
-        raise ValueError(f"order rank must lie in [0, {table[-1]}), got {u}")
-    k = bisect_right(table, u) + 1
-    if k > 1:
-        u -= table[k - 2]
-    r, perm = divmod(u, math.factorial(k))
-    rows = _stirling_rows
-    blocks: list[list[int]] = [[] for _ in range(k)]
-    m = len(table)
-    while 1 < k < m:
-        singletons = rows[m - 2][k - 2]
-        if r < singletons:
-            k -= 1
-            blocks[k].append(m)
-        else:
-            r, block = divmod(r - singletons, k)
-            blocks[block].append(m)
-        m -= 1
-    if k == m:
-        for i in range(m):
-            blocks[i].append(i + 1)
-    else:
-        blocks[0].extend(range(m, 0, -1))
-    return blocks, perm
+def _take(unplaced: list[int], s: int, c: int) -> list[int]:
+    """Remove from `unplaced` (m ascending links) and return, in descending
+    order, the s links at the positions of colex rank c < C(m, s): positions
+    x_1 < ... < x_s with c = C(x_1, 1) + ... + C(x_s, s) (the combinatorial
+    number system), each the largest x with C(x, i) at most what is left of
+    c, taken from the top, so the pops never shift a position still to be
+    taken.  C(x, 2) and C(x, 1) are inverted in closed form."""
+    block = []
+    x = len(unplaced)
+    for i in range(s, 2, -1):
+        x -= 1
+        while math.comb(x, i) > c:
+            x -= 1
+        c -= math.comb(x, i)
+        block.append(unplaced.pop(x))
+    if s > 1:
+        x = (1 + math.isqrt(8 * c + 1)) // 2
+        c -= x * (x - 1) // 2
+        block.append(unplaced.pop(x))
+    block.append(unplaced.pop(c))
+    return block
 
 
-def unrank_order(table: tuple[int, ...], u: int) -> FailureOrder:
+def unrank_order(table: tuple[tuple[int, ...], ...], u: int) -> FailureOrder:
     """The failure order of rank u, for 0 <= u < n*: a bijection from
-    [0, n*) onto the failure orders of {1..n}, for the stratum table
+    [0, n*) onto the failure orders of {1..n}, for the table
     `build_stratum_table(n)`.
 
-    `_unrank_partition` gives the base partition and the permutation rank
-    `perm`; from the last position i = k-1 down to 1, `divmod(perm, i + 1)`
-    takes the next digit j and swaps the blocks at positions i and j, after
-    which position i is final.  The order's blocks are ascending tuples.
+    The order is decoded from its last block: with m links unplaced, row
+    m-1 of the table splits the ranks by the size s of the last block, and
+    `divmod` by F(m-s) splits what is left into the colex rank of the
+    block's links among the unplaced ones (`_take`) and the rank of the
+    order of the rest.  `engine._order_m` decodes the same map lazily.
     """
-    blocks, perm = _unrank_partition(table, u)
-    for i in range(len(blocks) - 1, 0, -1):
-        perm, j = divmod(perm, i + 1)
-        blocks[i], blocks[j] = blocks[j], blocks[i]
-    return tuple(tuple(reversed(block)) for block in blocks)
+    if not 0 <= u < table[-1][-1]:
+        raise ValueError(f"order rank must lie in [0, {table[-1][-1]}), got {u}")
+    m = len(table)  # links not yet placed
+    unplaced = list(range(1, m + 1))
+    blocks = []
+    while m:
+        row = table[m - 1]
+        if u < row[0]:
+            # One link.  When m = 1 the rank is 0, and any divisor gives (0, 0).
+            c, u = divmod(u, table[m - 2][-1])
+            blocks.append((unplaced.pop(c),))
+            m -= 1
+            continue
+        s = bisect_right(row, u) + 1
+        c, u = divmod(u - row[s - 2], table[m - s - 1][-1] if s < m else 1)
+        blocks.append(tuple(reversed(_take(unplaced, s, c))))
+        m -= s
+    return tuple(reversed(blocks))
 
 
-def random_order(table: tuple[int, ...], rng: "random.Random") -> FailureOrder:
+def random_order(table: tuple[tuple[int, ...], ...], rng: "random.Random") -> FailureOrder:
     """Draw a failure order uniformly over all n* orders: the order whose
-    rank is `rng.randrange(table[-1])`.  `rng` needs only `randrange`."""
-    return unrank_order(table, rng.randrange(table[-1]))
+    rank is `rng.randrange(n*)`.  `rng` needs only `randrange`."""
+    return unrank_order(table, rng.randrange(table[-1][-1]))
 
 
 def check_failure_order(order: FailureOrder, n: int) -> None:

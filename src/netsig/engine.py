@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from itertools import islice, permutations
 from operator import add, itemgetter
 
@@ -24,6 +25,7 @@ from ._bitgraph import BitGraph
 from ._record import Record
 from .combinatorics import (
     FailureOrder,
+    _take,
     check_failure_order,
     iter_base_partitions,
     n_star,
@@ -97,48 +99,43 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1 and <= {MAX_WORKERS}, got {workers}")
 
 
-def _order_m(bg: BitGraph, blocks: list, perm: int, m_mode: str) -> int:
-    """M for one failure order: full sizes of the surviving prefix blocks
-    plus the minimum (or greedy) count inside the first fatal block.
+def _order_m(bg: BitGraph, table: tuple, u: int, m_mode: str) -> int:
+    """M of the failure order of rank u, `unrank_order(table, u)` for the
+    table `build_stratum_table(bg.n)`, decoded block by block from the last
+    inside the union pass that finds the fatal block, so the blocks before
+    it are never placed.
 
-    `blocks` is a base partition in a list, permuted in place, and `perm` a
-    block-permutation rank: the order is the one `unrank_order` builds.  Its
-    Fisher-Yates swaps are done here, from the last position down, so each
-    position is final when it is reached and the swaps stop at the fatal
-    block.  Rank k! - 1 of k blocks is the identity: every swap stays put.
+    With m links unplaced, u below m * F(m-1) (row m-1's first entry) makes
+    the last block one link; otherwise bisecting the row gives its size s.
+    `divmod` by F(m-s) splits u into the colex rank of the block's links
+    among the unplaced ones and the rank of the order of the rest.
 
     Removing links never reconnects the terminals, so the fatal block is the
     block whose links, added back from the last block to the first, join
     all terminals into one component: one union-find pass over the node
-    indices, with no connectivity query.  The blocks before it are the
-    removed links, which keep the terminals connected, while removing the
+    indices, with no connectivity query.  The still-unplaced links are the
+    removed ones, which keep the terminals connected, while removing the
     fatal block too disconnects them.  These are the fatal-block
-    preconditions, so the block is scored by the unchecked cores.  The pass
-    is the same for both m-modes: it counts the links kept and copies the
-    forest before each multi-link block's unions, and the m-mode is read
-    once, at the fatal block.  A one-link block scores 1, a larger one the
-    min cut `_block_cut` finds on the copied forest; the greedy count takes
-    the removal masks, built from the final positions.
+    preconditions, so the block is scored by the unchecked cores
+    (`_fatal_score`).  A one-link fatal block scores 1 in both m-modes: it
+    lies on every remaining terminal path.
     """
+    m = bg.n  # links not yet placed
+    row = table[m - 1]
+    if not 0 <= u < row[-1]:
+        raise ValueError(f"order rank must lie in [0, {row[-1]}), got {u}")
     parent = bg.singletons.copy()
     has_terminal = bg.is_terminal.copy()
-    parts = len(bg.terminal_indices)  # components holding a terminal
-    if parts < 2:
-        raise AssertionError("removing every link must disconnect a valid network")
+    parts = len(bg.terminal_indices)  # components holding a terminal, at least 2
     ends = bg.ends
-    kept = 0  # links of the blocks at positions i and later
-    i = len(blocks)
-    while i:
-        perm, j = divmod(perm, i)
-        i -= 1
-        block = blocks[j]
-        blocks[j], blocks[i] = blocks[i], block
-        size = len(block)
-        kept += size
-        if size > 1:
-            before = parent[:]
-        for link in block:
-            a, b = ends[link]
+    unplaced = list(range(1, m + 1))
+    while True:
+        if u < row[0]:
+            # One link: `_join` inlined.  When m = 1 the rank is 0, and any
+            # divisor gives (0, 0).
+            c, u = divmod(u, table[m - 2][-1])
+            m -= 1
+            a, b = ends[unplaced.pop(c)]
             while a != parent[a]:
                 parent[a] = a = parent[parent[a]]
             while b != parent[b]:
@@ -148,27 +145,79 @@ def _order_m(bg: BitGraph, blocks: list, perm: int, m_mode: str) -> int:
                 if has_terminal[a]:
                     if has_terminal[b]:
                         parts -= 1
+                        if parts == 1:
+                            return m + 1
                     else:
                         has_terminal[b] = True
-        if parts == 1:
-            break
-    else:
-        raise AssertionError("the links of every block must join the terminals")
+        else:
+            s = bisect_right(row, u) + 1
+            c, u = divmod(u - row[s - 2], table[m - s - 1][-1] if s < m else 1)
+            block = _take(unplaced, s, c)
+            m -= s
+            before = parent[:]
+            parts -= _join(parent, has_terminal, ends, block)
+            if parts == 1:
+                return m + _fatal_score(bg, before, block, unplaced, m_mode)
+        row = table[m - 1]
+
+
+def _join(parent: list, has_terminal: list, ends: list, block) -> int:
+    """Union the ends of the block's links in the forest `parent`
+    (compressed in place); the number of merges of two components that
+    both hold a terminal."""
+    merged = 0
+    for link in block:
+        a, b = ends[link]
+        while a != parent[a]:
+            parent[a] = a = parent[parent[a]]
+        while b != parent[b]:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            if has_terminal[a]:
+                if has_terminal[b]:
+                    merged += 1
+                else:
+                    has_terminal[b] = True
+    return merged
+
+
+def _fatal_score(bg: BitGraph, before: list, block, removed, m_mode: str) -> int:
+    """The minimum (or greedy) count of a multi-link fatal block: the min
+    cut `_block_cut` finds on `before`, the forest of the later blocks'
+    links, or the greedy count with the links `removed` before the block."""
     if m_mode == "exact-subset":
-        return bg.n - kept + (1 if size == 1 else bg._block_cut(before, block))
-    # Positions 0..i-1 hold the removed blocks, in some order.
+        return bg._block_cut(before, block)
     bits = bg.bits
     block_mask = sum(bits[link] for link in block)
-    removed_mask = sum(bits[link] for t in range(i) for link in blocks[t])
-    return bg.n - kept + bg._greedy_count(removed_mask, block_mask)
+    return bg._greedy_count(sum(bits[link] for link in removed), block_mask)
+
+
+def _blocks_m(bg: BitGraph, blocks, m_mode: str) -> int:
+    """M of the failure order `blocks`, listed: the union pass of
+    `_order_m` over the given blocks, from the last to the first."""
+    parent = bg.singletons.copy()
+    has_terminal = bg.is_terminal.copy()
+    parts = len(bg.terminal_indices)
+    m = bg.n
+    for i in range(len(blocks) - 1, -1, -1):
+        block = blocks[i]
+        m -= len(block)
+        if len(block) > 1:
+            before = parent[:]
+        parts -= _join(parent, has_terminal, bg.ends, block)
+        if parts == 1:
+            if len(block) == 1:
+                return m + 1
+            return m + _fatal_score(bg, before, block, [x for b in blocks[:i] for x in b], m_mode)
+    raise AssertionError("the links of every block must join the terminals")
 
 
 def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset") -> int:
     """M of one failure order on the network."""
     check_failure_order(order, net.n)
     _check_m_mode(net, m_mode)
-    identity = math.factorial(len(order)) - 1  # see _order_m
-    return _order_m(net.bitgraph, list(order), identity, m_mode)
+    return _blocks_m(net.bitgraph, order, m_mode)
 
 
 def _over_budget(link: int, n: int) -> EnumerationCapError:
@@ -372,13 +421,12 @@ def _stream_orders(net, worker_id, workers, counts, m_mode, order_limit) -> None
             break
         start = offset
         k = len(blocks)
-        identity = math.factorial(k) - 1
-        offset += identity + 1
+        offset += math.factorial(k)
         if index % workers != worker_id:
             continue
         if offset > order_limit:
             for order in islice(permutations(blocks), order_limit - start):
-                counts[_order_m(bg, list(order), identity, m_mode) - 1] += 1
+                counts[_blocks_m(bg, order, m_mode) - 1] += 1
             continue
         masks = [sum(bg.bits[link] for link in block) for block in blocks]
         kept = [0]  # kept[L]: the links of the blocks in L, a bit set of block indices
@@ -395,7 +443,7 @@ def _stream_orders(net, worker_id, workers, counts, m_mode, order_limit) -> None
                     order = [block for i, block in enumerate(blocks)
                              if not (later | 1 << b) >> i & 1]
                     order += [blocks[b], *tail]
-                    counts[_order_m(bg, order, identity, m_mode) - 1] += weight
+                    counts[_blocks_m(bg, order, m_mode) - 1] += weight
 
 
 def _histogram_worker(args):

@@ -42,6 +42,8 @@ def count_cdf(process: str, rate: float, n: int | None, j: int, t: float) -> flo
         raise ValueError("j must be >= 0")
     if not t >= 0:
         raise ValueError("t must be >= 0")
+    if process == "binomial" and j >= n:
+        return 1.0  # at most n links fail
     return _mixture(process, rate, n, (0,) * j + (1,), 1, (t,))[0]
 
 

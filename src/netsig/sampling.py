@@ -1,13 +1,11 @@
 """Monte Carlo approximation of the batch-failure signature.
 
 Orders are drawn uniformly over the full order space: one uniform integer u
-below n* per sample, whose order is `combinatorics.unrank_order(table, u)`,
-`table` being the cumulative block-count weights of `build_stratum_table`
-(whose last entry is n*).  The sample is decoded lazily:
-`_unrank_partition` gives the base partition and the block-permutation
-rank, and the one M scorer, `engine._order_m`, does the rank's Fisher-Yates
-swaps from the last position down inside its union pass, so it places only
-the blocks from the fatal block on.
+below n* per sample, whose order is `combinatorics.unrank_order(table, u)`
+for the rank table of `build_stratum_table` (whose last row ends with n*).
+That map decodes an order from its last block to its first, so the one M
+scorer, `engine._order_m`, decodes the rank itself inside its union pass
+and stops at the fatal block: the blocks before it are never placed.
 
 Reproducibility contract: sample j draws from its own counter-based stream
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
@@ -19,13 +17,15 @@ top x.bit_length() bits of the next block (of the next blocks, joined, past
 stream depends on (seed, j) alone, so a run is bit-identical for a fixed
 (seed, sample_count) no matter how the samples are split across workers;
 another stream of the same sample would take another personalization.
-Seeds lie in [0, 2**64) and sample indices below 2**64.
+Seeds lie in [0, 2**64) and sample indices below 2**64.  The draws are
+those of netsig 0.3.0, but 0.4.0 maps each draw to another order (the
+last-block-first map), so its counts for a seed differ from 0.3.0's.
 """
 
 from __future__ import annotations
 
 from ._bitgraph import BitGraph
-from .combinatorics import _unrank_partition, build_stratum_table
+from .combinatorics import build_stratum_table
 # Not called here: it stays until perfbench/layers.py drops its trace wrapper
 # of this name.
 from .combinatorics import random_order  # noqa: F401
@@ -75,10 +75,9 @@ def _draw_orders(net, worker_id, workers, counts, m_mode, seed, sample_count) ->
     bg = BitGraph(net, build_table=True) if m_mode == "paper-greedy" else net.bitgraph
     table = build_stratum_table(net.n)
     keyed = _seed_hash(seed)
-    n_star = table[-1]
+    n_star = table[-1][-1]
     for j in range(worker_id, sample_count, workers):
-        blocks, perm = _unrank_partition(table, _sample_rank(keyed, j, n_star))
-        counts[_order_m(bg, blocks, perm, m_mode) - 1] += 1
+        counts[_order_m(bg, table, _sample_rank(keyed, j, n_star), m_mode) - 1] += 1
 
 
 def approx_tsignature(

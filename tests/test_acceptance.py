@@ -208,7 +208,7 @@ def test_criterion_07_mode_ordering(rng):
     for i, net in enumerate(corpus):
         table = build_stratum_table(net.n)
         for j in range(10_000 * i, 10_000 * (i + 1)):
-            order = unrank_order(table, _sample_rank(keyed, j, table[-1]))
+            order = unrank_order(table, _sample_rank(keyed, j, table[-1][-1]))
             exact = calculate_m(net, order, "exact-subset")
             greedy = calculate_m(net, order, "paper-greedy")
             assert greedy <= exact
@@ -231,7 +231,7 @@ def test_criterion_08_sampler_uniformity():
         keyed = _seed_hash(5_000 + n)  # the sampler's stream
         observed = [0] * len(index)
         for j in range(draws):
-            u = _sample_rank(keyed, j, table[-1])
+            u = _sample_rank(keyed, j, table[-1][-1])
             observed[index[unrank_order(table, u)]] += 1
         result = scipy_stats.chisquare(observed)
         assert result.pvalue > 0.001

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from netsig import engine
 from netsig._bitgraph import BitGraph
 from netsig.combinatorics import (
-    _unrank_partition,
     build_stratum_table,
     enumerate_orders,
     iter_base_partitions,
@@ -267,30 +266,19 @@ def _oracle_m(net, order, m_mode):
     raise AssertionError("removing all links must disconnect")
 
 
-def _check_lazy_scorer(net, table, ranks):
-    """The lazy scorer on `_unrank_partition`'s (blocks, perm) equals the
-    scorer on the unranked order and the oracle, in each m-mode."""
+def _check_fused_scorer(net, ranks):
+    """The fused scorer on each rank equals the listed block loop and the
+    oracle on the order that `unrank_order` decodes, in each m-mode the
+    network supports."""
     bg = BitGraph(net)
+    table = build_stratum_table(net.n)
     modes = M_MODES if len(net.terminals) == 2 else ("exact-subset",)
     for u in ranks:
         order = unrank_order(table, u)
         for m_mode in modes:
-            lazy = engine._order_m(bg, *_unrank_partition(table, u), m_mode)
-            eager = engine._order_m(bg, list(order), math.factorial(len(order)) - 1, m_mode)
-            assert lazy == eager == _oracle_m(net, order, m_mode), (net, u, order, m_mode)
-
-
-def _low_perm_ranks(table, rng, count):
-    """Ranks of random partitions with a block-permutation rank below k,
-    which reaches 0 after the first swap (every later swap then goes to
-    position 0), including 0 itself."""
-    ranks = []
-    for _ in range(count):
-        k = rng.randint(2, len(table))
-        r = rng.randrange((table[k - 1] - table[k - 2]) // math.factorial(k))
-        perm = rng.choice((0, rng.randrange(k)))
-        ranks.append(table[k - 2] + r * math.factorial(k) + perm)
-    return ranks
+            fused = engine._order_m(bg, table, u, m_mode)
+            listed = engine._blocks_m(bg, order, m_mode)
+            assert fused == listed == _oracle_m(net, order, m_mode), (net, u, order, m_mode)
 
 
 class TestLazyScorer:
@@ -299,11 +287,18 @@ class TestLazyScorer:
         load_fixture("counterexample"),
         _with_parallel_links(random_connected_network(random.Random(4), 3), random.Random(4)),
         random_connected_network(random.Random(4), 6, 4),
+        load_fixture("triangle"),
     ])
     def test_every_rank_of_a_small_network(self, net):
         assert net.n <= 6
-        table = build_stratum_table(net.n)
-        _check_lazy_scorer(net, table, range(table[-1]))
+        _check_fused_scorer(net, range(n_star(net.n)))
+
+    @pytest.mark.parametrize("name", ["figure1", "figure2", "eon_par_cop", "eon_lon_ber_mil"])
+    def test_end_ranks_and_random_ranks(self, name):
+        net = load_fixture(name)
+        rng = random.Random(24)
+        last = n_star(net.n) - 1
+        _check_fused_scorer(net, [0, last] + [rng.randint(0, last) for _ in range(2_000)])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -317,18 +312,22 @@ class TestLazyScorer:
     )
     def test_random_ranks_with_parallel_links(self, base, rng):
         net = _with_parallel_links(base, rng)
-        table = build_stratum_table(net.n)
-        ranks = [rng.randrange(table[-1]) for _ in range(10)]
-        _check_lazy_scorer(net, table, ranks + _low_perm_ranks(table, rng, 10))
+        last = n_star(net.n) - 1
+        _check_fused_scorer(net, [0, last] + [rng.randint(0, last) for _ in range(10)])
+
+    @pytest.mark.parametrize("u", [-1, 541, 2**200])
+    def test_rank_out_of_range(self, u):
+        net = load_fixture("bridge")
+        with pytest.raises(ValueError, match="order rank"):
+            engine._order_m(net.bitgraph, build_stratum_table(net.n), u, "exact-subset")
 
     def test_blocks_that_never_join_the_terminals(self):
         # A partial order whose links never join the terminals raises
-        # rather than wrapping around to the last block; rank 1 of two
-        # blocks is the identity, rank 0 swaps them.
+        # rather than wrapping around to the last block.
         bg = BitGraph(load_fixture("bridge"))
-        for perm in (1, 0):
+        for blocks in ([[1], [2]], [[2], [1]]):
             with pytest.raises(AssertionError):
-                engine._order_m(bg, [[1], [2]], perm, "exact-subset")
+                engine._blocks_m(bg, blocks, "exact-subset")
 
 
 class TestExactTSignature:

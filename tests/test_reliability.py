@@ -49,6 +49,15 @@ class TestCountCdf:
         with pytest.raises(ValueError, match="t must be >= 0"):
             count_cdf(process, 1.0, n, 2, math.nan)
 
+    def test_binomial_count_of_all_links_builds_no_weights(self, monkeypatch):
+        # From j = n on the answer is 1.0, whatever j: no weight per count.
+        def fail(*args):
+            raise AssertionError("the mixture kernel ran")
+
+        monkeypatch.setattr(reliability, "_mixture", fail)
+        assert count_cdf("binomial", 1.0, 3, 10**7, 1.0) == 1.0 == oracle_count_cdf(
+            "binomial", 1.0, 3, 10**7, 1.0)
+
     def test_infinite_time_is_the_limit(self):
         assert [count_cdf("poisson", 1.0, None, j, math.inf) for j in (0, 1, 5)] == [0.0] * 3
         assert [count_cdf("binomial", 1.0, 3, j, math.inf) for j in range(5)] == [

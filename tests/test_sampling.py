@@ -5,7 +5,7 @@ import pytest
 
 from netsig import sampling
 from netsig._bitgraph import BitGraph
-from netsig.combinatorics import build_stratum_table, unrank_order
+from netsig.combinatorics import build_stratum_table, n_star, unrank_order
 from netsig.engine import MAX_WORKERS, calculate_m, exact_tsignature
 from netsig.fixtures import load_fixture
 from netsig.sampling import _sample_rank, _seed_hash, approx_tsignature
@@ -133,12 +133,12 @@ class TestApproxTSignature:
                 assert sig.counts == base.counts
 
     def test_pinned_eon_counts(self):
-        # Recorded from the keyed-hash stream with unranked orders; a faster
-        # sampler must not change a single count.
+        # Recorded from the keyed-hash stream with the last-block-first map
+        # (0.4.0); a faster sampler must not change a single count.
         net = load_fixture("eon_par_cop")
         sig = approx_tsignature(net, 2_000, seed=7)
-        assert sig.counts == (0, 0, 0, 0, 1, 4, 1, 8, 11, 17, 17, 38, 68, 122, 161,
-                              231, 306, 277, 236, 213, 136, 82, 43, 21, 7, 0)
+        assert sig.counts == (0, 0, 0, 0, 1, 0, 3, 8, 14, 13, 25, 42, 78, 97, 177,
+                              224, 307, 265, 265, 202, 114, 88, 44, 26, 7, 0)
 
     def test_exact_subset_scores_on_the_network_graph(self, monkeypatch):
         # The BitGraph that validated the network is the one the minimum
@@ -149,13 +149,13 @@ class TestApproxTSignature:
             raise AssertionError("a BitGraph was built")
         monkeypatch.setattr(BitGraph, "__init__", build)
         sig = approx_tsignature(net, 2_000, seed=7, m_mode="exact-subset")
-        assert sig.counts == (0, 0, 0, 0, 1, 4, 1, 8, 11, 17, 17, 38, 68, 122, 161,
-                              231, 306, 277, 236, 213, 136, 82, 43, 21, 7, 0)
+        assert sig.counts == (0, 0, 0, 0, 1, 0, 3, 8, 14, 13, 25, 42, 78, 97, 177,
+                              224, 307, 265, 265, 202, 114, 88, 44, 26, 7, 0)
 
     def test_pinned_eon_greedy_counts_with_one_search_per_step(self, monkeypatch):
-        # Recorded when the greedy loop still tested `connected` before each
-        # shortest path.  With 26 links there is no table, and a search that
-        # does not reach the first terminal alone must stop the loop.
+        # Recorded with the last-block-first map (0.4.0).  With 26 links
+        # there is no table, and a search that does not reach the first
+        # terminal alone must stop the greedy loop.
         def fail(*args):
             raise AssertionError("greedy count queried connectivity")
 
@@ -164,17 +164,17 @@ class TestApproxTSignature:
         for workers in (1, 2):
             sig = approx_tsignature(net, 2_000, seed=3, workers=workers, m_mode="paper-greedy")
             assert sig.counts == (
-                0, 0, 0, 0, 1, 1, 4, 5, 8, 16, 39, 40, 72, 110, 163, 227, 275, 270,
-                247, 209, 155, 79, 41, 28, 10, 0)
+                0, 0, 0, 0, 0, 2, 1, 7, 7, 17, 29, 48, 76, 106, 181, 215, 264, 298,
+                226, 227, 136, 79, 45, 25, 11, 0)
 
     @pytest.mark.parametrize("name, counts", [
-        ("eon_lon_ber_mil", (0, 0, 0, 0, 3, 4, 3, 14, 17, 33, 50, 87, 119, 201, 254,
-                             317, 319, 273, 165, 85, 37, 12, 6, 1, 0, 0)),
-        ("figure1", (0, 144, 455, 784, 403, 163, 51, 0, 0)),
+        ("eon_lon_ber_mil", (0, 0, 0, 0, 1, 3, 7, 12, 25, 24, 42, 72, 140, 175, 266,
+                             335, 347, 253, 154, 95, 32, 15, 2, 0, 0, 0)),
+        ("figure1", (0, 150, 456, 794, 382, 160, 58, 0, 0)),
     ])
     def test_pinned_three_terminal_counts(self, name, counts):
-        # Recorded with the subset-scan scorer; the min-cut scorer must give
-        # the same M for every sampled order.
+        # Recorded with the last-block-first map (0.4.0) and the min-cut
+        # scorer, which gives the subset scan's M for every sampled order.
         net = load_fixture(name)
         sig = approx_tsignature(net, 2_000, seed=7)
         assert sig.counts == counts
@@ -191,9 +191,9 @@ class TestApproxTSignature:
             assert sum(approx_tsignature(net, 200, seed=7, m_mode=m_mode).counts) == 200
 
     def test_one_draw_and_one_score_per_sample(self, monkeypatch):
-        # A per-layer trace counts samples by wrapping these two
-        # module-level names; the sampler must look each up once per
-        # sample, or the traced counts silently read 0.
+        # A per-layer trace counts samples by wrapping this module-level
+        # name; the sampler must look it up once per sample, or the traced
+        # count silently reads 0.
         calls = Counter()
 
         def counted(name):
@@ -205,26 +205,28 @@ class TestApproxTSignature:
 
             monkeypatch.setattr(sampling, name, wrapper)
 
-        counted("_unrank_partition")
         counted("_order_m")
         net = load_fixture("eon_par_cop")
         sig = approx_tsignature(net, 300, seed=1)
-        assert calls == {"_unrank_partition": 300, "_order_m": 300} and sig.total == 300
+        assert calls == {"_order_m": 300} and sig.total == 300
 
     @pytest.mark.parametrize("name, m_mode, seed", [
         ("bridge", "exact-subset", 21),
         ("bridge", "paper-greedy", 22),
         ("figure1", "exact-subset", 23),
+        ("eon_par_cop", "exact-subset", 7),
+        ("eon_par_cop", "paper-greedy", 3),
     ])
     def test_counts_are_the_stream_orders_scored(self, name, m_mode, seed):
         # Sample j is the order unranked from the j-th draw of the stream:
-        # the draws that the acceptance criteria check are the product's.
+        # the draws that the acceptance criteria check are the product's,
+        # and the pinned EON counts above are those orders scored one by one.
         net = load_fixture(name)
         table = build_stratum_table(net.n)
         keyed = _seed_hash(seed)
         expected = [0] * net.n
         for j in range(2_000):
-            order = unrank_order(table, _sample_rank(keyed, j, table[-1]))
+            order = unrank_order(table, _sample_rank(keyed, j, n_star(net.n)))
             expected[calculate_m(net, order, m_mode) - 1] += 1
         assert approx_tsignature(net, 2_000, seed=seed, m_mode=m_mode).counts == tuple(expected)
 

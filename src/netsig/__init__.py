@@ -5,7 +5,6 @@ from .combinatorics import (
     enumerate_orders,
     n_star,
     random_order,
-    stirling2,
     unrank_order,
 )
 from .engine import (
@@ -33,7 +32,6 @@ __all__ = [
     "enumerate_orders",
     "n_star",
     "random_order",
-    "stirling2",
     "unrank_order",
     "TSignature",
     "calculate_m",

@@ -1,14 +1,14 @@
 """Exact combinatorics of link-failure orders.
 
 A failure order is an ordered set partition of the link ids {1..n}: links in
-the same block fail together, blocks fail left to right.  A cached table
-of Stirling numbers of the second kind S(n, k) counts the orders (n*, the
-Fubini number, is the sum of k!*S(n, k) over the block count k).  A table of
-the orders by the size of their last block unranks them: every integer below
-n* names one order, decoded from its last block to its first, so one uniform
-integer below n* is one uniform order.  The module also enumerates the
-orders lazily in a fixed canonical order, walking the set partitions block
-by block and permuting the blocks of each.
+the same block fail together, blocks fail left to right.  One recurrence,
+recomputed on each call, counts the orders: F(m), the Fubini number of m
+links, sums C(m, s)*F(m-s) over the size s of the last block, and n* = F(n).
+A table of its terms, the orders by the size of their last block, unranks
+them: every integer below n* names one order, decoded from its last block to
+its first, so one uniform integer below n* is one uniform order.  The module
+also enumerates the orders lazily in a fixed canonical order, walking the set
+partitions block by block and permuting the blocks of each.
 
 All counts are exact Python integers; the order count for n=26 has 31 digits.
 """
@@ -19,6 +19,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import accumulate, permutations
+from operator import add, mul
 
 # A block is an ascending tuple of link ids; a failure order is a sequence of
 # disjoint nonempty blocks covering {1..n}.
@@ -26,53 +27,40 @@ Block = tuple[int, ...]
 FailureOrder = tuple[Block, ...]
 
 
-# _stirling_rows[m-1][k-1] = S(m, k); rows are appended on demand.
-_stirling_rows: list[list[int]] = [[1]]
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k): the number of partitions
-    of an n-set into exactly k nonempty blocks."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"stirling2 requires 0 <= k <= n, got n={n}, k={k}")
-    if k == 0:
-        return 1 if n == 0 else 0
-    while len(_stirling_rows) < n:
-        prev = _stirling_rows[-1]
-        m = len(prev) + 1
-        # S(m,k) = k*S(m-1,k) + S(m-1,k-1), with S(m,1) = S(m,m) = 1.
-        row = [1]
-        for j in range(2, m):
-            row.append(j * prev[j - 1] + prev[j - 2])
-        row.append(1)
-        _stirling_rows.append(row)
-    return _stirling_rows[n - 1][k - 1]
+def _fubini(n: int) -> list[int]:
+    """[F(0), ..., F(n)]: F(m) orders of m links, F(0) = 1.  The orders of m
+    links whose last block holds s given links are the F(m-s) orders of the
+    rest, so F(m) is the sum of C(m, s) * F(m-s) over s = 1..m.  The
+    binomials come row by row from Pascal's rule, which costs far less than
+    `math.comb` for each term once m is in the hundreds."""
+    fubini = [1]
+    row = [1]  # C(m, s) for s = 0..m
+    for m in range(1, n + 1):
+        row = [1, *map(add, row, row[1:]), 1]
+        fubini.append(sum(map(mul, row[1:], reversed(fubini))))
+    return fubini
 
 
 def n_star(n: int) -> int:
-    """The number of failure orders of n links (the ordered Bell / Fubini
-    number): the sum over the block count k of k!*S(n,k), the k!
-    orderings of each k-block partition."""
+    """The number of failure orders of n links, the ordered Bell (Fubini)
+    number F(n) of `_fubini`."""
     if n < 1:
         raise ValueError(f"n_star requires n >= 1, got {n}")
-    return sum(math.factorial(k) * stirling2(n, k) for k in range(1, n + 1))
+    return _fubini(n)[n]
 
 
 def build_stratum_table(n: int) -> tuple[tuple[int, ...], ...]:
     """The rank table of n links.  Row m-1, for m = 1..n, holds the
-    cumulative weights C(m, s) * F(m - s) for s = 1..m, where F(k) is the
-    order count of k links and F(0) = 1: the orders of m links whose last
-    block has at most s links.  So row m-1 ends with F(m), the last entry
-    is n*, and `unrank_order` splits the ranks by the size of the last
-    block.  n = 3 gives ((1,), (2, 3), (9, 12, 13))."""
+    cumulative terms C(m, s) * F(m - s) of the `_fubini` recurrence for
+    s = 1..m: the orders of m links whose last block has at most s links.
+    So row m-1 ends with F(m), the last entry is n*, and `unrank_order`
+    splits the ranks by the size of the last block.  n = 3 gives
+    ((1,), (2, 3), (9, 12, 13))."""
     if n < 1:
         raise ValueError(f"build_stratum_table requires n >= 1, got {n}")
-    fubini = [1]
-    rows = []
-    for m in range(1, n + 1):
-        rows.append(tuple(accumulate(math.comb(m, s) * fubini[m - s] for s in range(1, m + 1))))
-        fubini.append(rows[-1][-1])
-    return tuple(rows)
+    fubini = _fubini(n)
+    return tuple(tuple(accumulate(math.comb(m, s) * fubini[m - s] for s in range(1, m + 1)))
+                 for m in range(1, n + 1))
 
 
 def iter_base_partitions(n: int) -> Iterator[tuple[Block, ...]]:

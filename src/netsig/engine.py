@@ -25,6 +25,7 @@ from ._bitgraph import BitGraph
 from ._record import Record
 from .combinatorics import (
     FailureOrder,
+    _fubini,
     _take,
     check_failure_order,
     iter_base_partitions,
@@ -361,8 +362,7 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
         c = min(phi)
         if 0 < c < inf:
             by_cut[c] = by_cut.get(c, 0) + poly
-    arrangements = math.factorial if classic else n_star
-    weight = [1] + [arrangements(k) for k in range(1, n + 1)]
+    weight = [math.factorial(k) for k in range(n + 1)] if classic else _fubini(n)
     counts = [0] * n
     for c, poly in by_cut.items():
         for r in range(n + 1):
@@ -389,7 +389,7 @@ def _count_pairs(net, worker_id, workers, counts) -> None:
     whose mask is w modulo `workers`."""
     bg = BitGraph(net, build_table=True)
     n = net.n
-    weight = [1] + [n_star(k) for k in range(1, n + 1)]
+    weight = _fubini(n)
     full = (1 << n) - 1
     for surviving in range(worker_id, full + 1, workers):
         if not bg.connected(surviving):

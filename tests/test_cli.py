@@ -1,5 +1,6 @@
 import argparse
 import errno
+import hashlib
 import json
 import math
 import os
@@ -57,7 +58,7 @@ class TestNstar:
         assert err.value.code == 2
 
     def test_usage_error_above_the_maximum(self, capsys):
-        # Refused before any row is computed: a large N would run out of memory.
+        # Refused before any row is computed: a large N would run for long.
         with pytest.raises(SystemExit) as err:
             main(["nstar", str(cli.MAX_NSTAR + 1)])
         assert err.value.code == 2
@@ -120,6 +121,41 @@ class TestExact:
         code, _, err = run_cli(capsys, "exact", str(bad))
         assert code == 3
         assert "self-loop" in err
+
+    @pytest.mark.parametrize("prefix, newline", [(b"", b"\r\n"), (b"\xef\xbb\xbf", b"\n")],
+                             ids=["crlf", "byte-order mark"])
+    def test_graph_file_bytes(self, tmp_path, capsys, prefix, newline):
+        # The file is read as bytes: a CRLF copy or one with a byte-order
+        # mark gives the same counts, and the manifest holds the digest of
+        # the bytes on disk.
+        data = prefix + fixture_path("bridge").read_bytes().replace(b"\n", newline)
+        graph = tmp_path / "bridge.graph"
+        graph.write_bytes(data)
+        _, lf, _ = run_cli(capsys, "exact", str(fixture_path("bridge")))
+        code, out, _ = run_cli(capsys, "exact", str(graph))
+        artifact = load_artifact(out)
+        assert code == 0 and artifact["counts"] == load_artifact(lf)["counts"]
+        assert artifact["manifest"]["input_sha256"] == hashlib.sha256(data).hexdigest()
+
+    def test_non_utf8_graph_exit_code(self, tmp_path, capsys):
+        graph = tmp_path / "latin1.graph"
+        graph.write_bytes(b"terminals s t\nedge s t  # caf\xe9\n")
+        code, out, err = run_cli(capsys, "exact", str(graph))
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {graph}: 'utf-8' codec can't decode byte 0xe9")
+        assert len(err.splitlines()) == 1
+
+    def test_utf8_labels_under_an_ascii_locale(self, tmp_path):
+        # Input is UTF-8 whatever the locale's encoding.
+        graph = tmp_path / "cafe.graph"
+        graph.write_bytes("terminals s t\nedge s caf\u00e9\nedge caf\u00e9 t\n".encode())
+        env = dict(package_env(), LC_ALL="POSIX")
+        out = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "netsig.cli", "exact", str(graph)],
+            capture_output=True, text=True, env=env,
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["counts"] == ["3", "0"]
 
     def test_missing_file_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "exact", "/nonexistent.graph")
@@ -418,8 +454,16 @@ class TestReliability:
         '"m_mode": "exact-subset"}',
         '{"n": 2',
         '{"n": 2, "counts": ["1.5", "0"], "total": "1", "mode": "exact", "m_mode": "exact-subset"}',
+        # `int` reads each of these totals as 541; an artifact holds -?[0-9]+
+        '{"n": 2, "counts": ["541", "0"], "total": "5_41", "mode": "exact", '
+        '"m_mode": "exact-subset"}',
+        '{"n": 2, "counts": ["541", "0"], "total": " 541 ", "mode": "exact", '
+        '"m_mode": "exact-subset"}',
+        '{"n": 2, "counts": ["541", "0"], "total": "\\u0665\\u0664\\u0661", "mode": "exact", '
+        '"m_mode": "exact-subset"}',
     ], ids=["missing fields", "counts a string", "counts an object", "truncated",
-            "count a decimal string"])
+            "count a decimal string", "total with an underscore", "total with spaces",
+            "total in Arabic-Indic digits"])
     def test_malformed_artifact_exit_code(self, tmp_path, capsys, text):
         artifact_file = tmp_path / "sig.json"
         artifact_file.write_text(text)

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import netsig.combinatorics as combinatorics
 from netsig.combinatorics import (
     build_stratum_table,
     check_failure_order,
@@ -11,7 +12,6 @@ from netsig.combinatorics import (
     iter_base_partitions,
     n_star,
     random_order,
-    stirling2,
     unrank_order,
 )
 
@@ -46,26 +46,6 @@ TABLE_N_STAR = {
 }
 
 
-class TestStirling2:
-    def test_enumeration_oracle(self):
-        # count partitions by block count directly
-        for n in range(1, 8):
-            by_k = Counter(
-                len(part) for part in all_set_partitions(list(range(1, n + 1)))
-            )
-            for k in range(1, n + 1):
-                assert stirling2(n, k) == by_k[k], (n, k)
-
-    def test_known_values(self):
-        assert stirling2(3, 2) == 3
-        assert stirling2(4, 2) == 7
-        assert stirling2(12, 12) == 1
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            stirling2(3, 5)
-
-
 class TestNStar:
     def test_table_values(self):
         for n, expect in TABLE_N_STAR.items():
@@ -82,7 +62,7 @@ class TestNStar:
             n_star(0)
 
     def test_stratum_identity_up_to_30(self):
-        # sum_k k!*S(n,k) vs the inclusion-exclusion double sum
+        # The Fubini recurrence vs the inclusion-exclusion double sum
         # sum_j sum_i (-1)^i C(j,i) (j-i)^n, exact integers
         for n in range(1, 31):
             assert n_star(n) == sum(
@@ -90,6 +70,19 @@ class TestNStar:
                 for j in range(1, n + 1)
                 for i in range(j + 1)
             )
+
+    def test_counts_are_not_cached(self):
+        # The counts are recomputed on each call: no module-level container
+        # grows with the largest n asked for.
+        def sizes():
+            return {name: len(value) for name, value in vars(combinatorics).items()
+                    if not name.startswith("__")
+                    and isinstance(value, (list, dict, set, bytearray))}
+
+        before = sizes()
+        n_star(300)
+        build_stratum_table(40)
+        assert sizes() == before
 
 
 class TestStratumTable:

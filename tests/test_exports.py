@@ -32,6 +32,13 @@ def test_public_names_are_exported():
     assert public == set(netsig.__all__) - {"__version__"}
 
 
+def test_removed_names_stay_removed():
+    # Removed within 0.4.0: the Fubini recurrence behind `n_star` is the
+    # only count of the orders.
+    assert not hasattr(netsig, "stirling2")
+    assert not hasattr(netsig.combinatorics, "stirling2")
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:

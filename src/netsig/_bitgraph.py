@@ -3,12 +3,14 @@ the sampler.
 
 Link subsets are encoded as integers (bit i-1 set means link i is removed),
 which keeps the hot loops allocation-free.  On request a small network
-precomputes a full connectivity table over all 2^n removal sets, for the
-paper-greedy count and the order stream.  The paper-greedy count runs the
-paper's BFS path loop itself: one breadth-first search per deleted path,
-stopped at the first terminal.  Each link's two node indices are
-kept too, for the union-find passes: the order scorer's, which finds an
-order's first fatal block without a connectivity query, and the fatal-block
+precomputes a full connectivity table over all 2^n removal sets, which
+serves only the paper-greedy count: its (R, B) pair sum asks the table
+which sets keep the terminals connected, and its path loop reads the stop
+test from it.  The paper-greedy count runs the paper's BFS path loop
+itself: one breadth-first search per deleted path, stopped at the first
+terminal.  Each link's two node indices are kept too, for the union-find
+passes: the order scorer's and the order stream's, which find an order's
+first fatal block without a connectivity query, and the fatal-block
 minimum, a min cut on the components of the later links.
 """
 

@@ -407,14 +407,14 @@ def _stream_orders(net, worker_id, workers, counts, m_mode, order_limit) -> None
 
     An order's M depends only on its fatal block B and the set L of blocks
     after it, so a base partition of k blocks whose k! orders all fall
-    inside the limit is a sum over (L, B) pairs: L alone leaves the
-    terminals apart, L and B join them, and the |L|! (k - |L| - 1)! orders
-    that put B just before L score as the representative order (the other
-    blocks, then B, then L).  The partition the limit cuts is scored order
-    by order.
+    inside the limit is a sum over (L, B) pairs, each weighted by the
+    |L|! (k - |L| - 1)! orders that put B just before L.  Each L has a
+    union-find forest of its links, whose components holding a terminal
+    tell whether L joins the terminals and, for L and B, whether B is
+    fatal; B is scored on L's forest as in `_blocks_m`.  The partition the
+    limit cuts is scored order by order.
     """
-    bg = BitGraph(net, build_table=True)
-    full = (1 << net.n) - 1
+    bg = net.bitgraph
     offset = 0  # global stream position, tracked identically in every worker
     for index, blocks in enumerate(iter_base_partitions(net.n)):
         if offset >= order_limit:
@@ -428,22 +428,33 @@ def _stream_orders(net, worker_id, workers, counts, m_mode, order_limit) -> None
             for order in islice(permutations(blocks), order_limit - start):
                 counts[_blocks_m(bg, order, m_mode) - 1] += 1
             continue
-        masks = [sum(bg.bits[link] for link in block) for block in blocks]
-        kept = [0]  # kept[L]: the links of the blocks in L, a bit set of block indices
-        for mask in masks:
-            kept += [links | mask for links in kept]
-        for later, links in enumerate(kept):
-            if bg.connected(full ^ links):
+        # forests[L], L a bit set of block indices: (parent, has_terminal,
+        # parts, link count) of L's links, each the forest of L minus its
+        # lowest block with that block joined into a copy.
+        forests = [(bg.singletons, bg.is_terminal, len(bg.terminal_indices), 0)]
+        for later in range(1, 1 << k):
+            low = later & -later
+            parent, has_terminal, parts, size = forests[later ^ low]
+            parent, has_terminal = parent.copy(), has_terminal.copy()
+            block = blocks[low.bit_length() - 1]
+            parts -= _join(parent, has_terminal, bg.ends, block)
+            forests.append((parent, has_terminal, parts, size + len(block)))
+        for later, (parent, _, parts, size) in enumerate(forests):
+            if parts == 1:
                 continue
-            size = later.bit_count()
-            weight = math.factorial(size) * math.factorial(k - size - 1)
-            tail = [block for i, block in enumerate(blocks) if later >> i & 1]
-            for b, mask in enumerate(masks):
-                if not later >> b & 1 and bg.connected(full ^ links ^ mask):
-                    order = [block for i, block in enumerate(blocks)
-                             if not (later | 1 << b) >> i & 1]
-                    order += [blocks[b], *tail]
-                    counts[_blocks_m(bg, order, m_mode) - 1] += weight
+            placed = later.bit_count()
+            weight = math.factorial(placed) * math.factorial(k - placed - 1)
+            for b, block in enumerate(blocks):
+                if later >> b & 1 or forests[later | 1 << b][2] > 1:
+                    continue
+                m = net.n - size - len(block)
+                if len(block) == 1:
+                    m += 1
+                else:
+                    removed = (x for i, other in enumerate(blocks)
+                               if not (later | 1 << b) >> i & 1 for x in other)
+                    m += _fatal_score(bg, parent, block, removed, m_mode)
+                counts[m - 1] += weight
 
 
 def _histogram_worker(args):

@@ -36,15 +36,27 @@ def count_cdf(process: str, rate: float, n: int | None, j: int, t: float) -> flo
     """P(N(t) <= j) for the counting process `process` of link failure rate
     `rate` over n links (n is read by the binomial process only), summed
     term by term with positive terms only and the result clamped into
-    [0, 1]."""
+    [0, 1].  The Poisson sum is `_mixture`'s, stopped once a term
+    underflows to 0.0, after which the partial sum no longer moves."""
     _check_process(process, rate, n)
     if j < 0:
         raise ValueError("j must be >= 0")
     if not t >= 0:
         raise ValueError("t must be >= 0")
-    if process == "binomial" and j >= n:
-        return 1.0  # at most n links fail
-    return _mixture(process, rate, n, (0,) * j + (1,), 1, (t,))[0]
+    if process == "binomial":
+        if j >= n:
+            return 1.0  # at most n links fail
+        return _mixture(process, rate, n, (0,) * j + (1,), 1, (t,))[0]
+    mean = rate * t
+    if mean == math.inf:
+        return 0.0
+    term = s = math.exp(-mean)
+    r = 0
+    while r < j and term:
+        r += 1
+        term *= mean / r
+        s += term
+    return 1.0 if s > 1.0 else s
 
 
 def _mixture(process: str, rate: float, n: int, weights, divisor: int, times) -> list[float]:

@@ -131,6 +131,25 @@ def oracle_histogram(net: Network):
     return tuple(counts), total
 
 
+def boland_classic_counts(net: Network):
+    """Classic signature counts by Boland's formula (J. Appl. Prob. 38,
+    2001): with c_r the number of r-link removal sets that keep the
+    terminals connected, counted here by brute force, r! (n-r)! c_r
+    permutations survive their first r failures, so the (r+1)-th failure
+    is fatal in ((n-r) c_r - (r+1) c_{r+1}) r! (n-r-1)! of them."""
+    oracle = OracleNet(net)
+    n = net.n
+    c = [
+        sum(oracle.connected(set(removed))
+            for removed in itertools.combinations(range(1, n + 1), r))
+        for r in range(n + 1)
+    ]
+    return tuple(
+        ((n - r) * c[r] - (r + 1) * c[r + 1]) * math.factorial(r) * math.factorial(n - r - 1)
+        for r in range(n)
+    )
+
+
 def oracle_count_cdf(process, rate, n, j, t):
     """P(N(t) <= j) re-summed from r = 0 for this one j, in the term order
     of the reliability kernel's running sum, so it must agree to the last

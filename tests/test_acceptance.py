@@ -148,14 +148,37 @@ def test_criterion_03_bench11_exact_nightly():
     assert max(abs(a - b) for a, b in zip(sig.values, BENCH11_EXACT)) <= 5e-5
 
 
-@criterion(4, "11-link benchmark: 1e6 samples within max(0.005, 4*se) of exact")
-def test_criterion_04_sampling_self_consistency():
-    net = load_fixture("figure2")
+@pytest.fixture(scope="module")
+def figure2_samples():
+    """Criterion 4's 10^6-sample figure2 run and its wall time, run once for
+    the criterion and the z-score test."""
     start = time.perf_counter()
-    sig = approx_tsignature(net, 1_000_000, seed=20240824, workers=WORKERS)
-    assert time.perf_counter() - start < 900
+    sig = approx_tsignature(load_fixture("figure2"), 1_000_000, seed=20240824, workers=WORKERS)
+    return sig, time.perf_counter() - start
+
+
+@criterion(4, "11-link benchmark: 1e6 samples within max(0.005, 4*se) of exact")
+def test_criterion_04_sampling_self_consistency(figure2_samples):
+    sig, seconds = figure2_samples
+    assert seconds < 900
     for value, expect, se in zip(sig.values, BENCH11_EXACT, sig.std_error):
         assert abs(value - expect) <= max(0.005, 4 * se)
+
+
+def test_sampled_figure2_within_z_of_exact_counts(figure2_samples):
+    # Criterion 4's floor of 0.005 is far looser than 4 standard errors at
+    # figure2's smallest components, so it cannot see the tail.  Every
+    # component must lie within 4.5 standard errors of the exact count, and
+    # the M values no order reaches must never be sampled.
+    sig, _ = figure2_samples
+    total = sum(BENCH11_COUNTS)
+    for sampled, exact in zip(sig.counts, BENCH11_COUNTS):
+        if exact == 0:
+            assert sampled == 0
+            continue
+        p = exact / total
+        z = (sampled - sig.total * p) / math.sqrt(sig.total * p * (1 - p))
+        assert abs(z) <= 4.5
 
 
 @criterion(5, "26-link EON: zero pattern, 0.01 band, 3-seed spread <= 0.01")

@@ -28,7 +28,12 @@ from netsig.errors import EnumerationCapError, UnsupportedModeError
 from netsig.fixtures import FIXTURE_NAMES, load_fixture
 from netsig.graph import Network, parse_network
 
-from conftest import OracleNet, oracle_histogram, random_connected_network
+from conftest import (
+    OracleNet,
+    boland_classic_counts,
+    oracle_histogram,
+    random_connected_network,
+)
 
 
 def _m_histogram(net, orders, m_mode):
@@ -193,7 +198,9 @@ class TestCalculateM:
 
     def test_scores_on_the_network_graph(self, monkeypatch):
         # The BitGraph that validated the network is the one M is scored on:
-        # neither calculate_m nor the frontier DP builds another.
+        # neither calculate_m, the frontier DP nor the order stream builds
+        # another.  A limit of 300 cuts a 3-block partition, so the stream
+        # both sums whole partitions and scores orders one by one.
         net = load_fixture("bridge")
 
         def build(*args, **kwargs):
@@ -202,6 +209,9 @@ class TestCalculateM:
         assert calculate_m(net, ((3,), (1, 2, 4, 5))) == 3
         assert calculate_m(net, ((3,), (1, 2, 4, 5)), "paper-greedy") == 3
         assert classic_signature(net).counts == (0, 24, 72, 24, 0)
+        for m_mode in M_MODES:
+            expected = _m_histogram(net, itertools.islice(enumerate_orders(net.n), 300), m_mode)
+            assert exact_tsignature(net, m_mode=m_mode, order_limit=300).counts == expected
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -552,6 +562,20 @@ class TestClassicSignature:
                     f = bg._greedy_count(surviving, bit)
                     counts[r + f - 1] += math.factorial(r) * math.factorial(n - r - 1)
         assert classic_signature(net).counts == tuple(counts)
+
+    @pytest.mark.parametrize(
+        "name", [name for name in FIXTURE_NAMES if load_fixture(name).n <= 12]
+    )
+    def test_boland_formula_on_fixtures(self, name):
+        # A second algorithm: the counts follow from the number of removal
+        # sets of each size that keep the terminals connected.
+        net = load_fixture(name)
+        assert classic_signature(net).counts == boland_classic_counts(net)
+
+    @settings(max_examples=40, deadline=None)
+    @given(net=terminal_networks)
+    def test_boland_formula_on_random_networks(self, net):
+        assert classic_signature(net).counts == boland_classic_counts(net)
 
     def test_eon_classic_signature(self):
         # 26 links: the DP's cost follows the frontier width, not 2^26.

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -57,6 +58,18 @@ class TestCountCdf:
         monkeypatch.setattr(reliability, "_mixture", fail)
         assert count_cdf("binomial", 1.0, 3, 10**7, 1.0) == 1.0 == oracle_count_cdf(
             "binomial", 1.0, 3, 10**7, 1.0)
+
+    def test_poisson_memory_does_not_grow_with_j(self):
+        # The running sum stops once a term underflows to 0.0, where the
+        # partial sum is final; no weight per count is built.
+        tracemalloc.start()
+        try:
+            p = count_cdf("poisson", 1.0, None, 10**6, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+        assert p.hex() == oracle_count_cdf("poisson", 1.0, None, 10**6, 5.0).hex()
 
     def test_infinite_time_is_the_limit(self):
         assert [count_cdf("poisson", 1.0, None, j, math.inf) for j in (0, 1, 5)] == [0.0] * 3

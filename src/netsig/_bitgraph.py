@@ -123,9 +123,12 @@ class BitGraph:
         every edge of one terminal's component separates it, and the block
         is fatal, so the answer lies between 1 and the least such degree,
         counted first: a least degree of 1 is returned before any flow
-        network is built.  Otherwise the answer is the least max-flow (Ford
-        & Fulkerson, 1956) from the pinned terminal's component to another
-        terminal's, each flow stopping at the best value so far.
+        network is built.  So is a least degree equal to the edge count:
+        then every edge has an end at every terminal's component, so all
+        edges join the same two components, and the cut takes them all.
+        Otherwise the answer is the least max-flow (Ford & Fulkerson, 1956)
+        from the pinned terminal's component to another terminal's, each
+        flow stopping at the best value so far.
         """
         ends = self.ends
         # tails[2e], tails[2e+1]: the roots of a link's ends; arc 2e runs
@@ -139,10 +142,14 @@ class BitGraph:
                 parent[b] = b = parent[parent[b]]
             if a != b:
                 tails += (a, b)
-        roots = [_find(parent, t) for t in self.terminal_indices]
+        roots = []
+        for t in self.terminal_indices:
+            while t != parent[t]:
+                parent[t] = t = parent[parent[t]]
+            roots.append(t)
         best = min(map(tails.count, roots))
-        if best == 1:
-            return 1
+        if best == 1 or 2 * best == len(tails):
+            return best
         source = roots[0]
         sinks = set(roots) - {source}
         out: dict[int, list[tuple[int, int]]] = {}

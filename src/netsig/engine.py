@@ -109,7 +109,9 @@ def _order_m(bg: BitGraph, table: tuple, u: int, m_mode: str) -> int:
     With m links unplaced, u below m * F(m-1) (row m-1's first entry) makes
     the last block one link; otherwise bisecting the row gives its size s.
     `divmod` by F(m-s) splits u into the colex rank of the block's links
-    among the unplaced ones and the rank of the order of the rest.
+    among the unplaced ones and the rank of the order of the rest.  A block
+    of two links, most of the multi-link blocks of a sample, is decoded in
+    place by the closed-form inverse of C(x, 2); `_take` decodes the larger.
 
     Removing links never reconnects the terminals, so the fatal block is the
     block whose links, added back from the last block to the first, join
@@ -153,7 +155,12 @@ def _order_m(bg: BitGraph, table: tuple, u: int, m_mode: str) -> int:
         else:
             s = bisect_right(row, u) + 1
             c, u = divmod(u - row[s - 2], table[m - s - 1][-1] if s < m else 1)
-            block = _take(unplaced, s, c)
+            if s == 2:
+                # `_take` inlined: the positions x > y with c = C(x, 2) + y.
+                x = (1 + math.isqrt(8 * c + 1)) // 2
+                block = (unplaced.pop(x), unplaced.pop(c - x * (x - 1) // 2))
+            else:
+                block = _take(unplaced, s, c)
             m -= s
             before = parent[:]
             parts -= _join(parent, has_terminal, ends, block)

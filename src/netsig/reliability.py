@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from itertools import islice
 
 from .engine import TSignature
@@ -21,6 +22,9 @@ from .engine import TSignature
 # N(t) is Poisson(rate * t) for "poisson" and Binomial(n, 1 - exp(-rate * t))
 # for "binomial".
 PROCESSES = ("poisson", "binomial")
+# exp(-mean) is below the smallest normal float from a Poisson mean of about
+# 708.4 on, and 0.0 from about 745.1.
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 def _check_process(process: str, rate: float, n: int | None) -> None:
@@ -36,8 +40,9 @@ def count_cdf(process: str, rate: float, n: int | None, j: int, t: float) -> flo
     """P(N(t) <= j) for the counting process `process` of link failure rate
     `rate` over n links (n is read by the binomial process only), summed
     term by term with positive terms only and the result clamped into
-    [0, 1].  The Poisson sum is `_mixture`'s, stopped once a term
-    underflows to 0.0, after which the partial sum no longer moves."""
+    [0, 1].  The Poisson sum is `_mixture`'s, from the same start, and
+    stops once a term underflows to 0.0, after which the partial sum no
+    longer moves."""
     _check_process(process, rate, n)
     if j < 0:
         raise ValueError("j must be >= 0")
@@ -50,13 +55,33 @@ def count_cdf(process: str, rate: float, n: int | None, j: int, t: float) -> flo
     mean = rate * t
     if mean == math.inf:
         return 0.0
-    term = s = math.exp(-mean)
-    r = 0
-    while r < j and term:
-        r += 1
-        term *= mean / r
+    s = 0.0
+    for term in islice(_poisson_terms(mean), j + 1):
         s += term
     return 1.0 if s > 1.0 else s
+
+
+def _poisson_terms(mean: float):
+    """Yield the Poisson terms exp(-mean) * mean**r / r! of a finite mean
+    for r = 0, 1, ... by the kernel's `term *= mean / r`, up to the first
+    that underflows to 0.0.  Where exp(-mean) is subnormal or zero (a mean
+    above about 708.4) the product would lose every bit it starts from, so
+    the terms are taken from their logarithms until one is a normal float,
+    and the product starts there."""
+    term = math.exp(-mean)
+    r = 0
+    if term < _SMALLEST_NORMAL:
+        log_mean = math.log(mean)
+        while True:
+            term = math.exp(r * log_mean - mean - math.lgamma(r + 1.0))
+            if term >= _SMALLEST_NORMAL:
+                break
+            yield term
+            r += 1
+    while term:
+        yield term
+        r += 1
+        term *= mean / r
 
 
 def _mixture(process: str, rate: float, n: int, weights, divisor: int, times) -> list[float]:
@@ -65,9 +90,14 @@ def _mixture(process: str, rate: float, n: int, weights, divisor: int, times) ->
     For each time point the Poisson terms exp(-mean) * prod(mean / r) or the
     binomial terms comb(n, r) * p**r * q**(n - r) are added in one running
     sum; each partial sum, clamped to 1, is P(N(t) <= r), and the weighted
-    sum over the nonzero weights is divided once.  An infinite Poisson mean
-    gives the limit 0 for every P(N(t) <= j); from j = n on the binomial
-    P(N(t) <= j) is 1.
+    sum over the nonzero weights is divided once.  The step constants are
+    converted to floats once, which leaves the bits of the int arithmetic.  An
+    infinite Poisson mean gives the limit 0 for every P(N(t) <= j), and a
+    mean whose exp(-mean) is not a normal float starts its terms from their
+    logarithms (`_poisson_terms`).  When some comb(n, r) is past the
+    largest float (n above about 1,030), every binomial term is
+    exp(log comb(n, r) + r log p + (n - r) log q) with log q = -rate * t.
+    From j = n on the binomial P(N(t) <= j) is 1.
     """
     last = max(j for j, c in enumerate(weights) if c)
     ws = [float(c) for c in weights[: last + 1]]
@@ -75,14 +105,23 @@ def _mixture(process: str, rate: float, n: int, weights, divisor: int, times) ->
     append = survival.append
     if process == "poisson":
         head = ws[0]
-        steps = list(enumerate(ws[1:], start=1))
+        steps = [(float(r), c) for r, c in enumerate(ws[1:], start=1)]
         for t in times:
             mean = rate * t
             if mean == math.inf:
                 append(0.0)
                 continue
-            # exp(-mean) <= 1 needs no clamp; head * s is 0.0 for a zero head
             term = s = math.exp(-mean)
+            if term < _SMALLEST_NORMAL:
+                terms = _poisson_terms(mean)
+                s = acc = 0.0
+                for c in ws:
+                    s += next(terms, 0.0)
+                    if c:
+                        acc += c * (1.0 if s > 1.0 else s)
+                append(acc / divisor)
+                continue
+            # exp(-mean) <= 1 needs no clamp; head * s is 0.0 for a zero head
             acc = head * s
             for r, c in steps:
                 term *= mean / r
@@ -91,16 +130,33 @@ def _mixture(process: str, rate: float, n: int, weights, divisor: int, times) ->
                     acc += c * (1.0 if s > 1.0 else s)
             append(acc / divisor)
     else:
-        steps = [(math.comb(n, r), r, n - r, c) for r, c in enumerate(ws[:n])]
         beyond_n = [c for c in ws[n:] if c]
+        try:
+            steps = [(float(math.comb(n, r)), float(r), float(n - r), c)
+                     for r, c in enumerate(ws[:n])]
+            logs = False
+        except OverflowError:
+            steps = [(math.log(math.comb(n, r)), float(r), float(n - r), c)
+                     for r, c in enumerate(ws[:n])]
+            logs = True
         for t in times:
-            p = -math.expm1(-rate * t)
-            q = 1.0 - p
+            log_q = -rate * t
+            p = -math.expm1(log_q)
             s = acc = 0.0
-            for k, r, rest, c in steps:
-                s += k * p**r * q**rest
-                if c:
-                    acc += c * (1.0 if s > 1.0 else s)
+            if logs:
+                # log 0 is taken as the least finite float, so that 0 * log_p
+                # is 0, not nan.
+                log_p = math.log(p) if p else -sys.float_info.max
+                for log_k, r, rest, c in steps:
+                    s += math.exp(log_k + r * log_p + rest * log_q)
+                    if c:
+                        acc += c * (1.0 if s > 1.0 else s)
+            else:
+                q = 1.0 - p
+                for k, r, rest, c in steps:
+                    s += k * p**r * q**rest
+                    if c:
+                        acc += c * (1.0 if s > 1.0 else s)
             for c in beyond_n:
                 acc += c  # times P(N(t) <= j) = 1
             append(acc / divisor)

@@ -17,8 +17,10 @@ top x.bit_length() bits of the next block (of the next blocks, joined, past
 stream depends on (seed, j) alone, so a run is bit-identical for a fixed
 (seed, sample_count) no matter how the samples are split across workers;
 another stream of the same sample would take another personalization.
-Seeds lie in [0, 2**64) and sample indices below 2**64.  The draws are
-those of netsig 0.3.0, but 0.4.0 maps each draw to another order (the
+Seeds lie in [0, 2**64) and sample indices below 2**64.  A worker takes
+its draws from one generator, `_sample_ranks`, which works out the digest
+count and the shift of a draw once, as both depend on x alone.  The draws
+are those of netsig 0.3.0, but 0.4.0 maps each draw to another order (the
 last-block-first map), so its counts for a seed differ from 0.3.0's.
 """
 
@@ -36,23 +38,29 @@ _DIGEST_BITS = 512
 _ORDER_STREAM = b"netsig order"
 
 
-def _sample_rank(keyed, index: int, x: int) -> int:
-    """The uniform integer below x of sample `index`, drawn from the digests
-    of `keyed` (the seed-keyed BLAKE2b of `_seed_hash`) updated with the 16
-    bytes of counter * 2**64 + index, as the module docstring sets out."""
+def _sample_ranks(keyed, indices, x: int):
+    """Yield the uniform integer below x of each sample in `indices`, in
+    turn, drawn from the digests of `keyed` (the seed-keyed BLAKE2b of
+    `_seed_hash`) updated with the 16 bytes of counter * 2**64 + index, as
+    the module docstring sets out."""
     bits = x.bit_length()
     digests = -(-bits // _DIGEST_BITS)
-    counter = 0
-    while True:
-        u = 0
-        for _ in range(digests):
-            h = keyed.copy()
-            h.update((counter << 64 | index).to_bytes(16, "little"))
-            counter += 1
-            u = u << _DIGEST_BITS | int.from_bytes(h.digest(), "big")
-        u >>= digests * _DIGEST_BITS - bits
-        if u < x:
-            return u
+    shift = digests * _DIGEST_BITS - bits
+    copy = keyed.copy
+    from_bytes = int.from_bytes
+    for index in indices:
+        word = index  # counter * 2**64 + index at counter 0
+        while True:
+            u = 0
+            for _ in range(digests):
+                h = copy()
+                h.update(word.to_bytes(16, "little"))
+                word += 1 << 64  # the next counter
+                u = u << _DIGEST_BITS | from_bytes(h.digest(), "big")
+            u >>= shift
+            if u < x:
+                break
+        yield u
 
 
 def _seed_hash(seed: int):
@@ -76,8 +84,8 @@ def _draw_orders(net, worker_id, workers, counts, m_mode, seed, sample_count) ->
     table = build_stratum_table(net.n)
     keyed = _seed_hash(seed)
     n_star = table[-1][-1]
-    for j in range(worker_id, sample_count, workers):
-        counts[_order_m(bg, table, _sample_rank(keyed, j, n_star), m_mode) - 1] += 1
+    for u in _sample_ranks(keyed, range(worker_id, sample_count, workers), n_star):
+        counts[_order_m(bg, table, u, m_mode) - 1] += 1
 
 
 def approx_tsignature(

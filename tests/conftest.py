@@ -10,6 +10,7 @@ straight-line reimplementation.
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -157,9 +158,23 @@ def oracle_count_cdf(process, rate, n, j, t):
     if t == 0:
         return 1.0
     if process == "poisson":
-        term = total = math.exp(-rate * t)
-        for r in range(1, j + 1):
-            term *= rate * t / r
+        mean = rate * t
+        term = total = math.exp(-mean)
+        r = 0
+        if term < sys.float_info.min and mean < math.inf:
+            # exp(-mean) is not a normal float: the terms from their
+            # logarithms up to the first normal one, as the kernel takes them
+            total = 0.0
+            while r <= j:
+                term = math.exp(r * math.log(mean) - mean - math.lgamma(r + 1.0))
+                if term >= sys.float_info.min:
+                    break
+                total += term
+                r += 1
+            if r <= j:
+                total += term
+        for r in range(r + 1, j + 1):
+            term *= mean / r
             total += term
         return min(total, 1.0)
     p = -math.expm1(-rate * t)

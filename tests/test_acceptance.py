@@ -22,7 +22,7 @@ from netsig.engine import calculate_m, classic_signature, exact_tsignature
 from netsig.errors import UnsupportedModeError
 from netsig.fixtures import load_fixture
 from netsig.reliability import survival_mixture
-from netsig.sampling import _sample_rank, _seed_hash, approx_tsignature
+from netsig.sampling import _sample_ranks, _seed_hash, approx_tsignature
 
 from conftest import oracle_histogram, random_connected_network
 
@@ -230,8 +230,8 @@ def test_criterion_07_mode_ordering(rng):
     strict_seen = False
     for i, net in enumerate(corpus):
         table = build_stratum_table(net.n)
-        for j in range(10_000 * i, 10_000 * (i + 1)):
-            order = unrank_order(table, _sample_rank(keyed, j, table[-1][-1]))
+        for u in _sample_ranks(keyed, range(10_000 * i, 10_000 * (i + 1)), table[-1][-1]):
+            order = unrank_order(table, u)
             exact = calculate_m(net, order, "exact-subset")
             greedy = calculate_m(net, order, "paper-greedy")
             assert greedy <= exact
@@ -253,8 +253,7 @@ def test_criterion_08_sampler_uniformity():
         table = build_stratum_table(n)
         keyed = _seed_hash(5_000 + n)  # the sampler's stream
         observed = [0] * len(index)
-        for j in range(draws):
-            u = _sample_rank(keyed, j, table[-1][-1])
+        for u in _sample_ranks(keyed, range(draws), table[-1][-1]):
             observed[index[unrank_order(table, u)]] += 1
         result = scipy_stats.chisquare(observed)
         assert result.pvalue > 0.001

@@ -381,6 +381,28 @@ class TestReliability:
         assert code == 0
         assert load_artifact(out)["survival"] == [1.0, 0.0, 0.0]
 
+    def test_binomial_curve_of_a_long_signature(self, tmp_path, capsys):
+        # C(1100, r) passes the largest float: this ended in an OverflowError
+        # traceback (exit 1).  Every order failing at the last link gives the
+        # curve 1 - p**1100.
+        stats = pytest.importorskip("scipy.stats")
+        n = 1_100
+        artifact_file = tmp_path / "big.json"
+        artifact_file.write_text(json.dumps({
+            "n": n, "counts": ["0"] * (n - 1) + ["1"], "total": "1",
+            "mode": "exact", "m_mode": "exact-subset",
+        }))
+        code, out, err = run_cli(
+            capsys, "reliability", str(artifact_file), "--process", "binomial",
+            "--tmax", "10", "--steps", "20",
+        )
+        assert code == 0 and err == ""
+        artifact = load_artifact(out)
+        assert artifact["survival"][0] == 1.0
+        for t, s in zip(artifact["times"], artifact["survival"]):
+            expect = stats.binom.cdf(n - 1, n, -math.expm1(-t))
+            assert math.isclose(s, expect, rel_tol=1e-9, abs_tol=1e-300), t
+
     def test_time_grid_near_float_max(self, capsys):
         # tmax * i overflows at the last point, although tmax itself is finite.
         code, out, _ = run_cli(

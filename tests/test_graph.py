@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import netsig._bitgraph
 from netsig._bitgraph import BitGraph
 from netsig.errors import (
     ContractError,
@@ -69,6 +70,19 @@ _FOREST_CASES = [
     ("three terminals, one sink of degree 1",
      "terminals s t w\nedge s t\nedge s t\nedge t v\nedge v w",
      (4,), (("w", "v"),), (1, 2, 3), (2, 3, 1), 1),
+    # parallel edges: a-t, a-t and s-t all join {s, a} to {t, b}, so the
+    # least degree is the block's edge count and no flow is run
+    ("parallel edges, two terminals",
+     "terminals s t\nedge s a\nedge a t\nedge a t\nedge s t\nedge t b",
+     (1, 5), (("a", "s"), ("b", "t")), (2, 3, 4), (3, 3), 3),
+    # t-w fails later: s-t, s-w and s-w join s's component to theirs
+    ("parallel edges, three terminals",
+     "terminals s t w\nedge t w\nedge s t\nedge s w\nedge s w",
+     (1,), (("w", "t"),), (2, 3, 4), (3, 3, 3), 3),
+    # as above, with block link 5 (s-a) inside s's component left out
+    ("parallel edges, three terminals, one link inside a component",
+     "terminals s t w\nedge t w\nedge s a\nedge s t\nedge a w\nedge s a",
+     (1, 2), (("w", "t"), ("a", "s")), (3, 4, 5), (2, 2, 2), 2),
 ]
 
 
@@ -288,9 +302,15 @@ class TestMinFailedSubsetSize:
 
     @pytest.mark.parametrize("case, text, later, forest, block, degrees, m", _FOREST_CASES,
                              ids=[c[0] for c in _FOREST_CASES])
-    def test_block_cut_on_forest(self, case, text, later, forest, block, degrees, m):
+    def test_block_cut_on_forest(self, monkeypatch, case, text, later, forest, block, degrees, m):
         # The cut core on a forest built by hand: `forest` sets node ->
         # parent pointers that join the ends of the `later` links.
+        if case.startswith("parallel"):
+            # the least degree is the edge count: no flow's sinks are listed
+            def fail(*args):
+                raise AssertionError("a flow network was built")
+
+            monkeypatch.setattr(netsig._bitgraph, "set", fail, raising=False)
         net = parse_network(text)
         bg = BitGraph(net)
         parent = bg.singletons.copy()

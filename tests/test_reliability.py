@@ -1,5 +1,8 @@
+import hashlib
 import math
 import random
+import struct
+import sys
 import tracemalloc
 
 import pytest
@@ -249,6 +252,88 @@ class TestSurvivalMixture:
             est = alive[i] / reps
             se = math.sqrt(max(est * (1 - est), 1e-12) / reps)
             assert abs(est - curve[i]) < 3 * se + 1e-9
+
+
+class TestPinnedCurves:
+    # SHA-256 of the little-endian doubles of figure1's curves at 2,001
+    # points, recorded before the kernel's constants became floats: the
+    # bits of every curve below the subnormal Poisson start stay as they were.
+    @pytest.mark.parametrize("process, tmax, digest", [
+        ("poisson", 16.0, "93a31d5cfb6c0330b1ae4eb40c59bf6fc4f78848492dd61277d0864889592d18"),
+        ("binomial", 3.0, "c57febb9d34fc8aefced525b5e79c9065d45d8a7e9ba4cfc9fc0bdd82402a031"),
+    ])
+    def test_figure1_curve_bits(self, process, tmax, digest):
+        sig = exact_tsignature(load_fixture("figure1"))
+        grid = [tmax * i / 2000 for i in range(2001)]
+        curve = survival_mixture(sig, process, 1.0, grid)
+        assert hashlib.sha256(struct.pack(f"<{len(curve)}d", *curve)).hexdigest() == digest
+
+
+class TestLargeCounts:
+    """Poisson means whose exp(-mean) is not a normal float, and binomial
+    link counts whose C(n, r) passes the largest float, against scipy."""
+
+    @pytest.mark.parametrize("mean", [744.0, 750.0, 1000.0])
+    def test_poisson_cdf_past_the_normal_floats(self, mean):
+        stats = pytest.importorskip("scipy.stats")
+        m = int(mean)
+        for j in (0, 1, 10, m - 100, m - 30, m, m + 30, m + 49, m + 100, 2 * m, 10**6):
+            expect = stats.poisson.cdf(j, mean)
+            got = count_cdf("poisson", 1.0, None, j, mean)
+            assert math.isclose(got, expect, rel_tol=1e-9, abs_tol=1e-300), j
+            assert got == count_cdf("poisson", 2.0, None, j, mean / 2)  # the mean alone
+            assert got.hex() == oracle_count_cdf("poisson", 1.0, None, j, mean).hex()
+        # 0.0 at the parent, which started the sum at exp(-750) == 0.0
+        assert math.isclose(count_cdf("poisson", 1.0, None, 799, 750.0), 0.96360549088474,
+                            rel_tol=1e-12)
+
+    def test_poisson_start_moves_only_past_the_normal_floats(self):
+        # Below a mean of about 708.4 the sum starts from exp(-mean), bit for
+        # bit the running product; above, it starts from the logarithms.
+        for mean in (700.0, 708.39, 708.4, 720.0, 745.2):
+            for j in (0, 5, 600, 700, 710, 800):
+                term = total = math.exp(-mean)
+                for r in range(1, j + 1):
+                    term *= mean / r
+                    total += term
+                got = count_cdf("poisson", 1.0, None, j, mean)
+                if math.exp(-mean) >= sys.float_info.min:
+                    assert got.hex() == min(total, 1.0).hex(), (mean, j)
+                assert got.hex() == oracle_count_cdf("poisson", 1.0, None, j, mean).hex()
+
+    def test_poisson_curve_of_800_links(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(800)
+        counts = tuple(rng.randrange(10**6) if i > 300 else 0 for i in range(800))
+        sig = TSignature(n=800, counts=counts, total=sum(counts), mode="exact",
+                         m_mode="exact-subset")
+        grid = [0.0, 100.0, 500.0, 700.0, 708.0, 709.0, 720.0, 744.0, 750.0, 780.0, 800.0, 900.0]
+        curve = survival_mixture(sig, "poisson", 1.0, grid)
+        cdf = [stats.poisson.cdf(range(800), t) for t in grid]
+        for t, s, row in zip(grid, curve, cdf):
+            expect = sum(c * p for c, p in zip(counts, row)) / sig.total
+            assert math.isclose(s, expect, rel_tol=1e-9, abs_tol=1e-300), t
+            assert s.hex() == oracle_survival(counts, sig.total, "poisson", 1.0, 800, t).hex()
+        assert curve[0] == 1.0 and curve[-4] > 0.1  # 0.0 at the parent from t = 745.2 on
+
+    def test_binomial_past_the_largest_float(self):
+        stats = pytest.importorskip("scipy.stats")
+        n = 1_100
+        rng = random.Random(1_100)
+        counts = tuple(rng.randrange(10**6) for _ in range(n))
+        sig = TSignature(n=n, counts=counts, total=sum(counts), mode="exact",
+                         m_mode="exact-subset")
+        grid = [0.0, 1e-300, 0.001, 0.1, 0.5, 0.69, 1.0, 2.0, 5.0, 8.0, 800.0]
+        curve = survival_mixture(sig, "binomial", 1.0, grid)
+        for t, s in zip(grid, curve):
+            p = -math.expm1(-t)
+            row = stats.binom.cdf(range(n), n, p)
+            expect = sum(c * x for c, x in zip(counts, row)) / sig.total
+            assert math.isclose(s, expect, rel_tol=1e-9, abs_tol=1e-300), t
+            for j in (0, 3, 400, 549, 760, n - 1):
+                assert math.isclose(count_cdf("binomial", 1.0, n, j, t), row[j],
+                                    rel_tol=1e-9, abs_tol=1e-300), (t, j)
+        assert curve[0] == curve[1] == 1.0
 
 
 class TestReliabilityCurve:

@@ -8,7 +8,7 @@ from netsig._bitgraph import BitGraph
 from netsig.combinatorics import build_stratum_table, n_star, unrank_order
 from netsig.engine import MAX_WORKERS, calculate_m, exact_tsignature
 from netsig.fixtures import load_fixture
-from netsig.sampling import _sample_rank, _seed_hash, approx_tsignature
+from netsig.sampling import _sample_ranks, _seed_hash, approx_tsignature
 
 BRIDGE = load_fixture("bridge")
 
@@ -81,16 +81,46 @@ class TestSampleStream:
     def test_draws_below_bound(self, x):
         # 2**512 and up take more than one digest per draw.
         keyed = _seed_hash(9)
-        draws = [_sample_rank(keyed, j, x) for j in range(60)]
+        draws = list(_sample_ranks(keyed, range(60), x))
         assert all(0 <= u < x for u in draws)
         assert x == 1 or max(draws) >= x // 4
 
     def test_stream_depends_on_seed_and_index_alone(self):
         x = 10**30
-        first = [_sample_rank(_seed_hash(3), j, x) for j in range(5)]
-        assert first == [_sample_rank(_seed_hash(3), j, x) for j in range(5)]
+        first = list(_sample_ranks(_seed_hash(3), range(5), x))
+        assert first == list(_sample_ranks(_seed_hash(3), range(5), x))
         assert len(set(first)) == 5
-        assert first != [_sample_rank(_seed_hash(4), j, x) for j in range(5)]
+        assert first != list(_sample_ranks(_seed_hash(4), range(5), x))
+
+    @pytest.mark.parametrize("x", [5, 10**30, 2**512 + 1, 3**700])
+    def test_generator_matches_one_draw_at_a_time(self, x):
+        # Each worker's slice of the indices, drawn by one generator, gives
+        # the draws of the module docstring's stream taken one at a time.
+        from hashlib import blake2b
+
+        def contract_draw(seed, index):
+            bits = x.bit_length()
+            digests = -(-bits // 512)
+            counter = 0
+            while True:
+                joined = b"".join(
+                    blake2b(((counter + c) * 2**64 + index).to_bytes(16, "little"),
+                            key=seed.to_bytes(8, "little"), person=b"netsig order").digest()
+                    for c in range(digests))
+                counter += digests
+                u = int.from_bytes(joined, "big") >> (512 * digests - bits)
+                if u < x:
+                    return u
+
+        keyed = _seed_hash(11)
+        for workers in (1, 2, 3):
+            for worker_id in range(workers):
+                indices = range(worker_id, 30, workers)
+                draws = list(_sample_ranks(keyed, indices, x))
+                assert draws == [next(_sample_ranks(keyed, (j,), x)) for j in indices]
+                assert draws == [contract_draw(11, j) for j in indices]
+        top = 2**64 - 1  # the largest sample index
+        assert list(_sample_ranks(keyed, [top, 0], x)) == [contract_draw(11, top), contract_draw(11, 0)]
 
     def test_uniform_with_rejections(self):
         # x = 5 rejects 3 of every 8 candidates; a redraw must come from the
@@ -98,7 +128,7 @@ class TestSampleStream:
         from scipy.stats import chisquare
 
         keyed = _seed_hash(1)
-        freq = Counter(_sample_rank(keyed, j, 5) for j in range(40_000))
+        freq = Counter(_sample_ranks(keyed, range(40_000), 5))
         assert sorted(freq) == [0, 1, 2, 3, 4]
         _, p = chisquare(list(freq.values()))
         assert p > 0.001
@@ -225,8 +255,8 @@ class TestApproxTSignature:
         table = build_stratum_table(net.n)
         keyed = _seed_hash(seed)
         expected = [0] * net.n
-        for j in range(2_000):
-            order = unrank_order(table, _sample_rank(keyed, j, n_star(net.n)))
+        for u in _sample_ranks(keyed, range(2_000), n_star(net.n)):
+            order = unrank_order(table, u)
             expected[calculate_m(net, order, m_mode) - 1] += 1
         assert approx_tsignature(net, 2_000, seed=seed, m_mode=m_mode).counts == tuple(expected)
 

@@ -1,6 +1,10 @@
 """Immutable value records, without the import and the generated methods of
 `dataclasses`, which would cost every CLI call milliseconds.
 
+It holds the base `Record` and the signature record `TSignature`, with the
+vocabularies it checks, `M_MODES` and `SIGNATURE_MODES`: a command that only
+reads an artifact loads them without the engine.  `Network` is in `graph`.
+
 A subclass of `Record` declares its fields as annotations, after those of
 its bases, and a default as a class attribute of the same name.  A record
 takes positional or keyword arguments, is checked by `__post_init__`,
@@ -8,6 +12,11 @@ refuses assignment, and compares and hashes by its fields.  The values
 given live in the instance `__dict__`, so reads are plain and pickling
 needs no hook.
 """
+
+import math
+
+M_MODES = ("exact-subset", "paper-greedy")
+SIGNATURE_MODES = ("exact", "classic", "sampled")
 
 
 class Record:
@@ -49,3 +58,41 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+class TSignature(Record):
+    """Histogram of M normalized to a probability vector.
+
+    counts[i-1] is the exact number of scored orders with M=i; total is the
+    order count (exact mode), n! (classic mode) or the sample size (sampled
+    mode); values is the floating projection counts/total.
+    """
+
+    n: int
+    counts: tuple[int, ...]
+    total: int
+    mode: str
+    m_mode: str
+
+    def __post_init__(self):
+        if len(self.counts) != self.n:
+            raise ValueError("counts length must equal the link count")
+        if sum(self.counts) != self.total:
+            raise ValueError("counts must sum to total")
+        if self.total < 1 or min(self.counts) < 0:
+            raise ValueError("counts must be nonnegative with a positive total")
+        if self.mode not in SIGNATURE_MODES:
+            raise ValueError(
+                f"unknown mode {self.mode!r}; expected one of {SIGNATURE_MODES}"
+            )
+        if self.m_mode not in M_MODES:
+            raise ValueError(f"unknown m_mode {self.m_mode!r}; expected one of {M_MODES}")
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(c / self.total for c in self.counts)
+
+    @property
+    def std_error(self) -> tuple[float, ...]:
+        """Per-component binomial standard errors, for sampled counts."""
+        return tuple(math.sqrt(v * (1.0 - v) / self.total) for v in self.values)

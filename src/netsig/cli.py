@@ -3,7 +3,7 @@
 Subcommands: nstar (order-count table), exact (exhaustive batch-failure
 signature), approx (Monte Carlo signature), signature (classic permutation
 signature), reliability (mixture survival curve).  exact and approx take
-`--m-mode` by the library's names (`engine.M_MODES`) and `--workers`.
+`--m-mode` by the library's names (`M_MODES`) and `--workers`.
 Signature artifacts are JSON (or CSV) with an embedded run manifest; counts
 are string-encoded because they exceed 64-bit JSON-safe integers.
 
@@ -37,12 +37,30 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .combinatorics import _fubini
-from .engine import M_MODES, TSignature, classic_signature, exact_tsignature
+from ._record import M_MODES, TSignature
 from .errors import EnumerationCapError, UnsupportedModeError
-from .graph import parse_network
 from .reliability import PROCESSES, survival_mixture
-from .sampling import approx_tsignature
+
+# The library functions that only some commands run, each imported from its
+# module on first use (PEP 562), so that a call loads only what its command
+# runs.  The commands call them through this module, `_lib`, where a name
+# replaced on the module is found too.
+_LAZY = {
+    "parse_network": "graph",
+    "exact_tsignature": "engine",
+    "classic_signature": "engine",
+    "approx_tsignature": "sampling",
+    "_fubini": "combinatorics",
+}
+_lib = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(__import__(f"{__package__}.{_LAZY[name]}", fromlist=[name]), name)
+    globals()[name] = value
+    return value
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -126,7 +144,7 @@ def _emit(payload: dict, args: argparse.Namespace, csv_rows=None, csv_header=Non
 
 
 def cmd_nstar(args) -> int:
-    fubini = _fubini(args.n)
+    fubini = _lib._fubini(args.n)
     for n in range(2, args.n + 1):
         print(f"{n:>3} | {math.factorial(n):,} | {fubini[n]:,}")
     return EXIT_OK
@@ -137,14 +155,14 @@ def cmd_signature(args) -> int:
     out."""
     started = time.time()
     text, digest = _read_input(args.graph)
-    net = parse_network(text)
+    net = _lib.parse_network(text)
     if args.command == "exact":
-        sig = exact_tsignature(net, m_mode=args.m_mode, workers=args.workers)
+        sig = _lib.exact_tsignature(net, m_mode=args.m_mode, workers=args.workers)
     elif args.command == "approx":
-        sig = approx_tsignature(net, args.samples, seed=args.seed, workers=args.workers,
-                                m_mode=args.m_mode)
+        sig = _lib.approx_tsignature(net, args.samples, seed=args.seed, workers=args.workers,
+                                     m_mode=args.m_mode)
     else:
-        sig = classic_signature(net)
+        sig = _lib.classic_signature(net)
     payload = {
         "manifest": _manifest(args.command, digest, args, started),
         "n": sig.n,
@@ -197,8 +215,8 @@ def _load_signature_input(path: str):
             ) from None
         # Outside the `try`: an invalid signature keeps TSignature's message.
         return TSignature(**fields), digest
-    net = parse_network(text)
-    return exact_tsignature(net), digest
+    net = _lib.parse_network(text)
+    return _lib.exact_tsignature(net), digest
 
 
 def _time_grid(tmax: float, steps: int) -> list[float]:

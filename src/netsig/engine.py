@@ -22,7 +22,7 @@ from itertools import islice, permutations
 from operator import add, itemgetter
 
 from ._bitgraph import BitGraph
-from ._record import Record
+from ._record import M_MODES, TSignature
 from .combinatorics import (
     FailureOrder,
     _fubini,
@@ -32,7 +32,6 @@ from .combinatorics import (
     n_star,
 )
 from .errors import EnumerationCapError, UnsupportedModeError
-from .graph import Network
 
 # Bytes the frontier DP's tables for one step and two steps of states may
 # hold, counted by upper bounds.  No measured run's RSS grows by more than
@@ -43,47 +42,6 @@ MEMORY_BUDGET = 576 << 20
 GREEDY_MAX_LINKS = 12
 # A run builds one job per worker before any work starts.
 MAX_WORKERS = 1024
-
-M_MODES = ("exact-subset", "paper-greedy")
-SIGNATURE_MODES = ("exact", "classic", "sampled")
-
-
-class TSignature(Record):
-    """Histogram of M normalized to a probability vector.
-
-    counts[i-1] is the exact number of scored orders with M=i; total is the
-    order count (exact mode), n! (classic mode) or the sample size (sampled
-    mode); values is the floating projection counts/total.
-    """
-
-    n: int
-    counts: tuple[int, ...]
-    total: int
-    mode: str
-    m_mode: str
-
-    def __post_init__(self):
-        if len(self.counts) != self.n:
-            raise ValueError("counts length must equal the link count")
-        if sum(self.counts) != self.total:
-            raise ValueError("counts must sum to total")
-        if self.total < 1 or min(self.counts) < 0:
-            raise ValueError("counts must be nonnegative with a positive total")
-        if self.mode not in SIGNATURE_MODES:
-            raise ValueError(
-                f"unknown mode {self.mode!r}; expected one of {SIGNATURE_MODES}"
-            )
-        if self.m_mode not in M_MODES:
-            raise ValueError(f"unknown m_mode {self.m_mode!r}; expected one of {M_MODES}")
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(c / self.total for c in self.counts)
-
-    @property
-    def std_error(self) -> tuple[float, ...]:
-        """Per-component binomial standard errors, for sampled counts."""
-        return tuple(math.sqrt(v * (1.0 - v) / self.total) for v in self.values)
 
 
 def _check_m_mode(net: Network, m_mode: str) -> None:
@@ -233,7 +191,32 @@ def _over_budget(link: int, n: int) -> EnumerationCapError:
                                f"{MEMORY_BUDGET:,} bytes at link {link} of {n}; use sampling")
 
 
-def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
+def _link_order(bg: BitGraph) -> list[int]:
+    """The frontier DP's default link order, greedy: each step takes the
+    link that opens the fewest non-terminal nodes net of those it closes,
+    then the one that opens the fewest, then the lowest id."""
+    terminals = set(bg.terminal_indices)
+    opened = set()  # non-terminal nodes with a link taken
+    left = [len(adjacent) for adjacent in bg.adj]  # links not yet taken, per node
+
+    def cost(link):
+        ends = [x for x in bg.ends[link] if x not in terminals]
+        opens = sum(x not in opened for x in ends)
+        return opens - sum(left[x] == 1 for x in ends), opens, link
+
+    todo = set(range(1, bg.n + 1))
+    order = []
+    while todo:
+        link = min(todo, key=cost)
+        todo.remove(link)
+        order.append(link)
+        opened.update(x for x in bg.ends[link] if x not in terminals)
+        for x in bg.ends[link]:
+            left[x] -= 1
+    return order
+
+
+def _cut_dp(net: Network, classic: bool, order=None) -> tuple[int, ...]:
     """The exact-subset M histogram, every order counted through its (R, B)
     pair by a dynamic program over the links in frontier order, in this
     process.
@@ -253,10 +236,10 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
     with φ = ∞ everywhere never separate at finite cost and are dropped.
     Once every node but the pinned one has closed, φ is the one value c*.
 
-    Links are taken in a greedy order: each step takes the link that opens
-    the fewest non-terminal nodes net of those it closes, then the one that
-    opens the fewest, then the first.  The first terminal in `BitGraph`'s
-    node numbering is pinned to side 0.
+    Links are taken in `order`, a permutation of the link ids, by default
+    the greedy `_link_order`; the counts do not depend on it, only the
+    state counts do.  The first terminal in `BitGraph`'s node numbering is
+    pinned to side 0.
     The frontier lists the open nodes: every other terminal from the start,
     so that σ = 0 (all terminals on the pinned one's side) is held at ∞,
     and any other node from its first link.  Every node but the pinned one
@@ -306,25 +289,20 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
             yield kid, kid_poly
 
     bg = net.bitgraph
-    links = bg.ends[1:]
+    if order is None:
+        order = _link_order(bg)
+    elif sorted(order) != list(range(1, n + 1)):
+        raise ValueError(f"order must be a permutation of the link ids 1..{n}")
     pinned, *frontier = bg.terminal_indices
     terminals = {pinned, *frontier}
     left = [len(adjacent) for adjacent in bg.adj]  # links not yet taken, per node
-
-    def cost(i):
-        ends = [x for x in links[i] if x not in terminals]
-        opened = sum(x not in frontier for x in ends)
-        return opened - sum(left[x] == 1 for x in ends), opened, i
-
-    todo = set(range(len(links)))
     held = state_bytes(0, 1 << len(frontier))  # the parents' states
-    for link in range(1, n + 1):
-        i = min(todo, key=cost)
-        todo.remove(i)
-        new = [x for x in links[i] if x != pinned and x not in frontier]
+    for link, taken in enumerate(order, start=1):
+        ends = bg.ends[taken]
+        new = [x for x in ends if x != pinned and x not in frontier]
         frontier += new
-        closing = [x for x in links[i] if x != pinned and left[x] == 1]
-        for x in links[i]:
+        closing = [x for x in ends if x != pinned and left[x] == 1]
+        for x in ends:
             left[x] -= 1
         size = state_bytes(link, 1 << len(frontier) - len(closing))
         limit = (MEMORY_BUDGET - (128 << len(frontier)) - held) // size
@@ -333,7 +311,7 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
         if link == 1:
             # σ = 0 keeps every terminal with the pinned one and never separates.
             states = {(inf,) + (0,) * ((1 << len(terminals) - 1) - 1): 1}
-        bits = [0 if x == pinned else 1 << frontier.index(x) for x in links[i]]
+        bits = [0 if x == pinned else 1 << frontier.index(x) for x in ends]
         cross = tuple(
             (s & bits[0] > 0) ^ (s & bits[1] > 0) for s in range(1 << len(frontier))
         )

@@ -16,8 +16,6 @@ import operator
 import sys
 from itertools import islice
 
-from .engine import TSignature
-
 
 # N(t) is Poisson(rate * t) for "poisson" and Binomial(n, 1 - exp(-rate * t))
 # for "binomial".

@@ -27,12 +27,12 @@ last-block-first map), so its counts for a seed differ from 0.3.0's.
 from __future__ import annotations
 
 from ._bitgraph import BitGraph
+from ._record import TSignature
 from .combinatorics import build_stratum_table
 # Not called here: it stays until perfbench/layers.py drops its trace wrapper
 # of this name.
 from .combinatorics import random_order  # noqa: F401
-from .engine import TSignature, _check_m_mode, _check_workers, _order_m, _run_histogram
-from .graph import Network
+from .engine import _check_m_mode, _check_workers, _order_m, _run_histogram
 
 _DIGEST_BITS = 512
 _ORDER_STREAM = b"netsig order"

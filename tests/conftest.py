@@ -192,11 +192,12 @@ def oracle_survival(counts, total, process, rate, n, t):
     ) / total
 
 
-def random_connected_network(rng: random.Random, n_links: int, n_terminals: int = 2) -> Network:
-    """Random multigraph with n_links links and n_terminals (2 to 5)
-    terminals, terminal-connected."""
+def random_connected_network(rng: random.Random, n_links: int, n_terminals: int = 2,
+                             max_nodes: int | None = None) -> Network:
+    """Random multigraph with n_links links, n_terminals (2 to 5)
+    terminals and at most `max_nodes` nodes, terminal-connected."""
     while True:
-        n_nodes = rng.randint(max(3, n_terminals), n_links + 1)
+        n_nodes = rng.randint(max(3, n_terminals), min(n_links + 1, max_nodes or n_links + 1))
         nodes = tuple(f"v{i}" for i in range(n_nodes))
         links = []
         for link_id in range(1, n_links + 1):

@@ -739,6 +739,33 @@ def test_cli_runs_load_no_unused_library(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
+def netsig_modules_after(code):
+    """The `netsig` modules loaded by `code` in a fresh interpreter without
+    `site`."""
+    code += "; import json, sys; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'netsig']))"
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True, env=package_env())
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    # The package and the CLI import a submodule on first use, so a bare
+    # import loads none, `reliability` of an artifact loads neither the
+    # engine nor the graph, `exact` no sampler and `nstar` no engine.
+    graph = str(fixture_path("figure1"))
+    art = str(tmp_path / "exact.json")
+    assert main(["exact", graph, "--out", art]) == 0
+    run = "from netsig.cli import main; main({!r})".format
+    assert netsig_modules_after("import netsig") == {"netsig"}
+    assert netsig_modules_after(run(["reliability", art, "--out", str(tmp_path / "r.json")])) == {
+        "netsig", "netsig.cli", "netsig._record", "netsig.errors", "netsig.reliability",
+    }
+    exact = netsig_modules_after(run(["exact", graph, "--out", str(tmp_path / "e.json")]))
+    assert "netsig.engine" in exact
+    assert not exact & {"netsig.sampling", "netsig.fixtures"}
+    assert "netsig.engine" not in netsig_modules_after(run(["nstar", "5"]))
+
+
 def test_cli_runs_leave_openssl_unloaded(tmp_path):
     # `exact` and `approx` hash with the builtin SHA-256 and BLAKE2b, so a
     # CLI call never loads hashlib's OpenSSL binding; the digest is still

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -64,6 +65,61 @@ def _with_parallel_links(net, rng):
     copies = [(a, b) for _, a, b in net.links if rng.random() < 0.5] or [net.links[0][1:]]
     links = net.links + tuple((i, a, b) for i, (a, b) in enumerate(copies, start=net.n + 1))
     return Network(nodes=net.nodes, links=links, terminals=net.terminals)
+
+
+# Random networks with 3 to 16 links, two to four terminals and at most 7
+# nodes: a shuffled link order can hold every node in the frontier, and 2^6
+# side assignments keep one t-signature run under about 2 s.
+order_networks = st.builds(
+    random_connected_network,
+    st.randoms(use_true_random=False),
+    st.integers(3, 16),
+    st.sampled_from([2, 3, 4]),
+    st.just(7),
+)
+
+
+def _cuthill_mckee_order(net):
+    """The link ids in a Cuthill-McKee order (Cuthill & McKee 1969): the
+    nodes numbered breadth first from the node farthest from the
+    terminals, neighbours by ascending degree, and each link placed by its
+    later end, then its earlier end."""
+    adjacent = {v: [] for v in net.nodes}
+    for _, a, b in net.links:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    distance = dict.fromkeys(sorted(net.terminals), 0)
+    queue = deque(distance)
+    while queue:
+        v = queue.popleft()
+        for w in adjacent[v]:
+            if w not in distance:
+                distance[w] = distance[v] + 1
+                queue.append(w)
+    position = {}
+    # The later starts number the nodes that the terminals do not reach.
+    for start in (max(distance, key=distance.get), *net.nodes):
+        if start in position:
+            continue
+        position[start] = len(position)
+        queue = deque([start])
+        while queue:
+            for w in sorted(set(adjacent[queue.popleft()]), key=lambda x: len(adjacent[x])):
+                if w not in position:
+                    position[w] = len(position)
+                    queue.append(w)
+    ends = {i: sorted((position[a], position[b]), reverse=True) for i, a, b in net.links}
+    return sorted(ends, key=lambda i: (ends[i], i))
+
+
+def _orders_to_compare(net, rng, shuffled=True):
+    """Link orders that must give the greedy order's counts: the reversed
+    greedy order, a Cuthill-McKee order and, if `shuffled`, a random one."""
+    greedy = engine._link_order(net.bitgraph)
+    orders = [greedy[::-1], _cuthill_mckee_order(net)]
+    if shuffled:
+        orders.append(rng.sample(greedy, len(greedy)))
+    return orders
 
 
 # Random networks with 3 to 6 links and two to four terminals, plus a
@@ -424,6 +480,33 @@ class TestExactTSignature:
         other = _relabelled(net, rng)
         assert exact_tsignature(other).counts == exact_tsignature(net).counts
         assert classic_signature(other).counts == classic_signature(net).counts
+
+    @settings(max_examples=20, deadline=None)
+    @given(net=order_networks, rng=st.randoms(use_true_random=False))
+    def test_frontier_counts_do_not_depend_on_the_given_order(self, net, rng):
+        # The counts are a sum over the labellings of the links, so any
+        # order of the links gives the greedy order's integers; only the
+        # number of states differs.
+        for classic in (False, True):
+            expected = engine._cut_dp(net, classic)
+            for order in _orders_to_compare(net, rng):
+                assert engine._cut_dp(net, classic, order) == expected, order
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_frontier_counts_of_fixtures_do_not_depend_on_the_given_order(self, name):
+        # Every fixture that fits: t-signatures up to 12 links, and classic
+        # signatures of the 26-link EONs, whose shuffled orders would run
+        # for minutes.
+        net = load_fixture(name)
+        for classic in (False, True) if net.n <= 12 else (True,):
+            expected = engine._cut_dp(net, classic)
+            for order in _orders_to_compare(net, random.Random(name), shuffled=net.n <= 12):
+                assert engine._cut_dp(net, classic, order) == expected, order
+
+    @pytest.mark.parametrize("order", [[1, 2], [1, 2, 3, 3], [0, 1, 2], [3, 2, 2]])
+    def test_frontier_order_must_be_a_permutation(self, order):
+        with pytest.raises(ValueError, match="permutation"):
+            engine._cut_dp(load_fixture("triangle"), False, order)
 
     @pytest.mark.parametrize(
         "name", ["series2", "series3", "parallel2", "bridge", "triangle",

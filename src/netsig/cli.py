@@ -41,26 +41,20 @@ from ._record import M_MODES, TSignature
 from .errors import EnumerationCapError, UnsupportedModeError
 from .reliability import PROCESSES, survival_mixture
 
-# The library functions that only some commands run, each imported from its
-# module on first use (PEP 562), so that a call loads only what its command
-# runs.  The commands call them through this module, `_lib`, where a name
-# replaced on the module is found too.
-_LAZY = {
-    "parse_network": "graph",
-    "exact_tsignature": "engine",
-    "classic_signature": "engine",
-    "approx_tsignature": "sampling",
-    "_fubini": "combinatorics",
-}
+# The library functions that only some commands run, resolved through the
+# package's lazy exports on first use, so that a call loads only what its
+# command runs.  The commands call them through this module, `_lib`, where a
+# name replaced on the module is found too.
+_LAZY = ("parse_network", "exact_tsignature", "classic_signature", "approx_tsignature")
 _lib = sys.modules[__name__]
 
 
 def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(__import__(f"{__package__}.{_LAZY[name]}", fromlist=[name]), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(sys.modules[__package__], name)
     return value
+
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -144,7 +138,9 @@ def _emit(payload: dict, args: argparse.Namespace, csv_rows=None, csv_header=Non
 
 
 def cmd_nstar(args) -> int:
-    fubini = _lib._fubini(args.n)
+    from .combinatorics import _fubini
+
+    fubini = _fubini(args.n)
     for n in range(2, args.n + 1):
         print(f"{n:>3} | {math.factorial(n):,} | {fubini[n]:,}")
     return EXIT_OK

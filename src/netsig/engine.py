@@ -22,7 +22,8 @@ from itertools import islice, permutations
 from operator import add, itemgetter
 
 from ._bitgraph import BitGraph
-from ._record import M_MODES, TSignature
+# SIGNATURE_MODES is not used here: it stays a name of netsig.engine.
+from ._record import M_MODES, SIGNATURE_MODES, TSignature  # noqa: F401
 from .combinatorics import (
     FailureOrder,
     _fubini,
@@ -216,7 +217,7 @@ def _link_order(bg: BitGraph) -> list[int]:
     return order
 
 
-def _cut_dp(net: Network, classic: bool, order=None) -> tuple[int, ...]:
+def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
     """The exact-subset M histogram, every order counted through its (R, B)
     pair by a dynamic program over the links in frontier order, in this
     process.
@@ -236,9 +237,8 @@ def _cut_dp(net: Network, classic: bool, order=None) -> tuple[int, ...]:
     with φ = ∞ everywhere never separate at finite cost and are dropped.
     Once every node but the pinned one has closed, φ is the one value c*.
 
-    Links are taken in `order`, a permutation of the link ids, by default
-    the greedy `_link_order`; the counts do not depend on it, only the
-    state counts do.  The first terminal in `BitGraph`'s node numbering is
+    Links are taken in the greedy `_link_order`; the counts do not depend
+    on the order, only the state counts do.  The first terminal in `BitGraph`'s node numbering is
     pinned to side 0.
     The frontier lists the open nodes: every other terminal from the start,
     so that σ = 0 (all terminals on the pinned one's side) is held at ∞,
@@ -289,15 +289,11 @@ def _cut_dp(net: Network, classic: bool, order=None) -> tuple[int, ...]:
             yield kid, kid_poly
 
     bg = net.bitgraph
-    if order is None:
-        order = _link_order(bg)
-    elif sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"order must be a permutation of the link ids 1..{n}")
     pinned, *frontier = bg.terminal_indices
     terminals = {pinned, *frontier}
     left = [len(adjacent) for adjacent in bg.adj]  # links not yet taken, per node
     held = state_bytes(0, 1 << len(frontier))  # the parents' states
-    for link, taken in enumerate(order, start=1):
+    for link, taken in enumerate(_link_order(bg), start=1):
         ends = bg.ends[taken]
         new = [x for x in ends if x != pinned and x not in frontier]
         frontier += new

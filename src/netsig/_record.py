@@ -3,7 +3,9 @@
 
 It holds the base `Record` and the signature record `TSignature`, with the
 vocabularies it checks, `M_MODES` and `SIGNATURE_MODES`: a command that only
-reads an artifact loads them without the engine.  `Network` is in `graph`.
+reads an artifact loads them without the engine.  `PROCESSES`, the names of
+`reliability`'s counting processes, sits beside them, so the CLI builds its
+`--process` choices without loading `reliability`.  `Network` is in `graph`.
 
 A subclass of `Record` declares its fields as annotations, after those of
 its bases, and a default as a class attribute of the same name.  A record
@@ -17,6 +19,9 @@ import math
 
 M_MODES = ("exact-subset", "paper-greedy")
 SIGNATURE_MODES = ("exact", "classic", "sampled")
+# N(t) is Poisson(rate * t) for "poisson" and Binomial(n, 1 - exp(-rate * t))
+# for "binomial".
+PROCESSES = ("poisson", "binomial")
 
 
 class Record:

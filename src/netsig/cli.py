@@ -37,15 +37,15 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from ._record import M_MODES, TSignature
+from ._record import M_MODES, PROCESSES, TSignature
 from .errors import EnumerationCapError, UnsupportedModeError
-from .reliability import PROCESSES, survival_mixture
 
 # The library functions that only some commands run, resolved through the
 # package's lazy exports on first use, so that a call loads only what its
 # command runs.  The commands call them through this module, `_lib`, where a
 # name replaced on the module is found too.
-_LAZY = ("parse_network", "exact_tsignature", "classic_signature", "approx_tsignature")
+_LAZY = ("parse_network", "exact_tsignature", "classic_signature", "approx_tsignature",
+         "survival_mixture")
 _lib = sys.modules[__name__]
 
 
@@ -229,7 +229,7 @@ def cmd_reliability(args) -> int:
     started = time.time()
     sig, digest = _load_signature_input(args.input)
     times = _time_grid(args.tmax, args.steps)
-    survival = survival_mixture(sig, args.process, args.rate, times)
+    survival = _lib.survival_mixture(sig, args.process, args.rate, times)
     payload = {
         "manifest": _manifest("reliability", digest, args, started),
         "n": sig.n,

@@ -7,7 +7,11 @@ single-link permutations (classic mode).  M depends on an order only through
 its surviving set R and first fatal block B, so both histograms are sums over
 (R, B) pairs, each weighted by the number of orders that share it.  With the
 exact fatal-block minimum that sum is a frontier dynamic program over the
-links (`_cut_dp`); the path-order dependent greedy count visits the pairs.
+links (`frontier._cut_dp`, imported only when an exact-subset or classic
+signature runs, so that a sampled run never compiles it); the path-order
+dependent greedy count visits the pairs.  The sampler's scorer,
+`_order_m`, lives here too, with the union-find cores it shares with the
+order stream.
 
 Only the histogram is ever stored: counts are exact integers, merged by
 addition, so parallel runs are bit-identical to single-worker runs.
@@ -19,7 +23,6 @@ import math
 import os
 from bisect import bisect_right
 from itertools import islice, permutations
-from operator import add, itemgetter
 
 from ._bitgraph import BitGraph
 # SIGNATURE_MODES is not used here: it stays a name of netsig.engine.
@@ -34,11 +37,6 @@ from .combinatorics import (
 )
 from .errors import EnumerationCapError, UnsupportedModeError
 
-# Bytes the frontier DP's tables for one step and two steps of states may
-# hold, counted by upper bounds.  No measured run's RSS grows by more than
-# 0.8 of its bound: the 20-terminal star, whose bound peaks at 188 MiB, grows
-# by 144 MiB and fits with room (README).
-MEMORY_BUDGET = 576 << 20
 # The paper-greedy t-signature visits up to 3^n (R, B) pairs.
 GREEDY_MAX_LINKS = 12
 # A run builds one job per worker before any work starts.
@@ -59,18 +57,32 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1 and <= {MAX_WORKERS}, got {workers}")
 
 
-def _order_m(bg: BitGraph, table: tuple, u: int, m_mode: str) -> int:
+def _rank_constants(table: tuple) -> tuple:
+    """What `_order_m` decodes ranks with, built once per run from the table
+    `build_stratum_table(n)`: `steps[m]`, for m = 1..n links unplaced, holds
+    row m-1, its first entry m * F(m-1) (the ranks whose last block is one
+    link) and F(m-1); `fubini` is [F(0), ..., F(n)], the rows' last entries
+    after F(0) = 1; and `links` lists the link ids 1..n, which each order
+    copies."""
+    fubini = [1, *(row[-1] for row in table)]
+    steps = [None, *((row, row[0], fubini[m - 1]) for m, row in enumerate(table, start=1))]
+    return steps, fubini, list(range(1, len(table) + 1))
+
+
+def _order_m(bg: BitGraph, constants: tuple, u: int, m_mode: str) -> int:
     """M of the failure order of rank u, `unrank_order(table, u)` for the
-    table `build_stratum_table(bg.n)`, decoded block by block from the last
-    inside the union pass that finds the fatal block, so the blocks before
-    it are never placed.
+    table `build_stratum_table(bg.n)` whose `_rank_constants` are given,
+    decoded block by block from the last inside the union pass that finds
+    the fatal block, so the blocks before it are never placed.
 
     With m links unplaced, u below m * F(m-1) (row m-1's first entry) makes
-    the last block one link; otherwise bisecting the row gives its size s.
-    `divmod` by F(m-s) splits u into the colex rank of the block's links
-    among the unplaced ones and the rank of the order of the rest.  A block
-    of two links, most of the multi-link blocks of a sample, is decoded in
-    place by the closed-form inverse of C(x, 2); `_take` decodes the larger.
+    the last block one link, u below the second entry two links, and
+    otherwise bisecting the row gives its size s.  `divmod` by F(m-s)
+    splits u into the colex rank of the block's links among the unplaced
+    ones and the rank of the order of the rest.  A block of two links, most
+    of the multi-link blocks of a sample, is decoded in place by the
+    closed-form inverse of C(x, 2); `_take` decodes the larger.  Every row
+    and F(k) comes from the constants, so no sample rebuilds them.
 
     Removing links never reconnects the terminals, so the fatal block is the
     block whose links, added back from the last block to the first, join
@@ -82,20 +94,21 @@ def _order_m(bg: BitGraph, table: tuple, u: int, m_mode: str) -> int:
     (`_fatal_score`).  A one-link fatal block scores 1 in both m-modes: it
     lies on every remaining terminal path.
     """
+    steps, fubini, links = constants
     m = bg.n  # links not yet placed
-    row = table[m - 1]
-    if not 0 <= u < row[-1]:
-        raise ValueError(f"order rank must lie in [0, {row[-1]}), got {u}")
+    if not 0 <= u < fubini[m]:
+        raise ValueError(f"order rank must lie in [0, {fubini[m]}), got {u}")
+    row, one, below = steps[m]
     parent = bg.singletons.copy()
     has_terminal = bg.is_terminal.copy()
     parts = len(bg.terminal_indices)  # components holding a terminal, at least 2
     ends = bg.ends
-    unplaced = list(range(1, m + 1))
+    unplaced = links.copy()
     while True:
-        if u < row[0]:
-            # One link: `_join` inlined.  When m = 1 the rank is 0, and any
-            # divisor gives (0, 0).
-            c, u = divmod(u, table[m - 2][-1])
+        if u < one:
+            # One link: `_join` inlined.  When m = 1 the rank is 0, and
+            # F(0) = 1 gives (0, 0).
+            c, u = divmod(u, below)
             m -= 1
             a, b = ends[unplaced.pop(c)]
             while a != parent[a]:
@@ -112,20 +125,22 @@ def _order_m(bg: BitGraph, table: tuple, u: int, m_mode: str) -> int:
                     else:
                         has_terminal[b] = True
         else:
-            s = bisect_right(row, u) + 1
-            c, u = divmod(u - row[s - 2], table[m - s - 1][-1] if s < m else 1)
-            if s == 2:
-                # `_take` inlined: the positions x > y with c = C(x, 2) + y.
+            if u < row[1]:
+                # Two links, found without bisecting: `_take` inlined, the
+                # positions x > y with c = C(x, 2) + y.
+                c, u = divmod(u - one, fubini[m - 2])
                 x = (1 + math.isqrt(8 * c + 1)) // 2
                 block = (unplaced.pop(x), unplaced.pop(c - x * (x - 1) // 2))
             else:
+                s = bisect_right(row, u) + 1
+                c, u = divmod(u - row[s - 2], fubini[m - s])
                 block = _take(unplaced, s, c)
-            m -= s
+            m -= len(block)
             before = parent[:]
             parts -= _join(parent, has_terminal, ends, block)
             if parts == 1:
                 return m + _fatal_score(bg, before, block, unplaced, m_mode)
-        row = table[m - 1]
+        row, one, below = steps[m]
 
 
 def _join(parent: list, has_terminal: list, ends: list, block) -> int:
@@ -185,173 +200,6 @@ def calculate_m(net: Network, order: FailureOrder, m_mode: str = "exact-subset")
     check_failure_order(order, net.n)
     _check_m_mode(net, m_mode)
     return _blocks_m(net.bitgraph, order, m_mode)
-
-
-def _over_budget(link: int, n: int) -> EnumerationCapError:
-    return EnumerationCapError(f"the frontier program needs more than "
-                               f"{MEMORY_BUDGET:,} bytes at link {link} of {n}; use sampling")
-
-
-def _link_order(bg: BitGraph) -> list[int]:
-    """The frontier DP's default link order, greedy: each step takes the
-    link that opens the fewest non-terminal nodes net of those it closes,
-    then the one that opens the fewest, then the lowest id."""
-    terminals = set(bg.terminal_indices)
-    opened = set()  # non-terminal nodes with a link taken
-    left = [len(adjacent) for adjacent in bg.adj]  # links not yet taken, per node
-
-    def cost(link):
-        ends = [x for x in bg.ends[link] if x not in terminals]
-        opens = sum(x not in opened for x in ends)
-        return opens - sum(left[x] == 1 for x in ends), opens, link
-
-    todo = set(range(1, bg.n + 1))
-    order = []
-    while todo:
-        link = min(todo, key=cost)
-        todo.remove(link)
-        order.append(link)
-        opened.update(x for x in bg.ends[link] if x not in terminals)
-        for x in bg.ends[link]:
-            left[x] -= 1
-    return order
-
-
-def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
-    """The exact-subset M histogram, every order counted through its (R, B)
-    pair by a dynamic program over the links in frontier order, in this
-    process.
-
-    Each link is labelled R (in the surviving set, cut cost 0), B (in the
-    fatal block, cost 1) or S (fails later, cost ∞).  Let c* be the least
-    cost of a cut separating the terminals.  (R, B) is a valid pair iff
-    0 < c* < ∞, and then the fatal-block minimum is c*, so its
-    w(r) * w(n - r - b) orders score M = r + c*; w counts the sequences of
-    blocks on k links: Fubini numbers, or factorials in classic mode, where
-    the fatal block is one link.
-
-    A state is φ, the least cost of the labelled links over the sides of the
-    closed nodes, for each side assignment σ of the frontier; it carries a
-    polynomial in (r, b).  R keeps φ, B adds 1 and S sets ∞ where the link
-    crosses, and closing a node takes the minimum over its side.  States
-    with φ = ∞ everywhere never separate at finite cost and are dropped.
-    Once every node but the pinned one has closed, φ is the one value c*.
-
-    Links are taken in the greedy `_link_order`; the counts do not depend
-    on the order, only the state counts do.  The first terminal in `BitGraph`'s node numbering is
-    pinned to side 0.
-    The frontier lists the open nodes: every other terminal from the start,
-    so that σ = 0 (all terminals on the pinned one's side) is held at ∞,
-    and any other node from its first link.  Every node but the pinned one
-    closes after its last link.  Bit p of a side assignment σ is the side
-    of the node at position p.  A step builds the factor by which the
-    link's new nodes repeat φ (they take the top positions), its crossing
-    row (1 where σ puts its ends on different sides), its ∞ row, and one
-    (σ with the bit 0, σ with the bit 1) getter pair per node it closes.
-    It drops them once its states are built.
-
-    A step is refused once its tables (up to 128 bytes per σ: 8 per row
-    entry, 32 per ∞ int, 40 per getter index for two closed nodes), its
-    parents' states and its own, by `state_bytes`, would pass
-    `MEMORY_BUDGET`: before it allocates anything, and as its states grow.
-    The first step's parents are the start state, not yet built.
-    """
-    n = net.n
-    inf = n + 1
-    # A polynomial is one integer: the number of labellings with r R-links
-    # and b B-links sits in bits [width * (r * (most_b + 1) + b), +width).
-    # No coefficient reaches 3^n, the count of all labellings.
-    most_b = 1 if classic else n
-    width = (3**n).bit_length()
-    slot = (1 << width) - 1
-    r_shift = width * (most_b + 1)
-    b_room = sum(slot << r * r_shift << b * width for r in range(n + 1) for b in range(most_b))
-
-    def state_bytes(link, entries):
-        # φ: 40 + 8 per entry (+32 per int above the small-int cache); the
-        # polynomial, r <= link: 24 + 4 per 30-bit digit; allocator rounding
-        # 2 * 23; a dict entry while its table grows: 90.
-        digits = -(-(r_shift * link + width) // 30)
-        return (8 if inf <= 256 else 40) * entries + 4 * digits + 200
-
-    def children(phi, poly, step):
-        """The R, B and S successors of one state, in that order."""
-        grow, cross, cut, closes = step
-        phi *= grow
-        kids = (
-            (phi, poly << r_shift),
-            (tuple(map(min, map(add, phi, cross), (inf,) * len(phi))), (poly & b_room) << width),
-            (tuple(map(max, phi, cut)), poly),
-        )
-        for kid, kid_poly in kids:
-            for zero, one in closes:
-                kid = tuple(map(min, zero(kid), one(kid)))
-            yield kid, kid_poly
-
-    bg = net.bitgraph
-    pinned, *frontier = bg.terminal_indices
-    terminals = {pinned, *frontier}
-    left = [len(adjacent) for adjacent in bg.adj]  # links not yet taken, per node
-    held = state_bytes(0, 1 << len(frontier))  # the parents' states
-    for link, taken in enumerate(_link_order(bg), start=1):
-        ends = bg.ends[taken]
-        new = [x for x in ends if x != pinned and x not in frontier]
-        frontier += new
-        closing = [x for x in ends if x != pinned and left[x] == 1]
-        for x in ends:
-            left[x] -= 1
-        size = state_bytes(link, 1 << len(frontier) - len(closing))
-        limit = (MEMORY_BUDGET - (128 << len(frontier)) - held) // size
-        if limit < 0:
-            raise _over_budget(link, n)
-        if link == 1:
-            # σ = 0 keeps every terminal with the pinned one and never separates.
-            states = {(inf,) + (0,) * ((1 << len(terminals) - 1) - 1): 1}
-        bits = [0 if x == pinned else 1 << frontier.index(x) for x in ends]
-        cross = tuple(
-            (s & bits[0] > 0) ^ (s & bits[1] > 0) for s in range(1 << len(frontier))
-        )
-        closes = []
-        for x in closing:
-            p = frontier.index(x)
-            frontier.remove(x)
-            if p == len(frontier):
-                # The top position: two halves, which stay tuples when the
-                # last node closes.
-                closes.append((itemgetter(slice(1 << p)), itemgetter(slice(1 << p, None))))
-            else:
-                low = (1 << p) - 1
-                closes.append(tuple(
-                    itemgetter(*(s & low | (s & ~low) << 1 | bit for s in range(1 << len(frontier))))
-                    for bit in (0, 1 << p)
-                ))
-        step = (1 << len(new), cross, tuple(inf * c for c in cross), closes)
-        merged: dict[tuple[int, ...], int] = {}
-        get = merged.get
-        for phi, poly in states.items():
-            for kid, kid_poly in children(phi, poly, step):
-                if kid_poly and min(kid) < inf:
-                    merged[kid] = get(kid, 0) + kid_poly
-            if len(merged) > limit:
-                raise _over_budget(link, n)
-        del step, cross, closes  # the next link builds its own tables
-        states = merged
-        held = len(states) * size
-
-    by_cut: dict[int, int] = {}
-    for phi, poly in states.items():
-        c = min(phi)
-        if 0 < c < inf:
-            by_cut[c] = by_cut.get(c, 0) + poly
-    weight = [math.factorial(k) for k in range(n + 1)] if classic else _fubini(n)
-    counts = [0] * n
-    for c, poly in by_cut.items():
-        for r in range(n + 1):
-            for b in range(most_b + 1):
-                coeff = poly >> r * r_shift >> b * width & slot
-                if coeff:
-                    counts[r + c - 1] += coeff * weight[r] * weight[n - r - b]
-    return tuple(counts)
 
 
 def _subsets(mask: int):
@@ -494,6 +342,8 @@ def exact_tsignature(
                                       f"limit of {GREEDY_MAX_LINKS} links; use sampling")
         counts = _run_histogram(net, workers, _count_pairs)
     else:
+        from .frontier import _cut_dp
+
         counts = _cut_dp(net, False)
     return TSignature(n=net.n, counts=counts, total=total, mode="exact", m_mode=m_mode)
 
@@ -504,7 +354,10 @@ def classic_signature(net: Network) -> TSignature:
 
     A one-link fatal block lies on every remaining terminal path, so both
     m-modes score it 1 and the signature is recorded as exact-subset.  It
-    runs the frontier DP in this process, refused above `MEMORY_BUDGET`."""
+    runs the frontier DP in this process, refused above
+    `frontier.MEMORY_BUDGET`."""
+    from .frontier import _cut_dp
+
     return TSignature(
         n=net.n,
         counts=_cut_dp(net, True),

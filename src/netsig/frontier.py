@@ -1,0 +1,192 @@
+"""Frontier dynamic program of the exact-subset signatures.
+
+`_cut_dp` counts the exact t-signature (`engine.exact_tsignature` with
+exact-subset M) and the classic signature (`engine.classic_signature`)
+without visiting orders: it sums over the (surviving set, fatal block)
+pairs of the links, labelled one link at a time in the greedy
+`_link_order`, with the least cut cost per side assignment of the frontier
+as its state.  It runs in the calling process and is refused before its
+tables and states would pass `MEMORY_BUDGET`.  The engine imports this
+module only when one of those two runs, so a sampled run never loads it.
+"""
+
+from __future__ import annotations
+
+import math
+from operator import add, itemgetter
+
+from .combinatorics import _fubini
+from .errors import EnumerationCapError
+
+# Bytes the frontier DP's tables for one step and two steps of states may
+# hold, counted by upper bounds.  No measured run's RSS grows by more than
+# 0.8 of its bound: the 20-terminal star, whose bound peaks at 188 MiB, grows
+# by 144 MiB and fits with room (README).
+MEMORY_BUDGET = 576 << 20
+
+
+def _over_budget(link: int, n: int) -> EnumerationCapError:
+    return EnumerationCapError(f"the frontier program needs more than "
+                               f"{MEMORY_BUDGET:,} bytes at link {link} of {n}; use sampling")
+
+
+def _link_order(bg: BitGraph) -> list[int]:
+    """The frontier DP's default link order, greedy: each step takes the
+    link that opens the fewest non-terminal nodes net of those it closes,
+    then the one that opens the fewest, then the lowest id."""
+    terminals = set(bg.terminal_indices)
+    opened = set()  # non-terminal nodes with a link taken
+    left = [len(adjacent) for adjacent in bg.adj]  # links not yet taken, per node
+
+    def cost(link):
+        ends = [x for x in bg.ends[link] if x not in terminals]
+        opens = sum(x not in opened for x in ends)
+        return opens - sum(left[x] == 1 for x in ends), opens, link
+
+    todo = set(range(1, bg.n + 1))
+    order = []
+    while todo:
+        link = min(todo, key=cost)
+        todo.remove(link)
+        order.append(link)
+        opened.update(x for x in bg.ends[link] if x not in terminals)
+        for x in bg.ends[link]:
+            left[x] -= 1
+    return order
+
+
+def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
+    """The exact-subset M histogram, every order counted through its (R, B)
+    pair by a dynamic program over the links in frontier order, in this
+    process.
+
+    Each link is labelled R (in the surviving set, cut cost 0), B (in the
+    fatal block, cost 1) or S (fails later, cost ∞).  Let c* be the least
+    cost of a cut separating the terminals.  (R, B) is a valid pair iff
+    0 < c* < ∞, and then the fatal-block minimum is c*, so its
+    w(r) * w(n - r - b) orders score M = r + c*; w counts the sequences of
+    blocks on k links: Fubini numbers, or factorials in classic mode, where
+    the fatal block is one link.
+
+    A state is φ, the least cost of the labelled links over the sides of the
+    closed nodes, for each side assignment σ of the frontier; it carries a
+    polynomial in (r, b).  R keeps φ, B adds 1 and S sets ∞ where the link
+    crosses, and closing a node takes the minimum over its side.  States
+    with φ = ∞ everywhere never separate at finite cost and are dropped.
+    Once every node but the pinned one has closed, φ is the one value c*.
+
+    Links are taken in the greedy `_link_order`; the counts do not depend
+    on the order, only the state counts do.  The first terminal in `BitGraph`'s node numbering is
+    pinned to side 0.
+    The frontier lists the open nodes: every other terminal from the start,
+    so that σ = 0 (all terminals on the pinned one's side) is held at ∞,
+    and any other node from its first link.  Every node but the pinned one
+    closes after its last link.  Bit p of a side assignment σ is the side
+    of the node at position p.  A step builds the factor by which the
+    link's new nodes repeat φ (they take the top positions), its crossing
+    row (1 where σ puts its ends on different sides), its ∞ row, and one
+    (σ with the bit 0, σ with the bit 1) getter pair per node it closes.
+    It drops them once its states are built.
+
+    A step is refused once its tables (up to 128 bytes per σ: 8 per row
+    entry, 32 per ∞ int, 40 per getter index for two closed nodes), its
+    parents' states and its own, by `state_bytes`, would pass
+    `MEMORY_BUDGET`: before it allocates anything, and as its states grow.
+    The first step's parents are the start state, not yet built.
+    """
+    n = net.n
+    inf = n + 1
+    # A polynomial is one integer: the number of labellings with r R-links
+    # and b B-links sits in bits [width * (r * (most_b + 1) + b), +width).
+    # No coefficient reaches 3^n, the count of all labellings.
+    most_b = 1 if classic else n
+    width = (3**n).bit_length()
+    slot = (1 << width) - 1
+    r_shift = width * (most_b + 1)
+    b_room = sum(slot << r * r_shift << b * width for r in range(n + 1) for b in range(most_b))
+
+    def state_bytes(link, entries):
+        # φ: 40 + 8 per entry (+32 per int above the small-int cache); the
+        # polynomial, r <= link: 24 + 4 per 30-bit digit; allocator rounding
+        # 2 * 23; a dict entry while its table grows: 90.
+        digits = -(-(r_shift * link + width) // 30)
+        return (8 if inf <= 256 else 40) * entries + 4 * digits + 200
+
+    def children(phi, poly, step):
+        """The R, B and S successors of one state, in that order."""
+        grow, cross, cut, closes = step
+        phi *= grow
+        kids = (
+            (phi, poly << r_shift),
+            (tuple(map(min, map(add, phi, cross), (inf,) * len(phi))), (poly & b_room) << width),
+            (tuple(map(max, phi, cut)), poly),
+        )
+        for kid, kid_poly in kids:
+            for zero, one in closes:
+                kid = tuple(map(min, zero(kid), one(kid)))
+            yield kid, kid_poly
+
+    bg = net.bitgraph
+    pinned, *frontier = bg.terminal_indices
+    terminals = {pinned, *frontier}
+    left = [len(adjacent) for adjacent in bg.adj]  # links not yet taken, per node
+    held = state_bytes(0, 1 << len(frontier))  # the parents' states
+    for link, taken in enumerate(_link_order(bg), start=1):
+        ends = bg.ends[taken]
+        new = [x for x in ends if x != pinned and x not in frontier]
+        frontier += new
+        closing = [x for x in ends if x != pinned and left[x] == 1]
+        for x in ends:
+            left[x] -= 1
+        size = state_bytes(link, 1 << len(frontier) - len(closing))
+        limit = (MEMORY_BUDGET - (128 << len(frontier)) - held) // size
+        if limit < 0:
+            raise _over_budget(link, n)
+        if link == 1:
+            # σ = 0 keeps every terminal with the pinned one and never separates.
+            states = {(inf,) + (0,) * ((1 << len(terminals) - 1) - 1): 1}
+        bits = [0 if x == pinned else 1 << frontier.index(x) for x in ends]
+        cross = tuple(
+            (s & bits[0] > 0) ^ (s & bits[1] > 0) for s in range(1 << len(frontier))
+        )
+        closes = []
+        for x in closing:
+            p = frontier.index(x)
+            frontier.remove(x)
+            if p == len(frontier):
+                # The top position: two halves, which stay tuples when the
+                # last node closes.
+                closes.append((itemgetter(slice(1 << p)), itemgetter(slice(1 << p, None))))
+            else:
+                low = (1 << p) - 1
+                closes.append(tuple(
+                    itemgetter(*(s & low | (s & ~low) << 1 | bit for s in range(1 << len(frontier))))
+                    for bit in (0, 1 << p)
+                ))
+        step = (1 << len(new), cross, tuple(inf * c for c in cross), closes)
+        merged: dict[tuple[int, ...], int] = {}
+        get = merged.get
+        for phi, poly in states.items():
+            for kid, kid_poly in children(phi, poly, step):
+                if kid_poly and min(kid) < inf:
+                    merged[kid] = get(kid, 0) + kid_poly
+            if len(merged) > limit:
+                raise _over_budget(link, n)
+        del step, cross, closes  # the next link builds its own tables
+        states = merged
+        held = len(states) * size
+
+    by_cut: dict[int, int] = {}
+    for phi, poly in states.items():
+        c = min(phi)
+        if 0 < c < inf:
+            by_cut[c] = by_cut.get(c, 0) + poly
+    weight = [math.factorial(k) for k in range(n + 1)] if classic else _fubini(n)
+    counts = [0] * n
+    for c, poly in by_cut.items():
+        for r in range(n + 1):
+            for b in range(most_b + 1):
+                coeff = poly >> r * r_shift >> b * width & slot
+                if coeff:
+                    counts[r + c - 1] += coeff * weight[r] * weight[n - r - b]
+    return tuple(counts)

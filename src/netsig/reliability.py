@@ -16,10 +16,8 @@ import operator
 import sys
 from itertools import islice
 
+from ._record import PROCESSES
 
-# N(t) is Poisson(rate * t) for "poisson" and Binomial(n, 1 - exp(-rate * t))
-# for "binomial".
-PROCESSES = ("poisson", "binomial")
 # exp(-mean) is below the smallest normal float from a Poisson mean of about
 # 708.4 on, and 0.0 from about 745.1.
 _SMALLEST_NORMAL = sys.float_info.min

@@ -5,7 +5,8 @@ below n* per sample, whose order is `combinatorics.unrank_order(table, u)`
 for the rank table of `build_stratum_table` (whose last row ends with n*).
 That map decodes an order from its last block to its first, so the one M
 scorer, `engine._order_m`, decodes the rank itself inside its union pass
-and stops at the fatal block: the blocks before it are never placed.
+and stops at the fatal block: the blocks before it are never placed.  It
+reads the table through `engine._rank_constants`, built once per worker.
 
 Reproducibility contract: sample j draws from its own counter-based stream
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
@@ -19,9 +20,11 @@ stream depends on (seed, j) alone, so a run is bit-identical for a fixed
 another stream of the same sample would take another personalization.
 Seeds lie in [0, 2**64) and sample indices below 2**64.  A worker takes
 its draws from one generator, `_sample_ranks`, which works out the digest
-count and the shift of a draw once, as both depend on x alone.  The draws
-are those of netsig 0.3.0, but 0.4.0 maps each draw to another order (the
-last-block-first map), so its counts for a seed differ from 0.3.0's.
+count and the shift of a draw once, as both depend on x alone, and reads
+only the leading bytes of the digest when one digest holds a draw (x
+below 2**512: n* of up to 90 links).  The draws are those of netsig
+0.3.0, but 0.4.0 maps each draw to another order (the last-block-first
+map), so its counts for a seed differ from 0.3.0's.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .combinatorics import build_stratum_table
 # Not called here: it stays until perfbench/layers.py drops its trace wrapper
 # of this name.
 from .combinatorics import random_order  # noqa: F401
-from .engine import _check_m_mode, _check_workers, _order_m, _run_histogram
+from .engine import _check_m_mode, _check_workers, _order_m, _rank_constants, _run_histogram
 
 _DIGEST_BITS = 512
 _ORDER_STREAM = b"netsig order"
@@ -45,9 +48,25 @@ def _sample_ranks(keyed, indices, x: int):
     the module docstring sets out."""
     bits = x.bit_length()
     digests = -(-bits // _DIGEST_BITS)
-    shift = digests * _DIGEST_BITS - bits
     copy = keyed.copy
     from_bytes = int.from_bytes
+    if digests == 1:
+        # The top bits of one digest: only the bytes that hold them are
+        # read.
+        size = -(-bits // 8)
+        shift = 8 * size - bits
+        for index in indices:
+            word = index  # counter * 2**64 + index at counter 0
+            while True:
+                h = copy()
+                h.update(word.to_bytes(16, "little"))
+                u = from_bytes(h.digest()[:size], "big") >> shift
+                if u < x:
+                    break
+                word += 1 << 64  # the next counter
+            yield u
+        return
+    shift = digests * _DIGEST_BITS - bits
     for index in indices:
         word = index  # counter * 2**64 + index at counter 0
         while True:
@@ -82,10 +101,10 @@ def _draw_orders(net, worker_id, workers, counts, m_mode, seed, sample_count) ->
     of its own; the minimum subset is scored on the network's."""
     bg = BitGraph(net, build_table=True) if m_mode == "paper-greedy" else net.bitgraph
     table = build_stratum_table(net.n)
+    constants = _rank_constants(table)
     keyed = _seed_hash(seed)
-    n_star = table[-1][-1]
-    for u in _sample_ranks(keyed, range(worker_id, sample_count, workers), n_star):
-        counts[_order_m(bg, table, u, m_mode) - 1] += 1
+    for u in _sample_ranks(keyed, range(worker_id, sample_count, workers), table[-1][-1]):
+        counts[_order_m(bg, constants, u, m_mode) - 1] += 1
 
 
 def approx_tsignature(

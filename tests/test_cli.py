@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import netsig
-from netsig import cli, engine, reliability
+from netsig import cli, engine, frontier, reliability
 from netsig.cli import main
 from netsig.fixtures import fixture_path
 
@@ -105,7 +105,7 @@ class TestExact:
         # The 3x5 grid with corner terminals peaks at 11,823,080 bytes by the
         # DP's bounds (test_engine.py): a budget one byte lower lets its
         # first 17 steps through and refuses the 18th.
-        monkeypatch.setattr(engine, "MEMORY_BUDGET", 11_823_079)
+        monkeypatch.setattr(frontier, "MEMORY_BUDGET", 11_823_079)
         graph = tmp_path / "grid3x5.graph"
         edges = [f"edge v{r}_{c} v{r + dr}_{c + dc}\n" for r in range(3) for c in range(5)
                  for dr, dc in ((0, 1), (1, 0)) if r + dr < 3 and c + dc < 5]
@@ -751,7 +751,9 @@ def netsig_modules_after(code):
 def test_commands_load_only_the_modules_they_run(tmp_path):
     # The package and the CLI import a submodule on first use, so a bare
     # import loads none, `reliability` of an artifact loads neither the
-    # engine nor the graph, `exact` no sampler and `nstar` no engine.
+    # engine nor the graph, `exact` and `signature` no sampler and no
+    # curve, `approx` neither the frontier DP nor the curve, and `nstar`
+    # no engine.
     graph = str(fixture_path("figure1"))
     art = str(tmp_path / "exact.json")
     assert main(["exact", graph, "--out", art]) == 0
@@ -760,9 +762,14 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     assert netsig_modules_after(run(["reliability", art, "--out", str(tmp_path / "r.json")])) == {
         "netsig", "netsig.cli", "netsig._record", "netsig.errors", "netsig.reliability",
     }
-    exact = netsig_modules_after(run(["exact", graph, "--out", str(tmp_path / "e.json")]))
-    assert "netsig.engine" in exact
-    assert not exact & {"netsig.sampling", "netsig.fixtures"}
+    for command in ("exact", "signature"):
+        loaded = netsig_modules_after(run([command, graph, "--out", str(tmp_path / "e.json")]))
+        assert {"netsig.engine", "netsig.frontier"} <= loaded, command
+        assert not loaded & {"netsig.sampling", "netsig.fixtures", "netsig.reliability"}, command
+    approx = netsig_modules_after(
+        run(["approx", graph, "--samples", "50", "--out", str(tmp_path / "a.json")]))
+    assert {"netsig.engine", "netsig.sampling"} <= approx
+    assert not approx & {"netsig.frontier", "netsig.reliability", "netsig.fixtures"}
     assert "netsig.engine" not in netsig_modules_after(run(["nstar", "5"]))
 
 

@@ -8,7 +8,7 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from netsig import engine
+from netsig import engine, frontier
 from netsig._bitgraph import BitGraph
 from netsig.combinatorics import (
     build_stratum_table,
@@ -115,14 +115,14 @@ def _cuthill_mckee_order(net):
 def _cut_dp_in_order(net, classic, order):
     """The frontier DP's counts with its links taken in `order`."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_link_order", lambda bg: order)
-        return engine._cut_dp(net, classic)
+        patch.setattr(frontier, "_link_order", lambda bg: order)
+        return frontier._cut_dp(net, classic)
 
 
 def _orders_to_compare(net, rng, shuffled=True):
     """Link orders that must give the greedy order's counts: the reversed
     greedy order, a Cuthill-McKee order and, if `shuffled`, a random one."""
-    greedy = engine._link_order(net.bitgraph)
+    greedy = frontier._link_order(net.bitgraph)
     orders = [greedy[::-1], _cuthill_mckee_order(net)]
     if shuffled:
         orders.append(rng.sample(greedy, len(greedy)))
@@ -345,11 +345,12 @@ def _check_fused_scorer(net, ranks):
     network supports."""
     bg = BitGraph(net)
     table = build_stratum_table(net.n)
+    constants = engine._rank_constants(table)
     modes = M_MODES if len(net.terminals) == 2 else ("exact-subset",)
     for u in ranks:
         order = unrank_order(table, u)
         for m_mode in modes:
-            fused = engine._order_m(bg, table, u, m_mode)
+            fused = engine._order_m(bg, constants, u, m_mode)
             listed = engine._blocks_m(bg, order, m_mode)
             assert fused == listed == _oracle_m(net, order, m_mode), (net, u, order, m_mode)
 
@@ -388,11 +389,38 @@ class TestLazyScorer:
         last = n_star(net.n) - 1
         _check_fused_scorer(net, [0, last] + [rng.randint(0, last) for _ in range(10)])
 
+    @pytest.mark.parametrize("name", ["figure2", "eon_par_cop"])
+    def test_stratum_boundaries(self, name):
+        # Every entry of every row and its neighbours.  A rank below F(m)
+        # places the lowest links one by one, each a one-link last block,
+        # until m links are unplaced, so row m-1 splits the rank itself.
+        net = load_fixture(name)
+        table = build_stratum_table(net.n)
+        ranks = {entry + d for row in table for entry in row for d in (-1, 0, 1)}
+        _check_fused_scorer(net, sorted(u for u in ranks if 0 <= u < n_star(net.n)))
+
+    @pytest.mark.parametrize("name", ["figure2", "eon_par_cop"])
+    def test_two_link_boundaries(self, name):
+        # With m links unplaced, the rank row[0] + c * F(m-2) ends in the two
+        # links of colex rank c, decoded in closed form from c = C(x, 2) + y:
+        # every c next to a C(x, 2), at every m (reached as in the test
+        # above).
+        net = load_fixture(name)
+        table = build_stratum_table(net.n)
+        ranks = set()
+        for m in range(2, net.n + 1):
+            first, rest = table[m - 1][0], table[m - 3][-1] if m > 2 else 1
+            for x in range(2, m + 1):
+                pair = math.comb(x, 2)
+                ranks.update(first + c * rest for c in range(pair - 1, min(pair + 2, math.comb(m, 2))))
+        _check_fused_scorer(net, sorted(ranks))
+
     @pytest.mark.parametrize("u", [-1, 541, 2**200])
     def test_rank_out_of_range(self, u):
         net = load_fixture("bridge")
         with pytest.raises(ValueError, match="order rank"):
-            engine._order_m(net.bitgraph, build_stratum_table(net.n), u, "exact-subset")
+            engine._order_m(net.bitgraph, engine._rank_constants(build_stratum_table(net.n)), u,
+                            "exact-subset")
 
     def test_blocks_that_never_join_the_terminals(self):
         # A partial order whose links never join the terminals raises
@@ -439,12 +467,12 @@ class TestExactTSignature:
         # default budget and by one of exactly that many bytes, refused by
         # one a byte lower.
         grid = _grid(3, 5)
-        assert engine.MEMORY_BUDGET >= 11_823_080
-        monkeypatch.setattr(engine, "MEMORY_BUDGET", 11_823_080)
+        assert frontier.MEMORY_BUDGET >= 11_823_080
+        monkeypatch.setattr(frontier, "MEMORY_BUDGET", 11_823_080)
         sig = exact_tsignature(grid)
         assert sig.total == n_star(22)
         assert sig.counts[0] == 0 and sig.counts[1] > 0  # corner terminals
-        monkeypatch.setattr(engine, "MEMORY_BUDGET", 11_823_079)
+        monkeypatch.setattr(frontier, "MEMORY_BUDGET", 11_823_079)
         with pytest.raises(EnumerationCapError,
                            match="11,823,079 bytes at link .* of 22; use sampling"):
             exact_tsignature(grid)
@@ -457,10 +485,10 @@ class TestExactTSignature:
         # the step that runs holds tables, so its peak is the second step's
         # tables with the first step's states and its own.
         star = _star(12)
-        monkeypatch.setattr(engine, "MEMORY_BUDGET", least)
+        monkeypatch.setattr(frontier, "MEMORY_BUDGET", least)
         sig = signature(star)
         assert sig.counts[0] == sig.total
-        monkeypatch.setattr(engine, "MEMORY_BUDGET", least - 1)
+        monkeypatch.setattr(frontier, "MEMORY_BUDGET", least - 1)
         with pytest.raises(EnumerationCapError,
                            match=f"{least - 1:,} bytes at link 2 of 12; use sampling"):
             signature(star)
@@ -495,7 +523,7 @@ class TestExactTSignature:
         # order of the links gives the greedy order's integers; only the
         # number of states differs.
         for classic in (False, True):
-            expected = engine._cut_dp(net, classic)
+            expected = frontier._cut_dp(net, classic)
             for order in _orders_to_compare(net, rng):
                 assert _cut_dp_in_order(net, classic, order) == expected, order
 
@@ -506,7 +534,7 @@ class TestExactTSignature:
         # for minutes.
         net = load_fixture(name)
         for classic in (False, True) if net.n <= 12 else (True,):
-            expected = engine._cut_dp(net, classic)
+            expected = frontier._cut_dp(net, classic)
             for order in _orders_to_compare(net, random.Random(name), shuffled=net.n <= 12):
                 assert _cut_dp_in_order(net, classic, order) == expected, order
 
@@ -668,6 +696,37 @@ class TestClassicSignature:
         assert sig.total == math.factorial(26)
         # COP has degree 4, and the last link alone never disconnects.
         assert [sig.counts[i - 1] for i in (1, 2, 3, 26)] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("name, counts", [
+        ("eon_par_cop", (
+         0, 0, 0, 26976017466662584320000, 107904069866650337280000,
+         273263553558400204800000, 562379896602079395840000,
+         1031639060318982635520000, 1768800685948057681920000,
+         2919362376603292139520000, 4733193005583320678400000,
+         7636875050052353064960000, 12312824959587064872960000,
+         19682694407300353228800000, 30500605358700028231680000,
+         44045352560516648140800000, 55956019722016637583360000,
+         58725112090823648870400000, 52339959745984264273920000,
+         41261307651289426821120000, 29556256020454401638400000,
+         19457065689136449454080000, 11707591580531561594880000,
+         6204484017332394393600000, 2481793606932957757440000, 0)),
+        ("eon_lon_ber_mil", (
+         0, 0, 0, 53952034933325168640000, 221939052793905807360000,
+         573678293528051712000000, 1195703215762589614080000,
+         2203514689908438466560000, 3761799182133402009600000,
+         6117618659652662722560000, 9650882837634387148800000,
+         14934712505968740925440000, 22752221581869430210560000,
+         33889982077829325127680000, 48277717352148731166720000,
+         62888002058974534041600000, 69190341522723782000640000,
+         57237817118247797391360000, 37025584279862179921920000,
+         19792952140385316372480000, 8986166857401237504000000,
+         3403882931247969730560000, 977880633166518681600000,
+         155112100433309859840000, 0, 0)),
+    ])
+    def test_pinned_eon_classic_counts(self, name, counts):
+        # The frontier DP's integers on the 26-link EONs, recorded before it
+        # moved out of the engine.
+        assert classic_signature(load_fixture(name)).counts == counts
 
     @pytest.mark.parametrize("m_mode", M_MODES)
     @settings(max_examples=20, deadline=None)

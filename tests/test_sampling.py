@@ -92,7 +92,7 @@ class TestSampleStream:
         assert len(set(first)) == 5
         assert first != list(_sample_ranks(_seed_hash(4), range(5), x))
 
-    @pytest.mark.parametrize("x", [5, 10**30, 2**512 + 1, 3**700])
+    @pytest.mark.parametrize("x", [5, 10**30, 2**512 - 1, 2**512 + 1, 3**700])
     def test_generator_matches_one_draw_at_a_time(self, x):
         # Each worker's slice of the indices, drawn by one generator, gives
         # the draws of the module docstring's stream taken one at a time.

@@ -59,14 +59,13 @@ def _check_workers(workers: int) -> None:
 
 def _rank_constants(table: tuple) -> tuple:
     """What `_order_m` decodes ranks with, built once per run from the table
-    `build_stratum_table(n)`: `steps[m]`, for m = 1..n links unplaced, holds
-    row m-1, its first entry m * F(m-1) (the ranks whose last block is one
-    link) and F(m-1); `fubini` is [F(0), ..., F(n)], the rows' last entries
-    after F(0) = 1; and `links` lists the link ids 1..n, which each order
-    copies."""
+    `build_stratum_table(n)`: `ones[m]`, for m = 1..n links unplaced, holds
+    m * F(m-1), the ranks whose last block is one link, and F(m-1); the
+    table, read for a multi-link last block; `fubini`, [F(0), ..., F(n)];
+    and `links`, the link ids 1..n, which each order copies."""
     fubini = [1, *(row[-1] for row in table)]
-    steps = [None, *((row, row[0], fubini[m - 1]) for m, row in enumerate(table, start=1))]
-    return steps, fubini, list(range(1, len(table) + 1))
+    ones = [None, *((row[0], fubini[m - 1]) for m, row in enumerate(table, start=1))]
+    return ones, table, fubini, list(range(1, len(table) + 1))
 
 
 def _order_m(bg: BitGraph, constants: tuple, u: int, m_mode: str) -> int:
@@ -75,37 +74,39 @@ def _order_m(bg: BitGraph, constants: tuple, u: int, m_mode: str) -> int:
     decoded block by block from the last inside the union pass that finds
     the fatal block, so the blocks before it are never placed.
 
-    With m links unplaced, u below m * F(m-1) (row m-1's first entry) makes
-    the last block one link, u below the second entry two links, and
-    otherwise bisecting the row gives its size s.  `divmod` by F(m-s)
-    splits u into the colex rank of the block's links among the unplaced
-    ones and the rank of the order of the rest.  A block of two links, most
-    of the multi-link blocks of a sample, is decoded in place by the
-    closed-form inverse of C(x, 2); `_take` decodes the larger.  Every row
-    and F(k) comes from the constants, so no sample rebuilds them.
+    With m links unplaced, u below m * F(m-1) makes the last block one
+    link, in an inner loop that reads only `ones[m]`; u below row m-1's
+    second entry makes it two links, decoded in place by the closed-form
+    inverse of C(x, 2); otherwise bisecting the row gives its size s and
+    `_take` decodes it.  `divmod` by F(m-s) splits u into the colex rank of
+    the block's links among the unplaced ones and the rank of the rest.
 
     Removing links never reconnects the terminals, so the fatal block is the
-    block whose links, added back from the last block to the first, join
-    all terminals into one component: one union-find pass over the node
-    indices, with no connectivity query.  The still-unplaced links are the
-    removed ones, which keep the terminals connected, while removing the
-    fatal block too disconnects them.  These are the fatal-block
-    preconditions, so the block is scored by the unchecked cores
-    (`_fatal_score`).  A one-link fatal block scores 1 in both m-modes: it
-    lies on every remaining terminal path.
+    first whose links, added back from the last block, join all terminals
+    into one component.  A one-link fatal block scores 1 in both m-modes: it
+    lies on every remaining terminal path.  A two-link block is scored from
+    the roots of its link ends, found before any union: with two terminal
+    components left, a link that alone joins them makes it fatal, of minimum
+    1 + (both links alone join), as removing one leaves the other; else its
+    links are unioned, and if they join the terminals, neither alone does:
+    it scores 1.  Both m-modes agree on a pair: the greedy count lies
+    between 1 and the minimum, and if both links alone join the two terminal
+    components, a simple terminal path crosses between them once, so each
+    greedy pass deletes one.  A larger block copies the forest before its
+    union; if fatal, it meets the preconditions of `_fatal_score`'s cores.
     """
-    steps, fubini, links = constants
+    ones, table, fubini, links = constants
     m = bg.n  # links not yet placed
     if not 0 <= u < fubini[m]:
         raise ValueError(f"order rank must lie in [0, {fubini[m]}), got {u}")
-    row, one, below = steps[m]
     parent = bg.singletons.copy()
     has_terminal = bg.is_terminal.copy()
     parts = len(bg.terminal_indices)  # components holding a terminal, at least 2
     ends = bg.ends
     unplaced = links.copy()
+    one, below = ones[m]
     while True:
-        if u < one:
+        while u < one:
             # One link: `_join` inlined.  When m = 1 the rank is 0, and
             # F(0) = 1 gives (0, 0).
             c, u = divmod(u, below)
@@ -124,23 +125,51 @@ def _order_m(bg: BitGraph, constants: tuple, u: int, m_mode: str) -> int:
                             return m + 1
                     else:
                         has_terminal[b] = True
+            one, below = ones[m]
+        row = table[m - 1]
+        if u < row[1]:
+            # Two links: `_take` inlined, positions x > y, c = C(x, 2) + y.
+            c, u = divmod(u - one, fubini[m - 2])
+            m -= 2
+            x = (1 + math.isqrt(8 * c + 1)) // 2
+            high, low = unplaced.pop(x), unplaced.pop(c - x * (x - 1) // 2)
+            (a, b), (c, d) = ends[high], ends[low]
+            while a != parent[a]:
+                parent[a] = a = parent[parent[a]]
+            while b != parent[b]:
+                parent[b] = b = parent[parent[b]]
+            while c != parent[c]:
+                parent[c] = c = parent[parent[c]]
+            while d != parent[d]:
+                parent[d] = d = parent[parent[d]]
+            if parts == 2:
+                joins_high = a != b and has_terminal[a] and has_terminal[b]
+                joins_low = c != d and has_terminal[c] and has_terminal[d]
+                if joins_high or joins_low:
+                    return m + 1 + (joins_high and joins_low)
+            if a != b:
+                parent[a] = b
+                if has_terminal[a]:
+                    parts -= has_terminal[b]  # never to 1: no link alone joins
+                    has_terminal[b] = True
+                c, d = (b if c == a else c), (b if d == a else d)  # a's root is b
+            if c != d:
+                parent[c] = d
+                if has_terminal[c]:
+                    parts -= has_terminal[d]
+                    if parts == 1:
+                        return m + 1
+                    has_terminal[d] = True
         else:
-            if u < row[1]:
-                # Two links, found without bisecting: `_take` inlined, the
-                # positions x > y with c = C(x, 2) + y.
-                c, u = divmod(u - one, fubini[m - 2])
-                x = (1 + math.isqrt(8 * c + 1)) // 2
-                block = (unplaced.pop(x), unplaced.pop(c - x * (x - 1) // 2))
-            else:
-                s = bisect_right(row, u) + 1
-                c, u = divmod(u - row[s - 2], fubini[m - s])
-                block = _take(unplaced, s, c)
-            m -= len(block)
+            s = bisect_right(row, u) + 1
+            c, u = divmod(u - row[s - 2], fubini[m - s])
+            m -= s
+            block = _take(unplaced, s, c)
             before = parent[:]
             parts -= _join(parent, has_terminal, ends, block)
             if parts == 1:
                 return m + _fatal_score(bg, before, block, unplaced, m_mode)
-        row, one, below = steps[m]
+        one, below = ones[m]
 
 
 def _join(parent: list, has_terminal: list, ends: list, block) -> int:
@@ -167,7 +196,8 @@ def _join(parent: list, has_terminal: list, ends: list, block) -> int:
 def _fatal_score(bg: BitGraph, before: list, block, removed, m_mode: str) -> int:
     """The minimum (or greedy) count of a multi-link fatal block: the min
     cut `_block_cut` finds on `before`, the forest of the later blocks'
-    links, or the greedy count with the links `removed` before the block."""
+    links, or the greedy count with the links `removed` before the block.
+    `_order_m` scores a two-link block itself, in both m-modes."""
     if m_mode == "exact-subset":
         return bg._block_cut(before, block)
     bits = bg.bits

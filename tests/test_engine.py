@@ -342,17 +342,38 @@ def _oracle_m(net, order, m_mode):
 def _check_fused_scorer(net, ranks):
     """The fused scorer on each rank equals the listed block loop and the
     oracle on the order that `unrank_order` decodes, in each m-mode the
-    network supports."""
+    network supports.  It runs with `BitGraph._block_cut` raising on a
+    two-link block, which it scores without a flow."""
     bg = BitGraph(net)
     table = build_stratum_table(net.n)
     constants = engine._rank_constants(table)
     modes = M_MODES if len(net.terminals) == 2 else ("exact-subset",)
+    expected = {}
     for u in ranks:
         order = unrank_order(table, u)
         for m_mode in modes:
-            fused = engine._order_m(bg, constants, u, m_mode)
-            listed = engine._blocks_m(bg, order, m_mode)
-            assert fused == listed == _oracle_m(net, order, m_mode), (net, u, order, m_mode)
+            expected[u, m_mode] = engine._blocks_m(bg, order, m_mode)
+            assert expected[u, m_mode] == _oracle_m(net, order, m_mode), (net, u, order, m_mode)
+    block_cut = BitGraph._block_cut
+
+    def no_pair(self, parent, block):
+        if len(block) == 2:
+            raise AssertionError(f"a flow ran on the two-link block {block}")
+        return block_cut(self, parent, block)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BitGraph, "_block_cut", no_pair)
+        for (u, m_mode), m in expected.items():
+            assert engine._order_m(bg, constants, u, m_mode) == m, (net, u, m_mode)
+
+
+def _network(links, terminals):
+    """A network of the links "a-b c-d ...", with ids 1, 2, ... in turn,
+    and the terminals "s t ..."."""
+    pairs = [link.split("-") for link in links.split()]
+    nodes = tuple(dict.fromkeys(label for pair in pairs for label in pair))
+    return Network(nodes=nodes, links=tuple((i, a, b) for i, (a, b) in enumerate(pairs, start=1)),
+                   terminals=frozenset(terminals.split()))
 
 
 class TestLazyScorer:
@@ -364,6 +385,45 @@ class TestLazyScorer:
         load_fixture("triangle"),
     ])
     def test_every_rank_of_a_small_network(self, net):
+        assert net.n <= 6
+        _check_fused_scorer(net, range(n_star(net.n)))
+
+    @pytest.mark.parametrize("links, terminals, order, m", [
+        # Both links alone join the two terminal components: parallel or
+        # not, with or without a link removed before them.
+        ("s-v s-v v-t", "s t", ((1, 2), (3,)), 2),
+        ("s-t s-v v-t", "s t", ((1, 2), (3,)), 2),
+        ("s-t s-v s-v v-t", "s t", ((1,), (2, 3), (4,)), 3),
+        # One alone joins them, the lower link or the higher: removing it
+        # leaves the other, which ends at the pendant node w.
+        ("s-t s-v v-t t-w", "s t", ((2,), (1, 4), (3,)), 2),
+        ("s-w s-v v-t s-t", "s t", ((2,), (1, 4), (3,)), 2),
+        # Neither alone, jointly through the non-terminal node v; in the
+        # second, the union of the higher link moves the root of the lower
+        # link's end v.
+        ("s-v v-t s-t", "s t", ((3,), (1, 2)), 2),
+        ("t-v v-s s-t", "s t", ((3,), (1, 2)), 2),
+        # Three terminals in three components, each link joining two.
+        ("s-t t-w s-w", "s t w", ((3,), (1, 2)), 2),
+        # Three terminals in two components: a parallel pair, and a pair
+        # that joins them through v.
+        ("s-t t-w s-w s-w", "s t w", ((1,), (3, 4), (2,)), 3),
+        ("s-t t-w s-v v-w", "s t w", ((1,), (3, 4), (2,)), 2),
+    ])
+    def test_two_link_fatal_blocks(self, links, terminals, order, m):
+        # Each order's fatal block is its two-link block.
+        net = _network(links, terminals)
+        table = build_stratum_table(net.n)
+        u = next(u for u in range(n_star(net.n)) if unrank_order(table, u) == order)
+        assert calculate_m(net, order) == m
+        _check_fused_scorer(net, [u])
+
+    @pytest.mark.parametrize("seed, links, terminals", [
+        (1, 4, 2), (5, 3, 2), (5, 4, 2), (1, 4, 3), (5, 3, 3), (6, 4, 3),
+    ])
+    def test_every_rank_with_parallel_links(self, seed, links, terminals):
+        rng = random.Random(seed)
+        net = _with_parallel_links(random_connected_network(rng, links, terminals), rng)
         assert net.n <= 6
         _check_fused_scorer(net, range(n_star(net.n)))
 

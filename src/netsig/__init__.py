@@ -12,7 +12,8 @@ _EXPORTS = {
     "combinatorics": ("build_stratum_table", "enumerate_orders", "n_star", "random_order",
                       "unrank_order"),
     "_record": ("TSignature",),
-    "engine": ("calculate_m", "classic_signature", "exact_tsignature"),
+    "engine": ("calculate_m",),
+    "frontier": ("classic_signature", "exact_tsignature"),
     "errors": ("ContractError", "EnumerationCapError", "GraphParseError",
                "NetworkValidationError", "UnsupportedModeError"),
     "fixtures": ("fixture_path", "load_fixture"),

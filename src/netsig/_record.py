@@ -3,9 +3,11 @@
 
 It holds the base `Record` and the signature record `TSignature`, with the
 vocabularies it checks, `M_MODES` and `SIGNATURE_MODES`: a command that only
-reads an artifact loads them without the engine.  `PROCESSES`, the names of
-`reliability`'s counting processes, sits beside them, so the CLI builds its
-`--process` choices without loading `reliability`.  `Network` is in `graph`.
+reads an artifact loads them without the engine.  The argument checks every
+signature run shares, `_check_m_mode` and `_check_workers`, sit beside
+`M_MODES`.  `PROCESSES`, the names of `reliability`'s counting processes,
+sits there too, so the CLI builds its `--process` choices without loading
+`reliability`.  `Network` is in `graph`.
 
 A subclass of `Record` declares its fields as annotations, after those of
 its bases, and a default as a class attribute of the same name.  A record
@@ -17,11 +19,27 @@ needs no hook.
 
 import math
 
+from .errors import UnsupportedModeError
+
 M_MODES = ("exact-subset", "paper-greedy")
 SIGNATURE_MODES = ("exact", "classic", "sampled")
 # N(t) is Poisson(rate * t) for "poisson" and Binomial(n, 1 - exp(-rate * t))
 # for "binomial".
 PROCESSES = ("poisson", "binomial")
+# A run builds one job per worker before any work starts.
+MAX_WORKERS = 1024
+
+
+def _check_m_mode(net, m_mode: str) -> None:
+    if m_mode not in M_MODES:
+        raise ValueError(f"unknown m_mode {m_mode!r}; expected one of {M_MODES}")
+    if m_mode == "paper-greedy" and len(net.terminals) != 2:
+        raise UnsupportedModeError("paper-greedy M is two-terminal only; use exact-subset")
+
+
+def _check_workers(workers: int) -> None:
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be >= 1 and <= {MAX_WORKERS}, got {workers}")
 
 
 class Record:

@@ -1,17 +1,15 @@
-"""Failure-signature engine.
+"""Order-based signature engine.
 
 Scores failure orders by M, the minimum number of link failures at which the
-network goes down when the order's blocks fail left to right, and aggregates
-a histogram of M over the full order space (exact mode) or over the n!
-single-link permutations (classic mode).  M depends on an order only through
-its surviving set R and first fatal block B, so both histograms are sums over
-(R, B) pairs, each weighted by the number of orders that share it.  With the
-exact fatal-block minimum that sum is a frontier dynamic program over the
-links (`frontier._cut_dp`, imported only when an exact-subset or classic
-signature runs, so that a sampled run never compiles it); the path-order
-dependent greedy count visits the pairs.  The sampler's scorer,
-`_order_m`, lives here too, with the union-find cores it shares with the
-order stream.
+network goes down when the order's blocks fail left to right.  M depends on
+an order only through its surviving set R and first fatal block B.  The
+exact-subset signatures need no order: `frontier.exact_tsignature` and
+`frontier.classic_signature` run a frontier dynamic program, and import
+this module only for the order-based runs, the paper-greedy t-signature
+over the (R, B) pairs (`_count_pairs`) and the first orders of the
+canonical stream (`_stream_orders`), both split by `_run_histogram`.  The
+sampler's scorer, `_order_m`, lives here too, with the union-find cores it
+shares with the order stream.
 
 Only the histogram is ever stored: counts are exact integers, merged by
 addition, so parallel runs are bit-identical to single-worker runs.
@@ -25,36 +23,12 @@ from bisect import bisect_right
 from itertools import islice, permutations
 
 from ._bitgraph import BitGraph
-# SIGNATURE_MODES is not used here: it stays a name of netsig.engine.
-from ._record import M_MODES, SIGNATURE_MODES, TSignature  # noqa: F401
-from .combinatorics import (
-    FailureOrder,
-    _fubini,
-    _take,
-    check_failure_order,
-    iter_base_partitions,
-    n_star,
-)
-from .errors import EnumerationCapError, UnsupportedModeError
+# All but `_check_m_mode` are not used here: they stay names of netsig.engine.
+from ._record import M_MODES, MAX_WORKERS, SIGNATURE_MODES, TSignature, _check_m_mode  # noqa: F401
+from .combinatorics import FailureOrder, _fubini, _take, check_failure_order, iter_base_partitions
 
 # The paper-greedy t-signature visits up to 3^n (R, B) pairs.
 GREEDY_MAX_LINKS = 12
-# A run builds one job per worker before any work starts.
-MAX_WORKERS = 1024
-
-
-def _check_m_mode(net: Network, m_mode: str) -> None:
-    if m_mode not in M_MODES:
-        raise ValueError(f"unknown m_mode {m_mode!r}; expected one of {M_MODES}")
-    if m_mode == "paper-greedy" and len(net.terminals) != 2:
-        raise UnsupportedModeError(
-            "paper-greedy M is two-terminal only; use exact-subset"
-        )
-
-
-def _check_workers(workers: int) -> None:
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be >= 1 and <= {MAX_WORKERS}, got {workers}")
 
 
 def _rank_constants(table: tuple) -> tuple:
@@ -245,7 +219,10 @@ def _count_pairs(net, worker_id, workers, counts) -> None:
     pair: R the links of the surviving prefix blocks, B the first fatal
     block.  All Fub(|R|) * Fub(n - |R| - |B|) orders with that pair have
     M = |R| + the greedy count at B.  Worker w takes the surviving sets
-    whose mask is w modulo `workers`."""
+    whose mask is w modulo `workers`.  The greedy count lies between 1 and
+    the minimum: a one-link block scores 1, and a two-link block 2 iff each
+    link alone leaves the terminals connected, read from the table, as then
+    every simple terminal path uses one of them.  Only larger blocks search."""
     bg = BitGraph(net, build_table=True)
     n = net.n
     weight = _fubini(n)
@@ -256,8 +233,15 @@ def _count_pairs(net, worker_id, workers, counts) -> None:
         r = surviving.bit_count()
         for block in _subsets(full ^ surviving):
             if not bg.connected(surviving | block):
-                f = bg._greedy_count(surviving, block)
-                counts[r + f - 1] += weight[r] * weight[n - r - block.bit_count()]
+                size = block.bit_count()
+                if size == 1:
+                    f = 1
+                elif size == 2:
+                    low = block & -block
+                    f = 1 + (bg.connected(surviving | low) and bg.connected(surviving | block ^ low))
+                else:
+                    f = bg._greedy_count(surviving, block)
+                counts[r + f - 1] += weight[r] * weight[n - r - size]
 
 
 def _stream_orders(net, worker_id, workers, counts, m_mode, order_limit) -> None:
@@ -339,59 +323,3 @@ def _run_histogram(net, workers, fill, *extra) -> tuple[int, ...]:
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             results = list(pool.map(_histogram_worker, jobs))
     return tuple(map(sum, zip(*results)))
-
-
-def exact_tsignature(
-    net: Network,
-    m_mode: str = "exact-subset",
-    workers: int = 1,
-    order_limit: int | None = None,
-) -> TSignature:
-    """Exact batch-failure signature over all n* failure orders.
-
-    The full run sums over (surviving set, fatal block) pairs instead of
-    visiting orders: by the frontier DP for exact-subset M, in this
-    process, and pair by pair for paper-greedy M.  `order_limit` instead
-    scores the first orders of the canonical enumeration stream (partial
-    histogram, used for consistency checks), each base partition summed
-    over its (later blocks, fatal block) pairs.  `workers` splits the
-    paper-greedy pairs and the stream's partitions; the result does not
-    depend on it (per-worker histograms merge by exact integer addition).
-    """
-    _check_m_mode(net, m_mode)
-    _check_workers(workers)
-    if order_limit is not None and order_limit < 1:
-        raise ValueError(f"order_limit must be >= 1, got {order_limit}")
-    total = n_star(net.n)
-    if order_limit is not None:
-        counts = _run_histogram(net, workers, _stream_orders, m_mode, order_limit)
-        total = min(order_limit, total)
-    elif m_mode == "paper-greedy":
-        if net.n > GREEDY_MAX_LINKS:
-            raise EnumerationCapError(f"{net.n} links is above the paper-greedy "
-                                      f"limit of {GREEDY_MAX_LINKS} links; use sampling")
-        counts = _run_histogram(net, workers, _count_pairs)
-    else:
-        from .frontier import _cut_dp
-
-        counts = _cut_dp(net, False)
-    return TSignature(n=net.n, counts=counts, total=total, mode="exact", m_mode=m_mode)
-
-
-def classic_signature(net: Network) -> TSignature:
-    """Classic signature over the n! single-link permutations: counts[i-1]
-    is the number of permutations whose i-th failure downs the network.
-
-    A one-link fatal block lies on every remaining terminal path, so both
-    m-modes score it 1 and the signature is recorded as exact-subset.  It
-    runs the frontier DP in this process, refused above
-    `frontier.MEMORY_BUDGET`."""
-    from .frontier import _cut_dp
-
-    return TSignature(
-        n=net.n,
-        counts=_cut_dp(net, True),
-        total=math.factorial(net.n),
-        mode="classic",
-        m_mode="exact-subset",
-    )

@@ -1,13 +1,14 @@
-"""Frontier dynamic program of the exact-subset signatures.
+"""Exact and classic signatures, by a frontier dynamic program.
 
-`_cut_dp` counts the exact t-signature (`engine.exact_tsignature` with
-exact-subset M) and the classic signature (`engine.classic_signature`)
-without visiting orders: it sums over the (surviving set, fatal block)
-pairs of the links, labelled one link at a time in the greedy
-`_link_order`, with the least cut cost per side assignment of the frontier
-as its state.  It runs in the calling process and is refused before its
-tables and states would pass `MEMORY_BUDGET`.  The engine imports this
-module only when one of those two runs, so a sampled run never loads it.
+`exact_tsignature` and `classic_signature` live here, with the program that
+computes them, so that an exact-subset run never compiles the engine.
+`_cut_dp` counts both without visiting orders: it sums over the (surviving
+set, fatal block) pairs of the links, labelled one link at a time in the
+greedy `_link_order`, with the least cut cost per side assignment of the
+frontier as its state.  It runs in the calling process and is refused before
+its tables and states would pass `MEMORY_BUDGET`.  The paper-greedy and
+`order_limit` runs import their order-based engine code when they run, and a
+sampled run never loads this module.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 import math
 from operator import add, itemgetter
 
-from .combinatorics import _fubini
+from ._record import TSignature, _check_m_mode, _check_workers
+from .combinatorics import _fubini, n_star
 from .errors import EnumerationCapError
 
 # Bytes the frontier DP's tables for one step and two steps of states may
@@ -190,3 +192,48 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
                 if coeff:
                     counts[r + c - 1] += coeff * weight[r] * weight[n - r - b]
     return tuple(counts)
+
+
+def exact_tsignature(net: Network, m_mode: str = "exact-subset", workers: int = 1,
+                     order_limit: int | None = None) -> TSignature:
+    """Exact batch-failure signature over all n* failure orders.
+
+    The full run sums over (surviving set, fatal block) pairs instead of
+    visiting orders: by the frontier DP for exact-subset M, in this
+    process, and pair by pair for paper-greedy M.  `order_limit` instead
+    scores the first orders of the canonical enumeration stream (partial
+    histogram, used for consistency checks), each base partition summed
+    over its (later blocks, fatal block) pairs.  `workers` splits the
+    paper-greedy pairs and the stream's partitions; the result does not
+    depend on it (per-worker histograms merge by exact integer addition).
+    """
+    _check_m_mode(net, m_mode)
+    _check_workers(workers)
+    if order_limit is not None and order_limit < 1:
+        raise ValueError(f"order_limit must be >= 1, got {order_limit}")
+    total = n_star(net.n)
+    if order_limit is None and m_mode == "exact-subset":
+        counts = _cut_dp(net, False)
+    else:
+        from .engine import GREEDY_MAX_LINKS, _count_pairs, _run_histogram, _stream_orders
+
+        if order_limit is not None:
+            counts = _run_histogram(net, workers, _stream_orders, m_mode, order_limit)
+            total = min(order_limit, total)
+        elif net.n > GREEDY_MAX_LINKS:
+            raise EnumerationCapError(f"{net.n} links is above the paper-greedy "
+                                      f"limit of {GREEDY_MAX_LINKS} links; use sampling")
+        else:
+            counts = _run_histogram(net, workers, _count_pairs)
+    return TSignature(n=net.n, counts=counts, total=total, mode="exact", m_mode=m_mode)
+
+
+def classic_signature(net: Network) -> TSignature:
+    """Classic signature over the n! single-link permutations: counts[i-1]
+    is the number of permutations whose i-th failure downs the network.
+
+    A one-link fatal block lies on every remaining terminal path, so both
+    m-modes score it 1 and the signature is recorded as exact-subset.  It
+    runs the frontier DP in this process, refused above `MEMORY_BUDGET`."""
+    return TSignature(n=net.n, counts=_cut_dp(net, True), total=math.factorial(net.n),
+                      mode="classic", m_mode="exact-subset")

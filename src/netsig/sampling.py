@@ -7,6 +7,8 @@ That map decodes an order from its last block to its first, so the one M
 scorer, `engine._order_m`, decodes the rank itself inside its union pass
 and stops at the fatal block: the blocks before it are never placed.  It
 reads the table through `engine._rank_constants`, built once per worker.
+The m-mode and worker-count checks are `_record`'s, shared with the exact
+runs, which do not load `engine` unless they score orders.
 
 Reproducibility contract: sample j draws from its own counter-based stream
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
@@ -30,12 +32,12 @@ map), so its counts for a seed differ from 0.3.0's.
 from __future__ import annotations
 
 from ._bitgraph import BitGraph
-from ._record import TSignature
+from ._record import TSignature, _check_m_mode, _check_workers
 from .combinatorics import build_stratum_table
 # Not called here: it stays until perfbench/layers.py drops its trace wrapper
 # of this name.
 from .combinatorics import random_order  # noqa: F401
-from .engine import _check_m_mode, _check_workers, _order_m, _rank_constants, _run_histogram
+from .engine import _order_m, _rank_constants, _run_histogram
 
 _DIGEST_BITS = 512
 _ORDER_STREAM = b"netsig order"

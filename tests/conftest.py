@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from netsig._bitgraph import BitGraph
 from netsig.graph import Network
 
 
@@ -121,6 +122,25 @@ def all_orders(n):
             yield tuple(tuple(sorted(block)) for block in perm)
 
 
+def rank_order(table, order):
+    """The rank u of a failure order, the inverse of
+    `unrank_order(table, u)`, ranked forward from the map's definition:
+    with m links unplaced and a last block of s of them at colex rank c, an
+    order's rank is the count of orders of m links with a shorter last
+    block, plus c * F(m - s), plus the rank of the order of the rest.  Only
+    the Fubini numbers F(m), the last entries of the rows, are read from
+    `table`."""
+    fubini = [1, *(row[-1] for row in table)]
+    unplaced = sorted(link for block in order for link in block)
+    u = 0
+    for block in reversed(order):
+        m, s = len(unplaced), len(block)
+        c = sum(math.comb(unplaced.index(link), i) for i, link in enumerate(sorted(block), 1))
+        u += sum(math.comb(m, k) * fubini[m - k] for k in range(1, s)) + c * fubini[m - s]
+        unplaced = [link for link in unplaced if link not in block]
+    return u
+
+
 def oracle_histogram(net: Network):
     """Straight-line t-signature counts: materialize all orders, exhaustive M."""
     oracle = OracleNet(net)
@@ -130,6 +150,47 @@ def oracle_histogram(net: Network):
         counts[oracle.order_m(order) - 1] += 1
         total += 1
     return tuple(counts), total
+
+
+def oracle_greedy_histogram(net: Network):
+    """Paper-greedy t-signature counts, summed over the (R, B) pairs: R a
+    surviving set that keeps the terminals connected, B a block of the
+    other links that then disconnects them, weighted by the F(|R|) *
+    F(n - |R| - |B|) orders that share the pair, with M = |R| + the
+    oracle's greedy path count at B.  F is recomputed here by its
+    recurrence."""
+    oracle = OracleNet(net)
+    n = net.n
+    fubini = [1]
+    for k in range(1, n + 1):
+        fubini.append(sum(math.comb(k, s) * fubini[k - s] for s in range(1, k + 1)))
+    counts = [0] * n
+    links = range(1, n + 1)
+    for r in range(n + 1):
+        for surviving in itertools.combinations(links, r):
+            if not oracle.connected(set(surviving)):
+                continue
+            rest = [link for link in links if link not in surviving]
+            for b in range(1, len(rest) + 1):
+                for block in itertools.combinations(rest, b):
+                    if not oracle.connected({*surviving, *block}):
+                        m = r + oracle.greedy_count(surviving, block)
+                        counts[m - 1] += fubini[r] * fubini[n - r - b]
+    return tuple(counts)
+
+
+@pytest.fixture
+def greedy_search_on_large_blocks_only(monkeypatch):
+    """Make `BitGraph._greedy_count` fail on a block of one or two links,
+    which the paper-greedy pairs score without a search."""
+    greedy_count = BitGraph._greedy_count
+
+    def searched(self, removed_mask, block_mask):
+        if block_mask.bit_count() <= 2:
+            raise AssertionError(f"greedy search on the block {block_mask:#b}")
+        return greedy_count(self, removed_mask, block_mask)
+
+    monkeypatch.setattr(BitGraph, "_greedy_count", searched)
 
 
 def boland_classic_counts(net: Network):

@@ -12,13 +12,14 @@ from fractions import Fraction
 
 import pytest
 
+from netsig import classic_signature, exact_tsignature
 from netsig.combinatorics import (
     build_stratum_table,
     enumerate_orders,
     n_star,
     unrank_order,
 )
-from netsig.engine import calculate_m, classic_signature, exact_tsignature
+from netsig.engine import calculate_m
 from netsig.errors import UnsupportedModeError
 from netsig.fixtures import load_fixture
 from netsig.reliability import survival_mixture
@@ -137,6 +138,15 @@ def test_criterion_03_stream_split_consistency():
     eight = exact_tsignature(net, workers=8, order_limit=limit)
     assert one.counts == eight.counts
     assert one.total == limit
+
+
+@pytest.mark.usefixtures("greedy_search_on_large_blocks_only")
+def test_bench11_paper_greedy_counts():
+    # On figure2 the greedy count equals the minimum at every fatal pair,
+    # so the paper-greedy histogram is the exact one.  Blocks of one or two
+    # links are scored without a search.
+    sig = exact_tsignature(load_fixture("figure2"), m_mode="paper-greedy")
+    assert sig.counts == BENCH11_COUNTS
 
 
 @criterion(3, "11-link benchmark full exact counts (integer equality), vector to 5e-5")

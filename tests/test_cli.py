@@ -750,27 +750,28 @@ def netsig_modules_after(code):
 
 def test_commands_load_only_the_modules_they_run(tmp_path):
     # The package and the CLI import a submodule on first use, so a bare
-    # import loads none, `reliability` of an artifact loads neither the
-    # engine nor the graph, `exact` and `signature` no sampler and no
-    # curve, `approx` neither the frontier DP nor the curve, and `nstar`
-    # no engine.
+    # import loads none and each command exactly the modules it runs:
+    # `reliability` of an artifact neither the engine nor the graph, `exact`
+    # and `signature` the frontier program without the engine, `approx` the
+    # engine without the frontier program, and `nstar` only the counts.
     graph = str(fixture_path("figure1"))
     art = str(tmp_path / "exact.json")
     assert main(["exact", graph, "--out", art]) == 0
     run = "from netsig.cli import main; main({!r})".format
     assert netsig_modules_after("import netsig") == {"netsig"}
-    assert netsig_modules_after(run(["reliability", art, "--out", str(tmp_path / "r.json")])) == {
-        "netsig", "netsig.cli", "netsig._record", "netsig.errors", "netsig.reliability",
-    }
-    for command in ("exact", "signature"):
-        loaded = netsig_modules_after(run([command, graph, "--out", str(tmp_path / "e.json")]))
-        assert {"netsig.engine", "netsig.frontier"} <= loaded, command
-        assert not loaded & {"netsig.sampling", "netsig.fixtures", "netsig.reliability"}, command
-    approx = netsig_modules_after(
-        run(["approx", graph, "--samples", "50", "--out", str(tmp_path / "a.json")]))
-    assert {"netsig.engine", "netsig.sampling"} <= approx
-    assert not approx & {"netsig.frontier", "netsig.reliability", "netsig.fixtures"}
-    assert "netsig.engine" not in netsig_modules_after(run(["nstar", "5"]))
+    base = {"netsig", "netsig.cli", "netsig._record", "netsig.errors"}
+    network = base | {"netsig.graph", "netsig._bitgraph", "netsig.combinatorics"}
+    out = str(tmp_path / "out.json")
+    for args, expected in (
+        (["exact", graph, "--out", out], network | {"netsig.frontier"}),
+        (["signature", graph, "--out", out], network | {"netsig.frontier"}),
+        (["approx", graph, "--samples", "50", "--out", out],
+         network | {"netsig.engine", "netsig.sampling"}),
+        (["reliability", art, "--out", out], base | {"netsig.reliability"}),
+        (["reliability", graph, "--out", out], network | {"netsig.frontier", "netsig.reliability"}),
+        (["nstar", "5"], base | {"netsig.combinatorics"}),
+    ):
+        assert netsig_modules_after(run(args)) == expected, args
 
 
 def test_cli_runs_leave_openssl_unloaded(tmp_path):

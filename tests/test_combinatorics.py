@@ -15,7 +15,7 @@ from netsig.combinatorics import (
     unrank_order,
 )
 
-from conftest import all_set_partitions
+from conftest import all_orders, all_set_partitions, rank_order
 
 
 class FixedDraw:
@@ -225,23 +225,33 @@ class TestRandomOrder:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_rank_is_read_from_the_last_block(self, n):
-        # The map, ranked forward: with m links unplaced and a last block of
-        # s of them at colex rank c, an order's rank is the count of orders
-        # of m links with a shorter last block, plus c * F(m - s), plus the
-        # rank of the order of the rest.
-        fubini = [1] + [n_star(k) for k in range(1, n + 1)]
-
-        def rank(order):
-            if not order:
-                return 0
-            unplaced = sorted(link for block in order for link in block)
-            m, s = len(unplaced), len(order[-1])
-            c = sum(math.comb(unplaced.index(link), i) for i, link in enumerate(order[-1], 1))
-            shorter = sum(math.comb(m, k) * fubini[m - k] for k in range(1, s))
-            return shorter + c * fubini[m - s] + rank(order[:-1])
-
+        # The map, ranked forward by `conftest.rank_order`, gives every rank
+        # back.
         table = build_stratum_table(n)
-        assert [rank(unrank_order(table, u)) for u in range(n_star(n))] == list(range(n_star(n)))
+        assert [rank_order(table, unrank_order(table, u)) for u in range(n_star(n))] == list(
+            range(n_star(n)))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_order_round_trips(self, n):
+        # Each failure order of the independent enumeration has its own rank
+        # below n*, and that rank unranks to it.
+        table = build_stratum_table(n)
+        ranks = {}
+        for order in all_orders(n):
+            u = rank_order(table, order)
+            assert unrank_order(table, u) == order, (n, order)
+            ranks[u] = order
+        assert sorted(ranks) == list(range(n_star(n)))
+
+    def test_rank_order_inverts_unrank_at_stratum_boundaries(self):
+        # n = 26: every entry of every row of the table, and that entry - 1,
+        # is where a block size or a decoded prefix changes.
+        table = build_stratum_table(26)
+        bounds = {u for row in table for entry in row for u in (entry - 1, entry)}
+        ranks = sorted(u for u in bounds if u < table[-1][-1])
+        for u in ranks:
+            order = unrank_order(table, u)
+            assert rank_order(table, order) == u, u
 
     @pytest.mark.parametrize("u", [-1, 75])
     def test_unrank_rejects_rank_out_of_range(self, u):

@@ -8,7 +8,7 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from netsig import engine, frontier
+from netsig import classic_signature, engine, exact_tsignature, frontier
 from netsig._bitgraph import BitGraph
 from netsig.combinatorics import (
     build_stratum_table,
@@ -18,13 +18,7 @@ from netsig.combinatorics import (
     random_order,
     unrank_order,
 )
-from netsig.engine import (
-    M_MODES,
-    TSignature,
-    calculate_m,
-    classic_signature,
-    exact_tsignature,
-)
+from netsig.engine import M_MODES, TSignature, calculate_m
 from netsig.errors import EnumerationCapError, UnsupportedModeError
 from netsig.fixtures import FIXTURE_NAMES, load_fixture
 from netsig.graph import Network, parse_network
@@ -32,6 +26,7 @@ from netsig.graph import Network, parse_network
 from conftest import (
     OracleNet,
     boland_classic_counts,
+    oracle_greedy_histogram,
     oracle_histogram,
     random_connected_network,
 )
@@ -615,6 +610,16 @@ class TestExactTSignature:
             expected_counts, expected_total = oracle_histogram(net)
             sig = exact_tsignature(net)
             assert sig.counts == expected_counts and sig.total == expected_total
+
+    @pytest.mark.usefixtures("greedy_search_on_large_blocks_only")
+    def test_paper_greedy_pairs_match_oracle(self, rng):
+        # The greedy search runs only on blocks of three or more links; the
+        # counts equal the oracle's, which searches every block.  At most 6
+        # nodes give parallel links and two-link blocks of minimum 2.
+        for n_links in (4, 5, 6, 7, 8, 9, 10, 12):
+            net = random_connected_network(rng, n_links, max_nodes=6)
+            sig = exact_tsignature(net, m_mode="paper-greedy")
+            assert sig.counts == oracle_greedy_histogram(net), net
 
     @settings(max_examples=30, deadline=None)
     @given(net=oracle_networks)

@@ -8,8 +8,8 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from netsig import reliability
-from netsig.engine import TSignature, exact_tsignature
+from netsig import exact_tsignature, reliability
+from netsig.engine import TSignature
 from netsig.fixtures import load_fixture
 from netsig.reliability import PROCESSES, count_cdf, survival_mixture
 
@@ -224,7 +224,7 @@ class TestSurvivalMixture:
     def test_matches_order_statistic_simulation(self):
         # classic signature + binomial model vs direct simulation of n i.i.d.
         # exponential lifetimes with failure at the signature-drawn order stat
-        from netsig.engine import classic_signature
+        from netsig import classic_signature
 
         net = load_fixture("bridge")
         sig = classic_signature(net)

@@ -3,10 +3,10 @@ from collections import Counter
 
 import pytest
 
-from netsig import sampling
+from netsig import exact_tsignature, sampling
 from netsig._bitgraph import BitGraph
 from netsig.combinatorics import build_stratum_table, n_star, unrank_order
-from netsig.engine import MAX_WORKERS, calculate_m, exact_tsignature
+from netsig.engine import MAX_WORKERS, calculate_m
 from netsig.fixtures import load_fixture
 from netsig.sampling import _sample_ranks, _seed_hash, approx_tsignature
 

@@ -7,7 +7,8 @@ reads an artifact loads them without the engine.  The argument checks every
 signature run shares, `_check_m_mode` and `_check_workers`, sit beside
 `M_MODES`.  `PROCESSES`, the names of `reliability`'s counting processes,
 sits there too, so the CLI builds its `--process` choices without loading
-`reliability`.  `Network` is in `graph`.
+`reliability`; so does `_fubini`, the order counts F(0..n), which the exact
+programs and `nstar` use without `combinatorics`.  `Network` is in `graph`.
 
 A subclass of `Record` declares its fields as annotations, after those of
 its bases, and a default as a class attribute of the same name.  A record
@@ -18,6 +19,7 @@ needs no hook.
 """
 
 import math
+from operator import add, mul
 
 from .errors import UnsupportedModeError
 
@@ -40,6 +42,19 @@ def _check_m_mode(net, m_mode: str) -> None:
 def _check_workers(workers: int) -> None:
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be >= 1 and <= {MAX_WORKERS}, got {workers}")
+
+
+def _fubini(n: int) -> list[int]:
+    """[F(0), ..., F(n)]: F(m) orders of m links, F(0) = 1.  The orders of m
+    links whose last block holds s given links are the F(m-s) orders of the
+    rest, so F(m) is the sum of C(m, s) * F(m-s) over s = 1..m.  The
+    binomials come row by row from Pascal's rule, which costs far less than
+    `math.comb` for each term once m is in the hundreds."""
+    fubini, row = [1], [1]  # row: C(m, s) for s = 0..m
+    for m in range(1, n + 1):
+        row = [1, *map(add, row, row[1:]), 1]
+        fubini.append(sum(map(mul, row[1:], reversed(fubini))))
+    return fubini
 
 
 class Record:

@@ -37,7 +37,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from ._record import M_MODES, PROCESSES, TSignature
+from ._record import M_MODES, PROCESSES, TSignature, _fubini
 from .errors import EnumerationCapError, UnsupportedModeError
 
 # The library functions that only some commands run, resolved through the
@@ -80,7 +80,7 @@ def _read_input(path: str) -> tuple[str, str]:
     with open(path, "rb") as f:
         data = f.read()
     try:
-        text = data.decode("utf-8-sig")
+        text = data.decode().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return text, sha256(data).hexdigest()
@@ -138,11 +138,8 @@ def _emit(payload: dict, args: argparse.Namespace, csv_rows=None, csv_header=Non
 
 
 def cmd_nstar(args) -> int:
-    from .combinatorics import _fubini
-
-    fubini = _fubini(args.n)
-    for n in range(2, args.n + 1):
-        print(f"{n:>3} | {math.factorial(n):,} | {fubini[n]:,}")
+    for n, orders in enumerate(_fubini(args.n)[2:], start=2):
+        print(f"{n:>3} | {math.factorial(n):,} | {orders:,}")
     return EXIT_OK
 
 

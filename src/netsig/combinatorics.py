@@ -4,6 +4,7 @@ A failure order is an ordered set partition of the link ids {1..n}: links in
 the same block fail together, blocks fail left to right.  One recurrence,
 recomputed on each call, counts the orders: F(m), the Fubini number of m
 links, sums C(m, s)*F(m-s) over the size s of the last block, and n* = F(n).
+It is `_record._fubini`, so the exact programs count orders without this module.
 A table of its terms, the orders by the size of their last block, unranks
 them: every integer below n* names one order, decoded from its last block to
 its first, so one uniform integer below n* is one uniform order.  The module
@@ -19,26 +20,13 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import accumulate, permutations
-from operator import add, mul
+
+from ._record import _fubini
 
 # A block is an ascending tuple of link ids; a failure order is a sequence of
 # disjoint nonempty blocks covering {1..n}.
 Block = tuple[int, ...]
 FailureOrder = tuple[Block, ...]
-
-
-def _fubini(n: int) -> list[int]:
-    """[F(0), ..., F(n)]: F(m) orders of m links, F(0) = 1.  The orders of m
-    links whose last block holds s given links are the F(m-s) orders of the
-    rest, so F(m) is the sum of C(m, s) * F(m-s) over s = 1..m.  The
-    binomials come row by row from Pascal's rule, which costs far less than
-    `math.comb` for each term once m is in the hundreds."""
-    fubini = [1]
-    row = [1]  # C(m, s) for s = 0..m
-    for m in range(1, n + 1):
-        row = [1, *map(add, row, row[1:]), 1]
-        fubini.append(sum(map(mul, row[1:], reversed(fubini))))
-    return fubini
 
 
 def n_star(n: int) -> int:

@@ -1,14 +1,15 @@
 """Exact and classic signatures, by a frontier dynamic program.
 
 `exact_tsignature` and `classic_signature` live here, with the program that
-computes them, so that an exact-subset run never compiles the engine.
-`_cut_dp` counts both without visiting orders: it sums over the (surviving
-set, fatal block) pairs of the links, labelled one link at a time in the
-greedy `_link_order`, with the least cut cost per side assignment of the
-frontier as its state.  It runs in the calling process and is refused before
-its tables and states would pass `MEMORY_BUDGET`.  The paper-greedy and
-`order_limit` runs import their order-based engine code when they run, and a
-sampled run never loads this module.
+computes them, so that an exact-subset run compiles neither the engine nor
+`combinatorics`.  `_cut_dp` counts both without visiting orders: it sums
+over the (surviving set, fatal block) pairs of the links, labelled one link
+at a time in the greedy `_link_order`, with the least cut cost per side
+assignment of the frontier, less its minimum, as its state.  It runs in the
+calling process and is refused before its tables and states would pass
+`MEMORY_BUDGET`.  The paper-greedy and `order_limit` runs import their
+order-based engine code when they run, and a sampled run never loads this
+module.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from __future__ import annotations
 import math
 from operator import add, itemgetter
 
-from ._record import TSignature, _check_m_mode, _check_workers
-from .combinatorics import _fubini, n_star
+from ._record import TSignature, _check_m_mode, _check_workers, _fubini
 from .errors import EnumerationCapError
 
 # Bytes the frontier DP's tables for one step and two steps of states may
-# hold, counted by upper bounds.  No measured run's RSS grows by more than
-# 0.8 of its bound: the 20-terminal star, whose bound peaks at 188 MiB, grows
-# by 144 MiB and fits with room (README).
+# hold, counted by upper bounds.  Runs bounded at megabytes grow RSS by at
+# most 0.8 of the bound: the 20-terminal star by 140 of 188 MiB and the 3x5
+# grid by 4.8 of 12.6 MiB (README); below that, allocator arenas dominate.
 MEMORY_BUDGET = 576 << 20
 
 
@@ -71,15 +71,17 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
     the fatal block is one link.
 
     A state is φ, the least cost of the labelled links over the sides of the
-    closed nodes, for each side assignment σ of the frontier; it carries a
+    closed nodes for each side assignment σ of the frontier, less its
+    minimum (∞ stays ∞); it maps each minimum taken off, an offset c, to a
     polynomial in (r, b).  R keeps φ, B adds 1 and S sets ∞ where the link
-    crosses, and closing a node takes the minimum over its side.  States
-    with φ = ∞ everywhere never separate at finite cost and are dropped.
-    Once every node but the pinned one has closed, φ is the one value c*.
+    crosses, and closing a node takes the minimum over its side.  A B or S
+    successor then takes off its own minimum δ and adds δ to its offsets,
+    or is dropped if δ = ∞: it never separates at finite cost.  Once every
+    node but the pinned one has closed, φ is (0,) and each offset is c*.
 
     Links are taken in the greedy `_link_order`; the counts do not depend
-    on the order, only the state counts do.  The first terminal in `BitGraph`'s node numbering is
-    pinned to side 0.
+    on the order, only the state counts do.  The first terminal in
+    `BitGraph`'s node numbering is pinned to side 0.
     The frontier lists the open nodes: every other terminal from the start,
     so that σ = 0 (all terminals on the pinned one's side) is held at ∞,
     and any other node from its first link.  Every node but the pinned one
@@ -92,12 +94,13 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
 
     A step is refused once its tables (up to 128 bytes per σ: 8 per row
     entry, 32 per ∞ int, 40 per getter index for two closed nodes), its
-    parents' states and its own, by `state_bytes`, would pass
-    `MEMORY_BUDGET`: before it allocates anything, and as its states grow.
+    parents' states and its own, by `state_bytes` (a φ, and each offset
+    with its polynomial), would pass `MEMORY_BUDGET`: before it allocates
+    anything, and as its states merge.
     The first step's parents are the start state, not yet built.
     """
     n = net.n
-    inf = n + 1
+    inf = n + 1  # ∞, above n, the largest finite cost
     # A polynomial is one integer: the number of labellings with r R-links
     # and b B-links sits in bits [width * (r * (most_b + 1) + b), +width).
     # No coefficient reaches 3^n, the count of all labellings.
@@ -108,31 +111,20 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
     b_room = sum(slot << r * r_shift << b * width for r in range(n + 1) for b in range(most_b))
 
     def state_bytes(link, entries):
-        # φ: 40 + 8 per entry (+32 per int above the small-int cache); the
-        # polynomial, r <= link: 24 + 4 per 30-bit digit; allocator rounding
-        # 2 * 23; a dict entry while its table grows: 90.
+        # A φ: tuple 40 + 8 per shared int, dict entry 90, offset map at most
+        # 168 + 56 per offset.  An offset: those 56, its key 32 and its
+        # polynomial (r <= link) 24 + 4 per 30-bit digit.  Rounding 23 each.
         digits = -(-(r_shift * link + width) // 30)
-        return (8 if inf <= 256 else 40) * entries + 4 * digits + 200
+        return 8 * entries + 321, 4 * digits + 135
 
-    def children(phi, poly, step):
-        """The R, B and S successors of one state, in that order."""
-        grow, cross, cut, closes = step
-        phi *= grow
-        kids = (
-            (phi, poly << r_shift),
-            (tuple(map(min, map(add, phi, cross), (inf,) * len(phi))), (poly & b_room) << width),
-            (tuple(map(max, phi, cut)), poly),
-        )
-        for kid, kid_poly in kids:
-            for zero, one in closes:
-                kid = tuple(map(min, zero(kid), one(kid)))
-            yield kid, kid_poly
+    # shift[δ] takes δ off a cost <= n and caps the rest (to 2n + 2: ∞ + ∞) at ∞.
+    shift = [(*range(-d, n + 1 - d), *(inf,) * (n + 2)).__getitem__ for d in range(n + 1)]
 
     bg = net.bitgraph
     pinned, *frontier = bg.terminal_indices
     terminals = {pinned, *frontier}
     left = [len(adjacent) for adjacent in bg.adj]  # links not yet taken, per node
-    held = state_bytes(0, 1 << len(frontier))  # the parents' states
+    held = sum(state_bytes(0, 1 << len(frontier)))  # the parents' states
     for link, taken in enumerate(_link_order(bg), start=1):
         ends = bg.ends[taken]
         new = [x for x in ends if x != pinned and x not in frontier]
@@ -140,17 +132,14 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
         closing = [x for x in ends if x != pinned and left[x] == 1]
         for x in ends:
             left[x] -= 1
-        size = state_bytes(link, 1 << len(frontier) - len(closing))
-        limit = (MEMORY_BUDGET - (128 << len(frontier)) - held) // size
-        if limit < 0:
+        phi_bytes, offset_bytes = state_bytes(link, 1 << len(frontier) - len(closing))
+        if (room := MEMORY_BUDGET - (128 << len(frontier)) - held) < 0:
             raise _over_budget(link, n)
         if link == 1:
             # σ = 0 keeps every terminal with the pinned one and never separates.
-            states = {(inf,) + (0,) * ((1 << len(terminals) - 1) - 1): 1}
+            states = {(inf,) + (0,) * ((1 << len(terminals) - 1) - 1): {0: 1}}
         bits = [0 if x == pinned else 1 << frontier.index(x) for x in ends]
-        cross = tuple(
-            (s & bits[0] > 0) ^ (s & bits[1] > 0) for s in range(1 << len(frontier))
-        )
+        cross = tuple((s & bits[0] > 0) ^ (s & bits[1] > 0) for s in range(1 << len(frontier)))
         closes = []
         for x in closing:
             p = frontier.index(x)
@@ -165,31 +154,42 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
                     itemgetter(*(s & low | (s & ~low) << 1 | bit for s in range(1 << len(frontier))))
                     for bit in (0, 1 << p)
                 ))
-        step = (1 << len(new), cross, tuple(inf * c for c in cross), closes)
-        merged: dict[tuple[int, ...], int] = {}
-        get = merged.get
-        for phi, poly in states.items():
-            for kid, kid_poly in children(phi, poly, step):
-                if kid_poly and min(kid) < inf:
-                    merged[kid] = get(kid, 0) + kid_poly
-            if len(merged) > limit:
+        grow, cut = 1 << len(new), tuple(inf * c for c in cross)
+        merged, pairs = {}, 0  # φ -> {offset: polynomial}, and the offsets held
+        for phi, offsets in states.items():
+            phi *= grow
+            for kid, kid_offsets in (
+                (phi, {c: poly << r_shift for c, poly in offsets.items()}),
+                (tuple(map(shift[0], map(add, phi, cross))),
+                 {c: b_poly for c, poly in offsets.items() if (b_poly := (poly & b_room) << width)}),
+                (tuple(map(shift[0], map(add, phi, cut))), offsets),
+            ):
+                for zero, one in closes:
+                    kid = tuple(map(min, zero(kid), one(kid)))
+                d = min(kid)
+                if not kid_offsets or d == inf:
+                    continue
+                if d:
+                    kid = tuple(map(shift[d], kid))
+                    kid_offsets = {c + d: poly for c, poly in kid_offsets.items()}
+                into = merged.setdefault(kid, kid_offsets)
+                if into is not kid_offsets:
+                    pairs -= len(into)
+                    for c, poly in kid_offsets.items():
+                        into[c] = into.get(c, 0) + poly
+                pairs += len(into)
+            if len(merged) * phi_bytes + pairs * offset_bytes > room:
                 raise _over_budget(link, n)
-        del step, cross, closes  # the next link builds its own tables
-        states = merged
-        held = len(states) * size
+        del cross, cut, closes  # the next link builds its own tables
+        states, held = merged, len(merged) * phi_bytes + pairs * offset_bytes
 
-    by_cut: dict[int, int] = {}
-    for phi, poly in states.items():
-        c = min(phi)
-        if 0 < c < inf:
-            by_cut[c] = by_cut.get(c, 0) + poly
     weight = [math.factorial(k) for k in range(n + 1)] if classic else _fubini(n)
     counts = [0] * n
-    for c, poly in by_cut.items():
+    for c, poly in states[0,].items():  # φ = (0,) at the end
         for r in range(n + 1):
             for b in range(most_b + 1):
                 coeff = poly >> r * r_shift >> b * width & slot
-                if coeff:
+                if coeff and c:
                     counts[r + c - 1] += coeff * weight[r] * weight[n - r - b]
     return tuple(counts)
 
@@ -211,7 +211,7 @@ def exact_tsignature(net: Network, m_mode: str = "exact-subset", workers: int = 
     _check_workers(workers)
     if order_limit is not None and order_limit < 1:
         raise ValueError(f"order_limit must be >= 1, got {order_limit}")
-    total = n_star(net.n)
+    total = _fubini(net.n)[-1]
     if order_limit is None and m_mode == "exact-subset":
         counts = _cut_dp(net, False)
     else:

@@ -152,14 +152,23 @@ def oracle_histogram(net: Network):
     return tuple(counts), total
 
 
-def oracle_greedy_histogram(net: Network):
-    """Paper-greedy t-signature counts, summed over the (R, B) pairs: R a
-    surviving set that keeps the terminals connected, B a block of the
-    other links that then disconnects them, weighted by the F(|R|) *
-    F(n - |R| - |B|) orders that share the pair, with M = |R| + the
-    oracle's greedy path count at B.  F is recomputed here by its
-    recurrence."""
+def _oracle_pair_sum(net: Network, score):
+    """t-signature counts summed over the (R, B) pairs: R a surviving set
+    that keeps the terminals connected, B a block of the other links that
+    then disconnects them, weighted by the F(|R|) * F(n - |R| - |B|) orders
+    that share the pair, with M = |R| + score(oracle, R, B).  F is
+    recomputed here by its recurrence.  Connectivity is memoized by the
+    removed set, which the scores query again and again."""
     oracle = OracleNet(net)
+    memo = {}
+
+    def connected(removed):
+        key = frozenset(removed)
+        if key not in memo:
+            memo[key] = OracleNet.connected(oracle, key)
+        return memo[key]
+
+    oracle.connected = connected
     n = net.n
     fubini = [1]
     for k in range(1, n + 1):
@@ -168,15 +177,27 @@ def oracle_greedy_histogram(net: Network):
     links = range(1, n + 1)
     for r in range(n + 1):
         for surviving in itertools.combinations(links, r):
-            if not oracle.connected(set(surviving)):
+            if not connected(surviving):
                 continue
             rest = [link for link in links if link not in surviving]
             for b in range(1, len(rest) + 1):
                 for block in itertools.combinations(rest, b):
-                    if not oracle.connected({*surviving, *block}):
-                        m = r + oracle.greedy_count(surviving, block)
+                    if not connected({*surviving, *block}):
+                        m = r + score(oracle, surviving, block)
                         counts[m - 1] += fubini[r] * fubini[n - r - b]
     return tuple(counts)
+
+
+def oracle_greedy_histogram(net: Network):
+    """Paper-greedy t-signature counts by the (R, B) pair sum, with the
+    oracle's greedy path count at B."""
+    return _oracle_pair_sum(net, OracleNet.greedy_count)
+
+
+def oracle_pair_histogram(net: Network):
+    """Exact-subset t-signature counts by the (R, B) pair sum, with the
+    oracle's fatal-block minimum (its subset scan) at B."""
+    return _oracle_pair_sum(net, OracleNet.min_subset_size)
 
 
 @pytest.fixture

@@ -102,17 +102,17 @@ class TestExact:
         assert err.endswith(" bytes at link 1 of 40; use sampling\n")
 
     def test_state_guard_exit_code(self, tmp_path, capsys, monkeypatch):
-        # The 3x5 grid with corner terminals peaks at 11,823,080 bytes by the
+        # The 3x5 grid with corner terminals peaks at 13,184,744 bytes by the
         # DP's bounds (test_engine.py): a budget one byte lower lets its
         # first 17 steps through and refuses the 18th.
-        monkeypatch.setattr(frontier, "MEMORY_BUDGET", 11_823_079)
+        monkeypatch.setattr(frontier, "MEMORY_BUDGET", 13_184_743)
         graph = tmp_path / "grid3x5.graph"
         edges = [f"edge v{r}_{c} v{r + dr}_{c + dc}\n" for r in range(3) for c in range(5)
                  for dr, dc in ((0, 1), (1, 0)) if r + dr < 3 and c + dc < 5]
         graph.write_text("terminals v0_0 v2_4\n" + "".join(edges))
         code, out, err = run_cli(capsys, "exact", str(graph))
         assert code == 4 and out == ""
-        assert err == ("error: the frontier program needs more than 11,823,079 bytes "
+        assert err == ("error: the frontier program needs more than 13,184,743 bytes "
                        "at link 18 of 22; use sampling\n")
 
     def test_bad_graph_exit_code(self, tmp_path, capsys):
@@ -752,24 +752,25 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     # The package and the CLI import a submodule on first use, so a bare
     # import loads none and each command exactly the modules it runs:
     # `reliability` of an artifact neither the engine nor the graph, `exact`
-    # and `signature` the frontier program without the engine, `approx` the
-    # engine without the frontier program, and `nstar` only the counts.
+    # and `signature` the frontier program without the engine or the order
+    # combinatorics, `approx` the engine without the frontier program, and
+    # `nstar` nothing beyond the CLI's own modules.
     graph = str(fixture_path("figure1"))
     art = str(tmp_path / "exact.json")
     assert main(["exact", graph, "--out", art]) == 0
     run = "from netsig.cli import main; main({!r})".format
     assert netsig_modules_after("import netsig") == {"netsig"}
     base = {"netsig", "netsig.cli", "netsig._record", "netsig.errors"}
-    network = base | {"netsig.graph", "netsig._bitgraph", "netsig.combinatorics"}
+    network = base | {"netsig.graph", "netsig._bitgraph"}
     out = str(tmp_path / "out.json")
     for args, expected in (
         (["exact", graph, "--out", out], network | {"netsig.frontier"}),
         (["signature", graph, "--out", out], network | {"netsig.frontier"}),
         (["approx", graph, "--samples", "50", "--out", out],
-         network | {"netsig.engine", "netsig.sampling"}),
+         network | {"netsig.combinatorics", "netsig.engine", "netsig.sampling"}),
         (["reliability", art, "--out", out], base | {"netsig.reliability"}),
         (["reliability", graph, "--out", out], network | {"netsig.frontier", "netsig.reliability"}),
-        (["nstar", "5"], base | {"netsig.combinatorics"}),
+        (["nstar", "5"], base),
     ):
         assert netsig_modules_after(run(args)) == expected, args
 

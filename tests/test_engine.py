@@ -28,6 +28,7 @@ from conftest import (
     boland_classic_counts,
     oracle_greedy_histogram,
     oracle_histogram,
+    oracle_pair_histogram,
     random_connected_network,
 )
 
@@ -517,23 +518,23 @@ class TestExactTSignature:
         assert exact_tsignature(net).counts[-1] == n_star(n)
 
     def test_state_guard_admits_a_3x5_grid(self, monkeypatch):
-        # 22 links, 11,823,080 bytes at the peak by the DP's bounds (one
-        # step's tables, 3,074 states and their parents): admitted by the
-        # default budget and by one of exactly that many bytes, refused by
-        # one a byte lower.
+        # 22 links, 13,184,744 bytes at the peak by the DP's bounds (one
+        # step's tables, 3,074 states with 3,074 offsets and their parents):
+        # admitted by the default budget and by one of exactly that many
+        # bytes, refused by one a byte lower.
         grid = _grid(3, 5)
-        assert frontier.MEMORY_BUDGET >= 11_823_080
-        monkeypatch.setattr(frontier, "MEMORY_BUDGET", 11_823_080)
+        assert frontier.MEMORY_BUDGET >= 13_184_744
+        monkeypatch.setattr(frontier, "MEMORY_BUDGET", 13_184_744)
         sig = exact_tsignature(grid)
         assert sig.total == n_star(22)
         assert sig.counts[0] == 0 and sig.counts[1] > 0  # corner terminals
-        monkeypatch.setattr(frontier, "MEMORY_BUDGET", 11_823_079)
+        monkeypatch.setattr(frontier, "MEMORY_BUDGET", 13_184_743)
         with pytest.raises(EnumerationCapError,
-                           match="11,823,079 bytes at link .* of 22; use sampling"):
+                           match="13,184,743 bytes at link .* of 22; use sampling"):
             exact_tsignature(grid)
 
-    @pytest.mark.parametrize("signature, least", [(exact_tsignature, 773_216),
-                                                  (classic_signature, 756_016)])
+    @pytest.mark.parametrize("signature, least", [(exact_tsignature, 776_288),
+                                                  (classic_signature, 758_832)])
     def test_state_guard_counts_one_step_of_tables(self, monkeypatch, signature, least):
         # The 12-leaf star's first step repeats φ over the hub and 11
         # terminals; each later step closes a terminal and halves it.  Only
@@ -620,6 +621,15 @@ class TestExactTSignature:
             net = random_connected_network(rng, n_links, max_nodes=6)
             sig = exact_tsignature(net, m_mode="paper-greedy")
             assert sig.counts == oracle_greedy_histogram(net), net
+
+    def test_cut_dp_matches_pair_oracle(self, rng):
+        # Random 8- and 9-link networks with 2 to 5 terminals, past the
+        # order oracle's 7 links: wider frontiers, where a B or S successor
+        # takes off its minimum and shifts its offsets.  The pair oracle
+        # scores each (R, B) pair by its own subset scan.
+        for n_links in (8, 9) * 20:
+            net = random_connected_network(rng, n_links, rng.randint(2, 5))
+            assert exact_tsignature(net).counts == oracle_pair_histogram(net), net
 
     @settings(max_examples=30, deadline=None)
     @given(net=oracle_networks)

@@ -68,7 +68,7 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
     0 < c* < ∞, and then the fatal-block minimum is c*, so its
     w(r) * w(n - r - b) orders score M = r + c*; w counts the sequences of
     blocks on k links: Fubini numbers, or factorials in classic mode, where
-    the fatal block is one link.
+    the fatal block is one link: only there does a B successor drop terms.
 
     A state is φ, the least cost of the labelled links over the sides of the
     closed nodes for each side assignment σ of the frontier, less its
@@ -108,7 +108,8 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
     width = (3**n).bit_length()
     slot = (1 << width) - 1
     r_shift = width * (most_b + 1)
-    b_room = sum(slot << r * r_shift << b * width for r in range(n + 1) for b in range(most_b))
+    # B keeps the terms with b < most_b: in t-signature mode every term, as b < link <= n.
+    b_room = sum(slot << r * r_shift for r in range(n + 1)) if classic else -1
 
     def state_bytes(link, entries):
         # A φ: tuple 40 + 8 per shared int, dict entry 90, offset map at most
@@ -211,7 +212,6 @@ def exact_tsignature(net: Network, m_mode: str = "exact-subset", workers: int = 
     _check_workers(workers)
     if order_limit is not None and order_limit < 1:
         raise ValueError(f"order_limit must be >= 1, got {order_limit}")
-    total = _fubini(net.n)[-1]
     if order_limit is None and m_mode == "exact-subset":
         counts = _cut_dp(net, False)
     else:
@@ -219,12 +219,12 @@ def exact_tsignature(net: Network, m_mode: str = "exact-subset", workers: int = 
 
         if order_limit is not None:
             counts = _run_histogram(net, workers, _stream_orders, m_mode, order_limit)
-            total = min(order_limit, total)
         elif net.n > GREEDY_MAX_LINKS:
             raise EnumerationCapError(f"{net.n} links is above the paper-greedy "
                                       f"limit of {GREEDY_MAX_LINKS} links; use sampling")
         else:
             counts = _run_histogram(net, workers, _count_pairs)
+    total = min(_fubini(net.n)[-1], order_limit or math.inf)  # n*: a refusal never needs it
     return TSignature(n=net.n, counts=counts, total=total, mode="exact", m_mode=m_mode)
 
 

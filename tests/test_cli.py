@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -89,17 +90,21 @@ class TestExact:
         assert code == 4 and out == ""
         assert err == "error: 13 links is above the paper-greedy limit of 12 links; use sampling\n"
 
+    @pytest.mark.parametrize("leaves", [40, 150])
     @pytest.mark.parametrize("command", ["exact", "signature", "reliability"])
-    def test_schedule_refusal_exit_code(self, tmp_path, capsys, command):
-        # 40 terminals: the first step's tables alone would pass the memory
-        # budget, so the refusal comes before anything is built.
-        graph = tmp_path / "star40.graph"
-        graph.write_text("terminals " + " ".join(f"t{i}" for i in range(40)) + "\n"
-                         + "".join(f"edge hub t{i}\n" for i in range(40)))
+    def test_schedule_refusal_exit_code(self, tmp_path, capsys, command, leaves):
+        # A star of terminals: the first step's tables alone would pass the
+        # memory budget, so the refusal comes before anything is built, and
+        # what runs before the first check is cheap even at 150 links.
+        graph = tmp_path / f"star{leaves}.graph"
+        graph.write_text("terminals " + " ".join(f"t{i}" for i in range(leaves)) + "\n"
+                         + "".join(f"edge hub t{i}\n" for i in range(leaves)))
+        started = time.perf_counter()
         code, out, err = run_cli(capsys, command, str(graph))
+        assert time.perf_counter() - started < 1
         assert code == 4 and out == ""
         assert err.startswith("error: the frontier program needs more than ")
-        assert err.endswith(" bytes at link 1 of 40; use sampling\n")
+        assert err.endswith(f" bytes at link 1 of {leaves}; use sampling\n")
 
     def test_state_guard_exit_code(self, tmp_path, capsys, monkeypatch):
         # The 3x5 grid with corner terminals peaks at 13,184,744 bytes by the

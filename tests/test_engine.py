@@ -517,6 +517,16 @@ class TestExactTSignature:
         assert exact_tsignature(net, m_mode="paper-greedy", order_limit=10).counts[-1] == 10
         assert exact_tsignature(net).counts[-1] == n_star(n)
 
+    def test_refusal_computes_no_fubini_numbers(self, monkeypatch):
+        # n* is taken once the counts exist, so a refused run never
+        # computes the Fubini numbers of its link count.
+        def fubini(n):
+            raise AssertionError(f"_fubini({n}) ran before the refusal")
+
+        monkeypatch.setattr(frontier, "_fubini", fubini)
+        with pytest.raises(EnumerationCapError, match="at link 1 of 40; use sampling"):
+            exact_tsignature(_star(40))
+
     def test_state_guard_admits_a_3x5_grid(self, monkeypatch):
         # 22 links, 13,184,744 bytes at the peak by the DP's bounds (one
         # step's tables, 3,074 states with 3,074 offsets and their parents):

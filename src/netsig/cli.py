@@ -63,10 +63,18 @@ EXIT_INPUT = 3
 EXIT_CAP = 4
 
 # The time grid and its curve are built whole before anything is written, so
-# `reliability --steps` is bounded before they are: a million steps already
-# take about 165 MiB of memory for 38 MB of JSON (figure1, 2.2 s on a 2-core
-# x86-64 host; about 92 MiB as CSV).
+# `reliability --steps` is bounded before they are: a million steps take
+# about 1.5 s for 38 MB of JSON (figure1, two parts on a 2-core x86-64 host;
+# 2.1 s in one process), with a max RSS of 168 MiB in the calling process
+# and 104 MiB in its child (164 MiB in one process); as CSV 131 and 128 MiB
+# (92 MiB in one process).
 MAX_STEPS = 10**6
+# `reliability` computes and encodes a grid of 2 * PART_POINTS points or
+# more in parts, on up to os.cpu_count() processes (`netsig._parts`).  Two
+# parts break even with one process at about 4,001 points (9.3 against
+# 8.8 ms, Poisson, in process, same host) and save about a quarter from
+# 20,001 on (25.8 against 35.9 ms), so the default 101 points never fork.
+PART_POINTS = 10_000
 # `nstar N` makes about N^2/2 products of integers of up to N*log2(N) bits,
 # so time, not memory, bounds N: 500 takes about 0.3 s and 15 MiB (same
 # host), 1,000 about 2 s in the same memory.
@@ -101,23 +109,43 @@ def _manifest(command: str, digest: str | None, args: argparse.Namespace, starte
     }
 
 
+# The separator of the items of a top-level list of numbers in JSON.
+_ITEM = ",\n    "
+
+
+class _Items(str):
+    """The encoded items of a top-level list of numbers in JSON."""
+
+
+def _json_items(values: list) -> _Items:
+    """The items of a list of numbers as `indent=2` lays them out at the top
+    level, by the C encoder.  Non-finite floats raise ValueError."""
+    return _Items(json.dumps(values, allow_nan=False, separators=(_ITEM, ": "))[1:-1])
+
+
 def _json_pieces(payload: dict) -> list[str]:
     """The pieces of `json.dumps(payload, indent=2, sort_keys=True)`, byte
     for byte once joined, with each top-level list of numbers written by the
-    C encoder (which `indent` would turn off) and laid out as `indent=2`
-    lays it out.  Non-finite floats raise ValueError."""
+    C encoder (which `indent` would turn off), or given as `_Items`, and
+    laid out as `indent=2` lays it out.  Non-finite floats raise
+    ValueError."""
     pieces = []
     for key in sorted(payload):
         value = payload[key]
         pieces += (",\n  " if pieces else "{\n  ", json.dumps(key), ": ")
         if isinstance(value, list) and set(map(type, value)) <= {int, float}:
-            text = json.dumps(value, allow_nan=False, separators=(",\n    ", ": "))
-            pieces += ("[\n    ", text[1:-1], "\n  ]") if value else (text,)
+            value = _json_items(value)
+        if type(value) is _Items:
+            pieces += ("[\n    ", value, "\n  ]") if value else ("[]",)
         else:
             text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
             pieces.append(text.replace("\n", "\n  "))
     pieces.append("\n}\n")
     return pieces
+
+
+def _csv_lines(rows):
+    return (",".join(map(str, row)) for row in rows)
 
 
 def _emit(payload: dict, args: argparse.Namespace, csv_rows=None, csv_header=None) -> None:
@@ -127,7 +155,7 @@ def _emit(payload: dict, args: argparse.Namespace, csv_rows=None, csv_header=Non
     if args.output == "json":
         pieces = _json_pieces(payload)
     else:
-        lines = chain([",".join(csv_header)], (",".join(map(str, row)) for row in csv_rows))
+        lines = chain([",".join(csv_header)], _csv_lines(csv_rows))
         # Joined 4,096 lines at a time: a write per line costs more than the join.
         pieces = iter(lambda: "".join(f"{line}\n" for line in islice(lines, 4096)), "")
     if getattr(args, "out", None):
@@ -226,7 +254,15 @@ def cmd_reliability(args) -> int:
     started = time.time()
     sig, digest = _load_signature_input(args.input)
     times = _time_grid(args.tmax, args.steps)
-    survival = _lib.survival_mixture(sig, args.process, args.rate, times)
+    # One contiguous part of the grid per CPU, of PART_POINTS points or more.
+    parts = min(os.cpu_count() or 1, len(times) // PART_POINTS) if hasattr(os, "fork") else 1
+    if parts > 1:
+        from ._parts import curve_in_parts
+
+        times, survival, rows = curve_in_parts(_lib, sig, args, times, parts)
+    else:
+        survival = _lib.survival_mixture(sig, args.process, args.rate, times)
+        rows = zip(times, survival) if args.output == "csv" else None
     payload = {
         "manifest": _manifest("reliability", digest, args, started),
         "n": sig.n,
@@ -235,7 +271,6 @@ def cmd_reliability(args) -> int:
         "times": times,
         "survival": survival,
     }
-    rows = zip(times, survival) if args.output == "csv" else None
     _emit(payload, args, csv_rows=rows, csv_header=["t", "survival"])
     return EXIT_OK
 

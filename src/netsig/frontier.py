@@ -97,7 +97,8 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
     parents' states and its own, by `state_bytes` (a φ, and each offset
     with its polynomial), would pass `MEMORY_BUDGET`: before it allocates
     anything, and as its states merge.
-    The first step's parents are the start state, not yet built.
+    The first step's parents are the start state, built with the `shift`
+    lookup list (O(n²) ints) once that step's check has passed.
     """
     n = net.n
     inf = n + 1  # ∞, above n, the largest finite cost
@@ -118,9 +119,6 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
         digits = -(-(r_shift * link + width) // 30)
         return 8 * entries + 321, 4 * digits + 135
 
-    # shift[δ] takes δ off a cost <= n and caps the rest (to 2n + 2: ∞ + ∞) at ∞.
-    shift = [(*range(-d, n + 1 - d), *(inf,) * (n + 2)).__getitem__ for d in range(n + 1)]
-
     bg = net.bitgraph
     pinned, *frontier = bg.terminal_indices
     terminals = {pinned, *frontier}
@@ -139,6 +137,8 @@ def _cut_dp(net: Network, classic: bool) -> tuple[int, ...]:
         if link == 1:
             # σ = 0 keeps every terminal with the pinned one and never separates.
             states = {(inf,) + (0,) * ((1 << len(terminals) - 1) - 1): {0: 1}}
+            # shift[δ] takes δ off a cost <= n and caps the rest (to 2n + 2: ∞ + ∞) at ∞.
+            shift = [(*range(-d, n + 1 - d), *(inf,) * (n + 2)).__getitem__ for d in range(n + 1)]
         bits = [0 if x == pinned else 1 << frontier.index(x) for x in ends]
         cross = tuple((s & bits[0] > 0) ^ (s & bits[1] > 0) for s in range(1 << len(frontier)))
         closes = []

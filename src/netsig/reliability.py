@@ -6,7 +6,9 @@ by time t.  Two counting processes for the number of failed links ship,
 named in `PROCESSES`: a Poisson process (batch-failure shocks) and the
 binomial count arising from n i.i.d. exponential link lifetimes (which
 recovers the classic order-statistic mixture).  A process is its name and
-a link failure rate; the binomial n is the signature's length.
+a link failure rate; the binomial n is the signature's length.  The CLI
+runs the kernel of a large curve on contiguous slices of its time grid, one
+per process, each point as in one pass.
 """
 
 from __future__ import annotations
@@ -93,7 +95,9 @@ def _mixture(process: str, rate: float, n: int, weights, divisor: int, times) ->
     logarithms (`_poisson_terms`).  When some comb(n, r) is past the
     largest float (n above about 1,030), every binomial term is
     exp(log comb(n, r) + r log p + (n - r) log q) with log q = -rate * t.
-    From j = n on the binomial P(N(t) <= j) is 1.
+    From j = n on the binomial P(N(t) <= j) is 1.  Each point reads only its
+    own time, so the CLI runs this kernel on contiguous slices of a large
+    grid, one per process (`netsig._parts`), and joins the same bits.
     """
     last = max(j for j, c in enumerate(weights) if c)
     ws = [float(c) for c in weights[: last + 1]]
@@ -159,7 +163,19 @@ def _mixture(process: str, rate: float, n: int, weights, divisor: int, times) ->
     return survival
 
 
-def survival_mixture(sig: TSignature, process: str, rate: float, grid) -> list[float]:
+def _check_curve(sig: TSignature, process: str, rate: float, grid) -> None:
+    """Raise ValueError unless `survival_mixture` takes these arguments."""
+    _check_process(process, rate, sig.n)
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("time grid must be finite")
+    if any(map(operator.gt, grid, islice(grid, 1, None))):
+        raise ValueError("time grid must be ascending")
+    if grid and grid[0] < 0:
+        raise ValueError("time grid must be nonnegative")
+
+
+def survival_mixture(sig: TSignature, process: str, rate: float, grid, *,
+                     checked: bool = False) -> list[float]:
     """Mixture curve: P(T > t) = sum_i values[i] * P(N(t) <= i-1) for each t
     of `grid`, a finite, ascending and nonnegative sequence of times, with
     N(t) counted by `process` at link failure rate `rate` over the sig.n
@@ -171,12 +187,13 @@ def survival_mixture(sig: TSignature, process: str, rate: float, grid) -> list[f
     is one pass of the mixture kernel over the integer counts, divided once
     by the total, so the curve is exactly 1 where every P(N(t) <= j) is 1
     (summing counts[i]/total can miss 1 by an ulp).
+
+    Each point's sum reads no other point, so contiguous slices of a grid
+    give the slices of its curve bit for bit.  `checked` skips the checks of
+    the arguments, for a slice of a grid that has passed them whole: the
+    CLI checks a large grid once and runs the slices in parallel
+    (`netsig._parts`).
     """
-    _check_process(process, rate, sig.n)
-    if not all(map(math.isfinite, grid)):
-        raise ValueError("time grid must be finite")
-    if any(map(operator.gt, grid, islice(grid, 1, None))):
-        raise ValueError("time grid must be ascending")
-    if grid and grid[0] < 0:
-        raise ValueError("time grid must be nonnegative")
+    if not checked:
+        _check_curve(sig, process, rate, grid)
     return _mixture(process, rate, sig.n, sig.counts, sig.total, grid)

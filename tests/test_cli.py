@@ -1,9 +1,11 @@
 import argparse
+import contextlib
 import errno
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,6 +17,8 @@ import netsig
 from netsig import cli, engine, frontier, reliability
 from netsig.cli import main
 from netsig.fixtures import fixture_path
+
+from conftest import oracle_survival
 
 
 def run_cli(capsys, *argv):
@@ -589,6 +593,131 @@ class TestReliability:
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+
+class TestCurveInParts:
+    """`reliability` computes and encodes a grid of 2 * PART_POINTS points
+    or more in contiguous parts, one per CPU, part 0 in process and every
+    other in a forked child; the artifact is the one-process artifact byte
+    for byte."""
+
+    POINTS = (cli.PART_POINTS - 1, cli.PART_POINTS, cli.PART_POINTS + 1,
+              2 * cli.PART_POINTS - 1, 2 * cli.PART_POINTS, 40_001)
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        art = tmp_path_factory.mktemp("parts") / "figure1.json"
+        assert main(["exact", str(fixture_path("figure1")), "--out", str(art)]) == 0
+        return {"artifact": art, "graph": fixture_path("figure2")}
+
+    @staticmethod
+    def curve(monkeypatch, tmp_path, cpus, source, *flags):
+        """(exit code, stderr, the artifact's text with its duration zeroed
+        or None if no file was written) of a `reliability` call on `cpus`
+        CPUs."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / f"curve{cpus}"
+        out.unlink(missing_ok=True)
+        err = tmp_path / "err"
+        with open(err, "w") as stderr, contextlib.redirect_stderr(stderr):
+            code = main(["reliability", str(source), *flags, "--out", str(out)])
+        text = out.read_text() if out.exists() else None
+        if text and text.startswith("{"):
+            text = re.sub(r'"duration_seconds": [^,]*', '"duration_seconds": 0', text)
+        return code, err.read_text(), text
+
+    @staticmethod
+    def no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    @pytest.mark.parametrize("source", ["artifact", "graph"])
+    @pytest.mark.parametrize("process,tmax", [("poisson", "16"), ("binomial", "3")])
+    def test_parts_are_byte_identical(self, monkeypatch, tmp_path, inputs, process, tmax,
+                                      source, output):
+        for points in self.POINTS:
+            flags = ("--process", process, "--tmax", tmax, "--steps", str(points - 1),
+                     "--output", output)
+            serial = self.curve(monkeypatch, tmp_path, 1, inputs[source], *flags)
+            assert serial[0] == 0 and serial[2]
+            for cpus in (2, 3):
+                assert self.curve(monkeypatch, tmp_path, cpus, inputs[source], *flags) == serial, (
+                    points, cpus)
+        self.no_child_left()
+
+    def test_split_loads_the_part_runner(self, monkeypatch, tmp_path, inputs):
+        # Three parts at 3 * PART_POINTS points on three CPUs; each point is
+        # still the per-count oracle's sum bit for bit.
+        sys.modules.pop("netsig._parts", None)
+        steps = 3 * cli.PART_POINTS - 1
+        code, _, text = self.curve(monkeypatch, tmp_path, 3, inputs["artifact"],
+                                   "--tmax", "16", "--steps", str(steps))
+        assert code == 0 and "netsig._parts" in sys.modules
+        artifact = load_artifact(text)
+        sig = json.loads(inputs["artifact"].read_text())
+        counts = [int(c) for c in sig["counts"]]
+        for k in range(0, steps + 1, 997):
+            t, s = artifact["times"][k], artifact["survival"][k]
+            assert t == 16 * k / steps
+            assert s.hex() == oracle_survival(counts, int(sig["total"]), "poisson", 1.0, 9, t).hex()
+
+    def test_small_grids_stay_in_process(self, monkeypatch, tmp_path, inputs):
+        def fork():
+            raise AssertionError("a grid below 2 * PART_POINTS points forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        code, _, _ = self.curve(monkeypatch, tmp_path, 64, inputs["artifact"],
+                                "--steps", str(2 * cli.PART_POINTS - 2))
+        assert code == 0
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--tmax", "inf"), "time grid must be finite"),
+        (("--rate", "0"), "rate must be finite and strictly positive"),
+    ])
+    def test_checks_run_before_any_fork(self, monkeypatch, tmp_path, inputs, flags, message):
+        def fork():
+            raise AssertionError("forked before the checks")
+
+        monkeypatch.setattr(os, "fork", fork)
+        code, err, text = self.curve(monkeypatch, tmp_path, 2, inputs["artifact"], *flags,
+                                     "--steps", "40000")
+        assert (code, err, text) == (3, f"error: {message}\n", None)
+
+    def test_failed_fork_runs_the_part_here(self, monkeypatch, tmp_path, inputs):
+        flags = ("--steps", "40000")
+        serial = self.curve(monkeypatch, tmp_path, 1, inputs["artifact"], *flags)
+
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert self.curve(monkeypatch, tmp_path, 2, inputs["artifact"], *flags) == serial
+
+    @pytest.mark.parametrize("fault,exit_code", [("nan", 3), ("memory", 4)])
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_failed_part_ends_as_the_serial_run(self, monkeypatch, tmp_path, inputs, fault,
+                                                exit_code, where):
+        # The kernel fails on the second half of the grid (a child's part)
+        # or on the first (part 0, in process): a nan that the JSON encoder
+        # rejects, or a MemoryError.  The run ends as the one-process run
+        # does, writes no file and leaves no child behind.
+        mixture = reliability._mixture
+
+        def kernel(process, rate, n, weights, divisor, times):
+            curve = mixture(process, rate, n, weights, divisor, times)
+            bad = [t > 8 if where == "child" else t < 8 for t in times]
+            if fault == "memory" and any(bad):
+                raise MemoryError
+            return [math.nan if b else s for b, s in zip(bad, curve)]
+
+        monkeypatch.setattr(reliability, "_mixture", kernel)
+        flags = ("--tmax", "16", "--steps", "40000")
+        serial = self.curve(monkeypatch, tmp_path, 1, inputs["artifact"], *flags)
+        assert serial[0] == exit_code and serial[1].startswith("error: ") and serial[2] is None
+        assert len(serial[1].splitlines()) == 1
+        assert self.curve(monkeypatch, tmp_path, 2, inputs["artifact"], *flags) == serial
+        self.no_child_left()
 
 
 class TestOSErrors:

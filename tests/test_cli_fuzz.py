@@ -4,7 +4,8 @@ files, signature artifacts and flags.
 Whatever the input, a call ends with an exit code in 0-4 (argparse's exit
 included), exits 3 and 4 write one `error:` line and no traceback, and no
 JSON artifact holds NaN or Infinity.  The graphs have at most 6 links, the
-runs at most 50 samples, the curves at most 20 steps, and every run one
+runs at most 50 samples, the curves at most 20 steps (but for the examples
+of a curve large enough to be computed in parts), and every run one
 worker.
 """
 
@@ -161,6 +162,12 @@ def run(argv):
 @example(call=(["reliability", "INPUT", "--rate", "inf"], BRIDGE))
 @example(call=(["reliability", "INPUT", "--tmax", "1e308", "--steps", "2"], BRIDGE))
 @example(call=(["reliability", "INPUT", "--tmax", "-1"], BRIDGE))
+# Curves of 40,001 points, which the CLI computes in parts on a host with
+# more than one CPU: a valid one, one whose grid overflows tmax * i, and
+# one whose non-finite grid the grid check refuses before any part starts.
+@example(call=(["reliability", "INPUT", "--steps", "40000", "--output", "csv"], BRIDGE))
+@example(call=(["reliability", "INPUT", "--tmax", "1e308", "--steps", "40000"], BRIDGE))
+@example(call=(["reliability", "INPUT", "--tmax", "inf", "--steps", "40000"], BRIDGE))
 @example(call=(["reliability", "INPUT"], b'{"n": 2, "counts": ["0", "0"], "total": "0", '
                                          b'"mode": "exact", "m_mode": "exact-subset"}'))
 @example(call=(["reliability", "INPUT"], b'{"n": 2, "counts": [NaN, 1], "total": "1", '

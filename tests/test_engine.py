@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -526,6 +527,21 @@ class TestExactTSignature:
         monkeypatch.setattr(frontier, "_fubini", fubini)
         with pytest.raises(EnumerationCapError, match="at link 1 of 40; use sampling"):
             exact_tsignature(_star(40))
+
+    def test_refusal_builds_no_quadratic_list(self):
+        # The `shift` lookup list, n + 1 tuples of 2n + 3 ints, is built with
+        # the start state, once link 1's check has passed: a star refused at
+        # link 1 allocates O(n) bytes (2.9 MB at 300 leaves when the list came
+        # before the check).
+        star = _star(300)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match="at link 1 of 300; use sampling"):
+                exact_tsignature(star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300**2
 
     def test_state_guard_admits_a_3x5_grid(self, monkeypatch):
         # 22 links, 13,184,744 bytes at the peak by the DP's bounds (one

@@ -1,49 +1,23 @@
-"""A large `reliability` curve, computed and encoded in contiguous parts of
-its time grid, one per process.
+"""One computation in contiguous parts, one per process.
 
-Each point of a curve is summed from its own time alone, and the encoders
-write each number by itself, so the parts' texts joined in order are the
-one-process artifact byte for byte.  Part 0 runs in the calling process.
-Every other part runs in a child made by `os.fork()`, which sends its text
-(or its exception's class and message) through a pipe and ends in
-`os._exit`: it never returns into the caller.  The CLI loads this module
-only for a grid it splits.
+`run(work, parts)` runs work(0) in the calling process and every other
+work(k) in a child made by `os.fork()`.  A child writes the strings of
+work(k) through a pipe in UTF-8, split by NUL bytes, or, should work(k)
+raise, a 0xff byte (which UTF-8 never holds) and its exception's class and
+message; then it ends in `os._exit`: it never returns into the caller.
+The CLI loads this module only for a `reliability` grid that it splits.
 """
 
 from __future__ import annotations
 
 import os
 
-from .reliability import _check_curve
 
-
-def curve_in_parts(cli, sig, args, times: list[float], parts: int):
-    """`cmd_reliability`'s (times, survival, CSV rows) for `parts` parts:
-    the two columns as encoded JSON items (`cli._Items`), or, for CSV, one
-    row per part, its rows' text.  `cli` is the calling module, which
-    `python -m netsig.cli` runs as `__main__`, not as `netsig.cli`.  The
-    whole grid is checked before any part starts."""
-    _check_curve(sig, args.process, args.rate, times)
-    cuts = [len(times) * k // parts for k in range(parts + 1)]
-
-    def part(k):
-        grid = times[cuts[k]:cuts[k + 1]]
-        survival = cli.survival_mixture(sig, args.process, args.rate, grid, checked=True)
-        if args.output == "csv":
-            return ("\n".join(cli._csv_lines(zip(grid, survival))),)
-        return cli._json_items(grid), cli._json_items(survival)
-
-    texts = _run(part, parts)
-    if args.output == "csv":
-        return None, None, texts
-    times, survival = (cli._Items(cli._ITEM.join(column)) for column in zip(*texts))
-    return times, survival, None
-
-
-def _run(work, parts: int) -> list[tuple[str, ...]]:
-    """[work(k) for k in range(parts)], each a tuple of strings: work(0) in
-    this process, every other in a forked child, or here once a fork fails.
-    Each child is reaped before this returns or raises."""
+def run(work, parts: int) -> list[tuple[str, ...]]:
+    """[work(k) for k in range(parts)], each a tuple of strings holding no
+    NUL: work(0) in this process, every other in a forked child, or here
+    once a fork fails.  A child's exception is raised here.  Each child is
+    reaped before this returns or raises."""
     children = []  # (pid, read end of its pipe), in part order
     try:
         for k in range(1, parts):
@@ -55,7 +29,7 @@ def _run(work, parts: int) -> list[tuple[str, ...]]:
                 os.close(write_end)
                 break
             if pid == 0:
-                _child(work, k, read_end, write_end)
+                _child(work, k, [read_end, *(fd for _, fd in children)], write_end)
             os.close(write_end)
             children.append((pid, read_end))
         texts = [work(0)]
@@ -64,37 +38,43 @@ def _run(work, parts: int) -> list[tuple[str, ...]]:
             with open(read_end, "rb", closefd=False) as pipe:
                 answers.append(pipe.read())
     finally:
-        # Each pipe is closed first, so that a child still writing gets
-        # EPIPE and exits.
-        codes = []
-        for pid, read_end in children:
+        # Every read end is closed before the first wait, so that a child
+        # still writing gets EPIPE and exits; no child holds another's.
+        for _, read_end in children:
             os.close(read_end)
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
     for answer, code in zip(answers, codes):
-        if answer[:1] == b"-":
-            import pickle
+        if code:
+            fault = answer.find(b"\xff")
+            if fault >= 0:
+                import pickle
 
-            cls, message = pickle.loads(answer[1:])
-            raise cls(message)
-        if code:  # killed before it sent a whole answer, the OOM killer's way
-            raise MemoryError(f"a part of the curve ended with exit status {code}")
-        texts.append(tuple(answer[1:].decode().split("\0")))
-    return texts + [work(k) for k in range(len(children) + 1, parts)]
+                cls, message = pickle.loads(answer[fault + 1:])
+                raise cls(message)
+            # Killed before it could answer, the OOM killer's way.
+            raise MemoryError(f"a part ended with exit status {code}")
+    texts += [tuple(answer.decode().split("\0")) for answer in answers]
+    return texts + [work(k) for k in range(len(texts), parts)]
 
 
-def _child(work, k: int, read_end: int, write_end: int) -> None:
-    """Send work(k), or its exception, through the pipe and exit."""
+def _child(work, k: int, read_ends: list[int], write_end: int) -> None:
+    """Write work(k)'s strings, or its exception, to `write_end` and exit,
+    having closed every read end inherited from the parent."""
     code = 1
     try:
-        os.close(read_end)
-        try:
-            answer = b"+" + "\0".join(work(k)).encode()
-        except BaseException as exc:
-            import pickle
-
-            answer = b"-" + pickle.dumps((type(exc), str(exc)))
+        for fd in read_ends:
+            os.close(fd)
         with open(write_end, "wb") as pipe:
-            pipe.write(answer)
+            try:
+                for i, text in enumerate(work(k)):
+                    if i:
+                        pipe.write(b"\0")
+                    pipe.write(text.encode())
+            except BaseException as exc:
+                import pickle
+
+                pipe.write(b"\xff" + pickle.dumps((type(exc), str(exc))))
+                return  # through the `finally`: exit status 1
         code = 0
     finally:
         os._exit(code)

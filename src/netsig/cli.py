@@ -64,16 +64,17 @@ EXIT_CAP = 4
 
 # The time grid and its curve are built whole before anything is written, so
 # `reliability --steps` is bounded before they are: a million steps take
-# about 1.5 s for 38 MB of JSON (figure1, two parts on a 2-core x86-64 host;
-# 2.1 s in one process), with a max RSS of 168 MiB in the calling process
-# and 104 MiB in its child (164 MiB in one process); as CSV 131 and 128 MiB
-# (92 MiB in one process).
+# about 1.4 s for 39 MB of JSON (figure1, two parts on a 2-core x86-64 host;
+# 2.1 s in one process), with a max RSS of 172 MiB in the calling process
+# and 107 MiB in its child (167 MiB in one process); as CSV, in one
+# process, 2.4 s and 92 MiB.
 MAX_STEPS = 10**6
-# `reliability` computes and encodes a grid of 2 * PART_POINTS points or
-# more in parts, on up to os.cpu_count() processes (`netsig._parts`).  Two
-# parts break even with one process at about 4,001 points (9.3 against
-# 8.8 ms, Poisson, in process, same host) and save about a quarter from
-# 20,001 on (25.8 against 35.9 ms), so the default 101 points never fork.
+# `reliability` computes and encodes a JSON curve of 2 * PART_POINTS points
+# or more in parts, one per usable CPU (`netsig._parts`).  Two parts break
+# even with one process at about 4,001 points (7.2 against 6.9 ms, Poisson,
+# in process, same host) and save about a quarter from 20,001 on (26.2
+# against 35.4 ms), so the default 101 points never fork.  A CSV curve runs
+# in one process, which writes its rows 4,096 at a time as they are made.
 PART_POINTS = 10_000
 # `nstar N` makes about N^2/2 products of integers of up to N*log2(N) bits,
 # so time, not memory, bounds N: 500 takes about 0.3 s and 15 MiB (same
@@ -144,10 +145,6 @@ def _json_pieces(payload: dict) -> list[str]:
     return pieces
 
 
-def _csv_lines(rows):
-    return (",".join(map(str, row)) for row in rows)
-
-
 def _emit(payload: dict, args: argparse.Namespace, csv_rows=None, csv_header=None) -> None:
     """Write the artifact to `args.out` or stdout.  JSON is encoded whole
     before the first byte is written, so a non-finite value writes nothing;
@@ -155,7 +152,7 @@ def _emit(payload: dict, args: argparse.Namespace, csv_rows=None, csv_header=Non
     if args.output == "json":
         pieces = _json_pieces(payload)
     else:
-        lines = chain([",".join(csv_header)], _csv_lines(csv_rows))
+        lines = chain([",".join(csv_header)], (",".join(map(str, row)) for row in csv_rows))
         # Joined 4,096 lines at a time: a write per line costs more than the join.
         pieces = iter(lambda: "".join(f"{line}\n" for line in islice(lines, 4096)), "")
     if getattr(args, "out", None):
@@ -254,15 +251,12 @@ def cmd_reliability(args) -> int:
     started = time.time()
     sig, digest = _load_signature_input(args.input)
     times = _time_grid(args.tmax, args.steps)
-    # One contiguous part of the grid per CPU, of PART_POINTS points or more.
-    parts = min(os.cpu_count() or 1, len(times) // PART_POINTS) if hasattr(os, "fork") else 1
-    if parts > 1:
-        from ._parts import curve_in_parts
-
-        times, survival, rows = curve_in_parts(_lib, sig, args, times, parts)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = min(cpus or 1, len(times) // PART_POINTS) if hasattr(os, "fork") else 1
+    if parts > 1 and args.output == "json":
+        times, survival = _curve_in_parts(sig, args, times, parts)
     else:
         survival = _lib.survival_mixture(sig, args.process, args.rate, times)
-        rows = zip(times, survival) if args.output == "csv" else None
     payload = {
         "manifest": _manifest("reliability", digest, args, started),
         "n": sig.n,
@@ -271,8 +265,28 @@ def cmd_reliability(args) -> int:
         "times": times,
         "survival": survival,
     }
+    rows = zip(times, survival) if args.output == "csv" else None
     _emit(payload, args, csv_rows=rows, csv_header=["t", "survival"])
     return EXIT_OK
+
+
+def _curve_in_parts(sig, args, times: list[float], parts: int) -> list[_Items]:
+    """The JSON items of `cmd_reliability`'s times and survival, from
+    `parts` contiguous slices of the grid, each evaluated and encoded in its
+    own process (`netsig._parts`) and joined in order.  The whole grid is
+    checked before any part starts."""
+    from . import reliability
+    from ._parts import run
+
+    reliability._check_curve(sig, args.process, args.rate, times)
+    cuts = [len(times) * k // parts for k in range(parts + 1)]
+
+    def part(k):
+        grid = times[cuts[k]:cuts[k + 1]]
+        curve = reliability._mixture(args.process, args.rate, sig.n, sig.counts, sig.total, grid)
+        return _json_items(grid), _json_items(curve)
+
+    return [_Items(_ITEM.join(column)) for column in zip(*run(part, parts))]
 
 
 def _sample_count(text: str) -> int:

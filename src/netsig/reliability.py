@@ -174,8 +174,7 @@ def _check_curve(sig: TSignature, process: str, rate: float, grid) -> None:
         raise ValueError("time grid must be nonnegative")
 
 
-def survival_mixture(sig: TSignature, process: str, rate: float, grid, *,
-                     checked: bool = False) -> list[float]:
+def survival_mixture(sig: TSignature, process: str, rate: float, grid) -> list[float]:
     """Mixture curve: P(T > t) = sum_i values[i] * P(N(t) <= i-1) for each t
     of `grid`, a finite, ascending and nonnegative sequence of times, with
     N(t) counted by `process` at link failure rate `rate` over the sig.n
@@ -187,13 +186,6 @@ def survival_mixture(sig: TSignature, process: str, rate: float, grid, *,
     is one pass of the mixture kernel over the integer counts, divided once
     by the total, so the curve is exactly 1 where every P(N(t) <= j) is 1
     (summing counts[i]/total can miss 1 by an ulp).
-
-    Each point's sum reads no other point, so contiguous slices of a grid
-    give the slices of its curve bit for bit.  `checked` skips the checks of
-    the arguments, for a slice of a grid that has passed them whole: the
-    CLI checks a large grid once and runs the slices in parallel
-    (`netsig._parts`).
     """
-    if not checked:
-        _check_curve(sig, process, rate, grid)
+    _check_curve(sig, process, rate, grid)
     return _mixture(process, rate, sig.n, sig.counts, sig.total, grid)

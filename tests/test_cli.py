@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -596,10 +597,10 @@ class TestReliability:
 
 
 class TestCurveInParts:
-    """`reliability` computes and encodes a grid of 2 * PART_POINTS points
-    or more in contiguous parts, one per CPU, part 0 in process and every
-    other in a forked child; the artifact is the one-process artifact byte
-    for byte."""
+    """`reliability` computes and encodes a JSON curve of 2 * PART_POINTS
+    points or more in contiguous parts, one per usable CPU, part 0 in
+    process and every other in a forked child; the artifact is the
+    one-process artifact byte for byte."""
 
     POINTS = (cli.PART_POINTS - 1, cli.PART_POINTS, cli.PART_POINTS + 1,
               2 * cli.PART_POINTS - 1, 2 * cli.PART_POINTS, 40_001)
@@ -614,7 +615,8 @@ class TestCurveInParts:
     def curve(monkeypatch, tmp_path, cpus, source, *flags):
         """(exit code, stderr, the artifact's text with its duration zeroed
         or None if no file was written) of a `reliability` call on `cpus`
-        CPUs."""
+        usable CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         out = tmp_path / f"curve{cpus}"
         out.unlink(missing_ok=True)
@@ -662,13 +664,18 @@ class TestCurveInParts:
             assert t == 16 * k / steps
             assert s.hex() == oracle_survival(counts, int(sig["total"]), "poisson", 1.0, 9, t).hex()
 
-    def test_small_grids_stay_in_process(self, monkeypatch, tmp_path, inputs):
+    @pytest.mark.parametrize("points,output", [(2 * cli.PART_POINTS - 1, "json"),
+                                               (40_001, "csv")])
+    def test_small_grids_and_csv_stay_in_process(self, monkeypatch, tmp_path, inputs, points,
+                                                 output):
+        # A grid below 2 * PART_POINTS points, or a CSV curve, which is
+        # written as its rows are formatted, never forks.
         def fork():
-            raise AssertionError("a grid below 2 * PART_POINTS points forked")
+            raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", fork)
         code, _, _ = self.curve(monkeypatch, tmp_path, 64, inputs["artifact"],
-                                "--steps", str(2 * cli.PART_POINTS - 2))
+                                "--steps", str(points - 1), "--output", output)
         assert code == 0
 
     @pytest.mark.parametrize("flags,message", [
@@ -696,17 +703,20 @@ class TestCurveInParts:
 
     @pytest.mark.parametrize("fault,exit_code", [("nan", 3), ("memory", 4)])
     @pytest.mark.parametrize("where", ["child", "parent"])
+    @pytest.mark.parametrize("cpus", [2, 3])
     def test_failed_part_ends_as_the_serial_run(self, monkeypatch, tmp_path, inputs, fault,
-                                                exit_code, where):
+                                                exit_code, where, cpus):
         # The kernel fails on the second half of the grid (a child's part)
-        # or on the first (part 0, in process): a nan that the JSON encoder
+        # or only on part 0 (t < 1, in process): a nan that the JSON encoder
         # rejects, or a MemoryError.  The run ends as the one-process run
-        # does, writes no file and leaves no child behind.
+        # does, writes no file and leaves no child behind.  With three
+        # parts, each child's text is past a pipe's 64 KiB, so a child is
+        # still writing when part 0 fails.
         mixture = reliability._mixture
 
         def kernel(process, rate, n, weights, divisor, times):
             curve = mixture(process, rate, n, weights, divisor, times)
-            bad = [t > 8 if where == "child" else t < 8 for t in times]
+            bad = [t > 8 if where == "child" else t < 1 for t in times]
             if fault == "memory" and any(bad):
                 raise MemoryError
             return [math.nan if b else s for b, s in zip(bad, curve)]
@@ -716,8 +726,32 @@ class TestCurveInParts:
         serial = self.curve(monkeypatch, tmp_path, 1, inputs["artifact"], *flags)
         assert serial[0] == exit_code and serial[1].startswith("error: ") and serial[2] is None
         assert len(serial[1].splitlines()) == 1
-        assert self.curve(monkeypatch, tmp_path, 2, inputs["artifact"], *flags) == serial
+
+        def hung(signum, frame):
+            raise TimeoutError("a part or a wait hung")
+
+        # A child or a wait that hangs fails this test, not the whole run.
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            split = self.curve(monkeypatch, tmp_path, cpus, inputs["artifact"], *flags)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert split == serial
         self.no_child_left()
+
+    def test_parts_follow_the_usable_cpus(self, monkeypatch, tmp_path, inputs):
+        # The part count reads the CPUs this process may run on, not the
+        # host's: one usable CPU of 64 never forks.
+        def fork():
+            raise AssertionError("forked on one usable CPU")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert main(["reliability", str(inputs["artifact"]), "--steps", "40000",
+                     "--out", str(tmp_path / "curve")]) == 0
 
 
 class TestOSErrors:

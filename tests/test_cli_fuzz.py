@@ -162,9 +162,11 @@ def run(argv):
 @example(call=(["reliability", "INPUT", "--rate", "inf"], BRIDGE))
 @example(call=(["reliability", "INPUT", "--tmax", "1e308", "--steps", "2"], BRIDGE))
 @example(call=(["reliability", "INPUT", "--tmax", "-1"], BRIDGE))
-# Curves of 40,001 points, which the CLI computes in parts on a host with
-# more than one CPU: a valid one, one whose grid overflows tmax * i, and
-# one whose non-finite grid the grid check refuses before any part starts.
+# JSON curves of 40,001 points, which the CLI computes in parts on a host
+# with more than one usable CPU: a valid one, one whose grid overflows
+# tmax * i, and one whose non-finite grid the grid check refuses before any
+# part starts; and a CSV curve of as many points, which runs in one process.
+@example(call=(["reliability", "INPUT", "--steps", "40000"], BRIDGE))
 @example(call=(["reliability", "INPUT", "--steps", "40000", "--output", "csv"], BRIDGE))
 @example(call=(["reliability", "INPUT", "--tmax", "1e308", "--steps", "40000"], BRIDGE))
 @example(call=(["reliability", "INPUT", "--tmax", "inf", "--steps", "40000"], BRIDGE))

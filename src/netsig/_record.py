@@ -28,7 +28,7 @@ SIGNATURE_MODES = ("exact", "classic", "sampled")
 # N(t) is Poisson(rate * t) for "poisson" and Binomial(n, 1 - exp(-rate * t))
 # for "binomial".
 PROCESSES = ("poisson", "binomial")
-# A run builds one job per worker before any work starts.
+# Bounds `workers`, outside input: each worker id redoes its setup (a table build).
 MAX_WORKERS = 1024
 
 

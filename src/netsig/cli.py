@@ -251,8 +251,7 @@ def cmd_reliability(args) -> int:
     started = time.time()
     sig, digest = _load_signature_input(args.input)
     times = _time_grid(args.tmax, args.steps)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    parts = min(cpus or 1, len(times) // PART_POINTS) if hasattr(os, "fork") else 1
+    parts = len(times) // PART_POINTS  # at most: `netsig._parts` caps it at the usable CPUs
     if parts > 1 and args.output == "json":
         times, survival = _curve_in_parts(sig, args, times, parts)
     else:
@@ -270,23 +269,22 @@ def cmd_reliability(args) -> int:
     return EXIT_OK
 
 
-def _curve_in_parts(sig, args, times: list[float], parts: int) -> list[_Items]:
-    """The JSON items of `cmd_reliability`'s times and survival, from
-    `parts` contiguous slices of the grid, each evaluated and encoded in its
-    own process (`netsig._parts`) and joined in order.  The whole grid is
-    checked before any part starts."""
+def _curve_in_parts(sig, args, times: list[float], limit: int) -> list[_Items]:
+    """The JSON items of `cmd_reliability`'s times and survival, from at
+    most `limit` contiguous slices of the grid, each evaluated and encoded
+    in its own process (`netsig._parts`) and joined in order.  The whole
+    grid is checked before any part starts."""
     from . import reliability
     from ._parts import run
 
     reliability._check_curve(sig, args.process, args.rate, times)
-    cuts = [len(times) * k // parts for k in range(parts + 1)]
 
-    def part(k):
-        grid = times[cuts[k]:cuts[k + 1]]
+    def part(k, parts):
+        grid = times[len(times) * k // parts:len(times) * (k + 1) // parts]
         curve = reliability._mixture(args.process, args.rate, sig.n, sig.counts, sig.total, grid)
-        return _json_items(grid), _json_items(curve)
+        return str(_json_items(grid)), str(_json_items(curve))  # marshal: str, not _Items
 
-    return [_Items(_ITEM.join(column)) for column in zip(*run(part, parts))]
+    return [_Items(_ITEM.join(column)) for column in zip(*run(part, limit))]
 
 
 def _sample_count(text: str) -> int:

@@ -7,9 +7,9 @@ exact-subset signatures need no order: `frontier.exact_tsignature` and
 `frontier.classic_signature` run a frontier dynamic program, and import
 this module only for the order-based runs, the paper-greedy t-signature
 over the (R, B) pairs (`_count_pairs`) and the first orders of the
-canonical stream (`_stream_orders`), both split by `_run_histogram`.  The
-sampler's scorer, `_order_m`, lives here too, with the union-find cores it
-shares with the order stream.
+canonical stream (`_stream_orders`), both split by `_run_histogram` into
+forked parts (`netsig._parts`).  The sampler's scorer, `_order_m`, lives
+here too, with the union-find cores it shares with the order stream.
 
 Only the histogram is ever stored: counts are exact integers, merged by
 addition, so parallel runs are bit-identical to single-worker runs.
@@ -18,7 +18,6 @@ addition, so parallel runs are bit-identical to single-worker runs.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from itertools import islice, permutations
 
@@ -300,26 +299,21 @@ def _stream_orders(net, worker_id, workers, counts, m_mode, order_limit) -> None
                 counts[m - 1] += weight
 
 
-def _histogram_worker(args):
-    net, fill, worker_id, workers, extra = args
-    counts = [0] * net.n
-    fill(net, worker_id, workers, counts, *extra)
-    return counts
-
-
 def _run_histogram(net, workers, fill, *extra) -> tuple[int, ...]:
-    """Run `fill(net, worker_id, workers, counts, *extra)` once per worker,
-    in this process for one worker and in a process pool otherwise, and
-    merge the per-worker histograms by integer addition."""
-    jobs = [(net, fill, worker_id, workers, extra) for worker_id in range(workers)]
-    if workers == 1:
-        results = [_histogram_worker(jobs[0])]
-    else:
-        # Imported here: the pool pulls in multiprocessing, which a
-        # one-worker run never needs.
-        from concurrent.futures import ProcessPoolExecutor
+    """Run `fill(net, worker_id, workers, counts, *extra)` for every worker
+    id, in this process for one worker and otherwise in parts
+    (`netsig._parts`), part p filling ids p, p + parts, ... into one
+    histogram, and merge the histograms by integer addition."""
+    def part(p, parts):
+        counts = [0] * net.n
+        for worker_id in range(p, workers, parts):
+            fill(net, worker_id, workers, counts, *extra)
+        return counts
 
-        # Still `workers` jobs, so the counts do not depend on the pool size.
-        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(_histogram_worker, jobs))
-    return tuple(map(sum, zip(*results)))
+    if workers == 1:
+        histograms = [part(0, 1)]
+    else:
+        from ._parts import run
+
+        histograms = run(part, workers)
+    return tuple(map(sum, zip(*histograms)))

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import errno
+import functools
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import netsig
-from netsig import cli, engine, frontier, reliability
+from netsig import cli, engine, frontier, reliability, sampling
 from netsig.cli import main
 from netsig.fixtures import fixture_path
 
@@ -611,11 +612,15 @@ class TestCurveInParts:
         assert main(["exact", str(fixture_path("figure1")), "--out", str(art)]) == 0
         return {"artifact": art, "graph": fixture_path("figure2")}
 
-    @staticmethod
-    def curve(monkeypatch, tmp_path, cpus, source, *flags):
+    PART_POINTS = cli.PART_POINTS
+
+    @classmethod
+    def curve(cls, monkeypatch, tmp_path, cpus, source, *flags):
         """(exit code, stderr, the artifact's text with its duration zeroed
         or None if no file was written) of a `reliability` call on `cpus`
-        usable CPUs."""
+        usable CPUs.  On one CPU the call takes the one-process path
+        (PART_POINTS above every grid here), the reference of each split."""
+        monkeypatch.setattr(cli, "PART_POINTS", 10**9 if cpus == 1 else cls.PART_POINTS)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         out = tmp_path / f"curve{cpus}"
@@ -741,6 +746,19 @@ class TestCurveInParts:
         assert split == serial
         self.no_child_left()
 
+    def test_one_part_runs_here_without_fork(self, monkeypatch, tmp_path, inputs):
+        # Where `os.fork` is missing, as on one usable CPU, a large JSON grid
+        # still takes the split path, with one part run in process; the
+        # artifact is the one-process artifact.
+        flags = ("--steps", "40000")
+        serial = self.curve(monkeypatch, tmp_path, 1, inputs["artifact"], *flags)
+        calls = []
+        split = cli._curve_in_parts
+        monkeypatch.setattr(cli, "_curve_in_parts", lambda *a: calls.append(a) or split(*a))
+        monkeypatch.delattr(os, "fork")
+        assert self.curve(monkeypatch, tmp_path, 2, inputs["artifact"], *flags) == serial
+        assert len(calls) == 1
+
     def test_parts_follow_the_usable_cpus(self, monkeypatch, tmp_path, inputs):
         # The part count reads the CPUs this process may run on, not the
         # host's: one usable CPU of 64 never forks.
@@ -752,6 +770,61 @@ class TestCurveInParts:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert main(["reliability", str(inputs["artifact"]), "--steps", "40000",
                      "--out", str(tmp_path / "curve")]) == 0
+
+
+# The fills that a run of more than one worker splits, kept as imported for
+# `_fail_in_worker_1` to call once they are patched.
+_FILLS = {"approx": (sampling, "_draw_orders", sampling._draw_orders),
+          "exact": (engine, "_count_pairs", engine._count_pairs)}
+
+
+def _fail_in_worker_1(command, fault, parent, net, worker_id, *rest):
+    """The command's fill, but for worker 1, run in part 1 of 2 (a child),
+    which kills its own process or runs out of memory.  Bound by `partial`
+    to module-level values, it pickles, so the test also runs against a
+    runner that sends its jobs to a process pool."""
+    if worker_id == 1:
+        assert os.getpid() != parent, "worker 1 ran in the test process"
+        if fault == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise MemoryError
+    _FILLS[command][2](net, worker_id, *rest)
+
+
+class TestFailedWorker:
+    """A run of more than one worker forks its parts (`netsig._parts`); a
+    worker killed the OOM killer's way, or one that runs out of memory, ends
+    the run with exit 4 and one line, writes no file and leaves no child."""
+
+    FLAGS = {"approx": ("--samples", "200"), "exact": ("--m-mode", "paper-greedy")}
+
+    @pytest.mark.parametrize("fault", ["kill", "memory"])
+    @pytest.mark.parametrize("command", sorted(_FILLS))
+    def test_failed_worker_exits_4(self, monkeypatch, tmp_path, command, fault):
+        module, name, _ = _FILLS[command]
+        monkeypatch.setattr(module, name, functools.partial(_fail_in_worker_1, command, fault,
+                                                            os.getpid()))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out, err = tmp_path / "out.json", tmp_path / "err"
+
+        def hung(signum, frame):
+            raise TimeoutError("a worker or a wait hung")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with open(err, "w") as stderr, contextlib.redirect_stderr(stderr):
+                code = main([command, str(fixture_path("bridge")), *self.FLAGS[command],
+                             "--workers", "2", "--out", str(out)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        lines = err.read_text().splitlines()
+        assert code == 4 and len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestOSErrors:
@@ -860,17 +933,16 @@ class TestEmit:
             self.emitted({"manifest": {"rate": value}}, capsys)
 
 
-def test_import_leaves_process_pool_unloaded():
-    # The process pool is imported only by a run with more than one worker,
-    # so a one-worker run never pays for multiprocessing.
-    code = (
-        "import sys, netsig.cli; "
-        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=package_env()
-    )
-    assert out.stdout.strip() == "[]"
+def test_import_leaves_process_pool_unloaded(tmp_path):
+    # Neither an import nor a run of two workers, which forks its parts
+    # (`netsig._parts`), loads a process pool or multiprocessing.
+    pools = "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    run = (f"assert netsig.cli.main(['approx', {str(fixture_path('bridge'))!r}, '--samples', "
+           f"'50', '--workers', '2', '--out', {str(tmp_path / 'out.json')!r}]) == 0")
+    for code in (f"import sys, netsig.cli; {pools}", f"import sys, netsig.cli; {run}; {pools}"):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=package_env())
+        assert out.stdout.strip() == "[]", code
 
 
 def test_import_leaves_hashlib_unloaded():

@@ -6,7 +6,7 @@ included), exits 3 and 4 write one `error:` line and no traceback, and no
 JSON artifact holds NaN or Infinity.  The graphs have at most 6 links, the
 runs at most 50 samples, the curves at most 20 steps (but for the examples
 of a curve large enough to be computed in parts), and every run one
-worker.
+worker (but for the examples of runs whose workers fork their parts).
 """
 
 import json
@@ -175,6 +175,10 @@ def run(argv):
 @example(call=(["reliability", "INPUT"], b'{"n": 2, "counts": [NaN, 1], "total": "1", '
                                          b'"mode": "exact", "m_mode": "exact-subset"}'))
 @example(call=(["exact", "INPUT", "--out", "/dev/full"], BRIDGE))
+# Runs of more than one worker, which fork their parts on a host with more
+# than one usable CPU.
+@example(call=(["approx", "INPUT", "--samples", "50", "--workers", "3"], BRIDGE))
+@example(call=(["exact", "INPUT", "--m-mode", "paper-greedy", "--workers", "2"], BRIDGE))
 @example(call=(["approx", "INPUT", "--samples", "5", "--m-mode", "paper-greedy"],
                b"terminals a b c\r\nedge a b\r\nedge b c\r\n"))
 def test_cli_exits_with_a_documented_code(tmp_path, call):

@@ -1,6 +1,6 @@
-import concurrent.futures
 import itertools
 import math
+import os
 import random
 import time
 import tracemalloc
@@ -870,27 +870,31 @@ class TestParallelDeterminism:
         for workers in (2, 3):
             assert exact_tsignature(net, workers=workers).counts == base.counts
 
-    @pytest.mark.parametrize("cpus, pool_size", [(2, 2), (8, 5), (None, 1)])
-    def test_pool_bounded_by_cpu_count(self, monkeypatch, cpus, pool_size):
-        # The pool is recorded and run in this process, so no process starts.
-        sizes = []
+    @pytest.mark.parametrize("affinity, cpus, workers, parts", [
+        (2, 64, 5, 2), (8, 64, 5, 5), (1, 64, 8, 1), (None, 3, 5, 3), (None, None, 5, 1),
+    ])
+    def test_parts_bounded_by_usable_cpus(self, monkeypatch, affinity, cpus, workers, parts):
+        # The workers run in at most as many forked parts as the CPUs this
+        # process may run on (`os.sched_getaffinity`), not the host's
+        # `os.cpu_count()`, which counts only where affinity is missing:
+        # eight workers on one usable CPU of 64 fork nothing.
+        forks = []
+        fork = os.fork
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                                raising=False)
         net = load_fixture("bridge")
-        sig = exact_tsignature(net, order_limit=300, workers=5)
-        assert sizes == [pool_size]
+        sig = exact_tsignature(net, order_limit=300, workers=workers)
+        assert len(forks) == parts - 1
         assert sig.counts == exact_tsignature(net, order_limit=300).counts
